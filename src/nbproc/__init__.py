@@ -56,23 +56,14 @@ from .evaluation import (
 from .models import (
     HyperParams,
     IterationError,
+    KindSpec,
     ModelKind,
     ModelState,
-    beta_nb_sweep,
     count_active_topics,
     crf_alpha_step,
-    crf_gamma0_update,
-    crf_hdp_sweep,
     forward_draw,
-    gamma_nb_sweep,
     gibbs_sweep,
     initialize,
-    lda_sweep,
-    marked_beta_nb_sweep,
-    marked_gamma_nb_sweep,
-    nb_ftm_sweep,
-    nb_hdp_sweep,
-    nb_lda_sweep,
     sample_topic_assignments,
     simulate_data,
     update_topics,

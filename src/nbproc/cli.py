@@ -57,6 +57,7 @@ from .evaluation import (
     trace_scalars,
 )
 from .models import (
+    SMOOTHED,
     HyperParams,
     ModelKind,
     count_active_topics,
@@ -487,21 +488,14 @@ def _check_weight_normalization(rng, quick, fault):
     return err < tol, f"max relative moment error = {err:.4f} (tolerance {tol})"
 
 
-_GEWEKE_KINDS = (
-    ModelKind.GAMMA_NB,
-    ModelKind.NB_LDA,
-    ModelKind.BETA_NB,
-    ModelKind.MARKED_BETA_NB,
-    ModelKind.MARKED_GAMMA_NB,
-    ModelKind.NB_FTM,
-    ModelKind.CRF_HDP,
-)
+# every kind with a forward simulation, i.e. all but the fixed-smoothing ones
+_GEWEKE_KINDS = tuple(kind for kind in ModelKind if kind.spec.normalized != SMOOTHED)
 
 
 def _make_geweke_check(kind: ModelKind):
     def check(rng, quick, fault):
         draws = 4_000 if quick else 50_000
-        kernel_fault = fault if (fault == "r-shape" and kind == ModelKind.GAMMA_NB) else None
+        kernel_fault = fault if (fault == "r-shape" and kind.spec.shared_kernel) else None
         report = geweke_check(kind, default_geweke_settings(kind), draws, draws, rng, fault=kernel_fault)
         return report.passed(4.0), f"max |z| = {report.max_abs_z:.2f} over {len(report.z_scores)} stats (threshold 4)"
 

@@ -80,16 +80,6 @@ def _tokens_from_counts(num_docs: int, vocab_size: int, cells: dict[tuple[int, i
     return tuple(np.sort(np.asarray(tokens, dtype=np.int64)) for tokens in per_doc)
 
 
-def corpus_from_counts(vocab, counts) -> Corpus:
-    """Build a Corpus from a dense documents-by-terms count matrix."""
-    counts = np.asarray(counts)
-    docs = []
-    for row in counts:
-        terms = np.repeat(np.arange(len(row), dtype=np.int64), row)
-        docs.append(terms)
-    return Corpus(vocab=tuple(vocab), doc_tokens=tuple(docs))
-
-
 def load_bag_of_words(docword_path, vocab_path) -> Corpus:
     """Load a corpus from UCI-format docword and vocabulary files."""
     with open(docword_path, "r", encoding="utf-8") as fh:

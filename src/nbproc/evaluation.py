@@ -20,6 +20,10 @@ import numpy as np
 
 from .corpus import HeldOutSplit
 from .models import (
+    BETA_PROCESS,
+    DOC,
+    FRANCHISE,
+    TOPIC,
     HyperParams,
     ModelKind,
     ModelState,
@@ -126,26 +130,14 @@ class TraceReport:
 
 def trace_scalars(state: ModelState) -> dict:
     """The per-iteration scalar summaries of a state."""
-    kind = state.kind
-    if kind in (ModelKind.NB_LDA, ModelKind.BETA_NB):
-        r_sum = float(state.r_j.sum())
-    elif kind in (ModelKind.LDA, ModelKind.DIR_PFA, ModelKind.CRF_HDP):
-        r_sum = float("nan")
-    else:
-        r_sum = float(state.r_k.sum())
-    if kind in (ModelKind.BETA_NB, ModelKind.MARKED_BETA_NB, ModelKind.MARKED_GAMMA_NB):
-        mean_p = float(state.p_k.mean())
-    elif kind.models_counts:
-        mean_p = float(state.p_j.mean())
-    else:
-        mean_p = float("nan")
-    samples_gamma0 = kind.models_counts and kind not in (ModelKind.BETA_NB, ModelKind.MARKED_BETA_NB)
+    spec = state.kind.spec
+    nan = float("nan")
     return {
         "active_topics": count_active_topics(state),
-        "r_sum": r_sum,
-        "mean_p": mean_p,
-        "gamma0": float(state.gamma0) if samples_gamma0 else float("nan"),
-        "alpha": float(state.alpha) if kind == ModelKind.CRF_HDP else float("nan"),
+        "r_sum": float(getattr(state, spec.r_field).sum()) if spec.r_axis else nan,
+        "mean_p": float(getattr(state, spec.p_field).mean()) if spec.p_axis else nan,
+        "gamma0": float(state.gamma0) if spec.samples_gamma0 else nan,
+        "alpha": float(state.alpha) if spec.normalized == FRANCHISE else nan,
     }
 
 
@@ -162,9 +154,7 @@ def summarize_parameters(state: ModelState) -> dict:
     log10 scale.  Returns {"topics": [...], "documents": [...]} where
     each entry is a flat dict ready for CSV emission.
     """
-    kind = state.kind
-    topic_tokens = state.n_jk.sum(axis=0)
-    doc_tokens = state.n_jk.sum(axis=1)
+    spec = state.kind.spec
 
     def _with_log(row: dict, name: str, value: float | None) -> None:
         if value is None:
@@ -173,31 +163,24 @@ def summarize_parameters(state: ModelState) -> dict:
             row[name] = float(value)
             row[f"log10_{name}"] = float(np.log10(value)) if value > 0 else None
 
-    topics = []
-    topic_has_r = kind in (
-        ModelKind.GAMMA_NB,
-        ModelKind.NB_HDP,
-        ModelKind.NB_FTM,
-        ModelKind.MARKED_BETA_NB,
-        ModelKind.MARKED_GAMMA_NB,
-    )
-    topic_has_p = kind in (ModelKind.BETA_NB, ModelKind.MARKED_BETA_NB, ModelKind.MARKED_GAMMA_NB)
-    for rank, k in enumerate(np.argsort(-topic_tokens, kind="stable")):
-        row = {"rank": rank, "index": int(k), "tokens": int(topic_tokens[k])}
-        _with_log(row, "r", state.r_k[k] if topic_has_r else None)
-        _with_log(row, "p", state.p_k[k] if topic_has_p else None)
-        _with_log(row, "pi", state.pi_k[k] if kind == ModelKind.NB_FTM else None)
-        topics.append(row)
+    def _rows(axis: str, tokens: np.ndarray, **extra) -> list[dict]:
+        columns = {
+            "r": getattr(state, spec.r_field) if spec.r_axis == axis else None,
+            "p": getattr(state, spec.p_field) if spec.p_axis == axis else None,
+            **extra,
+        }
+        rows = []
+        for rank, i in enumerate(np.argsort(-tokens, kind="stable")):
+            row = {"rank": rank, "index": int(i), "tokens": int(tokens[i])}
+            for name, values in columns.items():
+                _with_log(row, name, None if values is None else values[i])
+            rows.append(row)
+        return rows
 
-    documents = []
-    doc_has_r = kind in (ModelKind.NB_LDA, ModelKind.BETA_NB)
-    doc_has_p = kind in (ModelKind.NB_LDA, ModelKind.GAMMA_NB, ModelKind.NB_HDP, ModelKind.NB_FTM)
-    for rank, j in enumerate(np.argsort(-doc_tokens, kind="stable")):
-        row = {"rank": rank, "index": int(j), "tokens": int(doc_tokens[j])}
-        _with_log(row, "r", state.r_j[j] if doc_has_r else None)
-        _with_log(row, "p", state.p_j[j] if doc_has_p else None)
-        documents.append(row)
-    return {"topics": topics, "documents": documents}
+    return {
+        "topics": _rows(TOPIC, state.n_jk.sum(axis=0), pi=state.pi_k if spec.gated else None),
+        "documents": _rows(DOC, state.n_jk.sum(axis=1)),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -225,36 +208,32 @@ class GewekeSettings:
 def default_geweke_settings(kind: ModelKind) -> GewekeSettings:
     # Beta(3, 3) probability priors keep second moments of the counts
     # finite; the beta-process kinds get c = 6 so c/K = c(1-1/K) = 3.
-    c = 6.0 if kind in (ModelKind.BETA_NB, ModelKind.MARKED_BETA_NB) else 1.0
+    c = 6.0 if kind.spec.p_prior == BETA_PROCESS else 1.0
     hyper = HyperParams(c=c, eta=0.3, a0=3.0, b0=3.0, e0=1.0, f0=1.0, K=2, iters=2, burnin=0, init_iters=0)
     return GewekeSettings(hyper=hyper)
 
 
 def _monitored_stats(state: ModelState) -> dict[str, float]:
-    kind = state.kind
+    spec = state.kind.spec
     stats: dict[str, float] = {}
-    if kind.models_counts:
+    if state.kind.models_counts:
         stats["n_total"] = float(state.n_jk.sum())
-    if kind in (ModelKind.GAMMA_NB, ModelKind.NB_HDP, ModelKind.NB_FTM, ModelKind.MARKED_BETA_NB, ModelKind.MARKED_GAMMA_NB):
-        stats["r_mean"] = float(state.r_k.mean())
-        stats["r_sq_mean"] = float((state.r_k**2).mean())
-    if kind in (ModelKind.NB_LDA, ModelKind.BETA_NB):
-        stats["r_mean"] = float(state.r_j.mean())
-        stats["r_sq_mean"] = float((state.r_j**2).mean())
-    if kind in (ModelKind.GAMMA_NB, ModelKind.NB_LDA):
-        stats["p_mean"] = float(state.p_j.mean())
-        stats["p_sq_mean"] = float((state.p_j**2).mean())
-    if kind in (ModelKind.BETA_NB, ModelKind.MARKED_BETA_NB, ModelKind.MARKED_GAMMA_NB):
-        stats["p_mean"] = float(state.p_k.mean())
-        stats["p_sq_mean"] = float((state.p_k**2).mean())
-    if kind in (ModelKind.GAMMA_NB, ModelKind.NB_HDP, ModelKind.NB_LDA, ModelKind.NB_FTM, ModelKind.MARKED_GAMMA_NB):
+    if spec.r_axis:
+        r = getattr(state, spec.r_field)
+        stats["r_mean"] = float(r.mean())
+        stats["r_sq_mean"] = float((r**2).mean())
+    if spec.learns_p:
+        p = getattr(state, spec.p_field)
+        stats["p_mean"] = float(p.mean())
+        stats["p_sq_mean"] = float((p**2).mean())
+    if spec.samples_gamma0:
         stats["gamma0"] = float(state.gamma0)
         stats["gamma0_sq"] = float(state.gamma0**2)
-    if kind == ModelKind.NB_FTM:
+    if spec.gated:
         stats["pi_mean"] = float(state.pi_k.mean())
         stats["pi_sq_mean"] = float((state.pi_k**2).mean())
         stats["gate_mean"] = float(state.b_jk.mean())
-    if kind == ModelKind.CRF_HDP:
+    if spec.normalized == FRANCHISE:
         stats["alpha"] = float(state.alpha)
         stats["alpha_sq"] = float(state.alpha**2)
         stats["rtilde_sq_mean"] = float((state.r_tilde**2).mean())

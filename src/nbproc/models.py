@@ -2,27 +2,37 @@
 
 Each model variant couples per-document topic weights ``lam[j, k]`` (or
 normalized weights ``lam_tilde``) with topic distributions ``omega[k]``
-over the vocabulary.  The variants differ in which negative-binomial
-parameters are shared and inferred:
+over the vocabulary.  The count kinds are one negative-binomial process
+that differs only in where the dispersion r and the probability p live
+(one value per document j or per topic k) and which priors they take;
+``KIND_SPECS`` holds one ``KindSpec`` row per kind:
 
-==================  =====================================================
-kind                inferred count parameters
-==================  =====================================================
-lda / dir-pfa       none (normalized weights with fixed smoothing)
-crf-hdp             concentration alpha (normalized weights)
-nb-lda              per-document r_j, p_j
-nb-hdp              shared r_k, p_j fixed at 0.5
-nb-ftm              shared r_k, sparsity pi_k with binary gates, p = 0.5
-beta-nb             per-document r_j, per-topic p_k
-gamma-nb            shared r_k, per-document p_j
-marked-beta-nb      per-topic r_k and p_k (r_k ~ Gamma(e0, 1/f0))
-marked-gamma-nb     per-topic r_k and p_k (r_k ~ Gamma(gamma0/K, 1/c))
-==================  =====================================================
+================  =====  ========  =====  ===============  ==========================
+kind              r on   r prior   p on   p prior          other
+================  =====  ========  =====  ===============  ==========================
+lda / dir-pfa     -      -         -      -                lam_tilde ~ Dir(50/K)
+crf-hdp           -      -         -      -                lam_tilde ~ Dir(alpha r~)
+nb-lda            j      gamma0    j      (a0, b0)
+nb-hdp            k      gamma0/K  j      fixed 0.5
+nb-ftm            k      gamma0    j      fixed 0.5        gates b_jk ~ Bernoulli(pi_k)
+beta-nb           j      (e0, f0)  k      (c/K, c(1-1/K))
+gamma-nb          k      gamma0/K  j      (a0, b0)
+marked-beta-nb    k      (e0, f0)  k      (c/K, c(1-1/K))
+marked-gamma-nb   k      gamma0/K  k      (a0, b0)
+================  =====  ========  =====  ===============  ==========================
+
+An r prior of gamma0/K or gamma0 means r ~ Gamma(gamma0/K, 1/c) or
+Gamma(gamma0, 1/c) with gamma0 ~ Gamma(e0, 1/f0) resampled; (e0, f0)
+means r ~ Gamma(e0, 1/f0).  A p prior is Beta(a0, b0) or the beta
+process Beta(c/K, c(1 - 1/K)).  The 50/K smoothing is
+``lda_alpha_total / K``; crf-hdp learns alpha ~ Gamma(a0, 1/b0) and
+r~ ~ Dir(gamma0/K) with gamma0 fixed at 1.
 
 All kernels run a full-corpus scan in a fixed order: topic assignments
 first, then count-parameter updates, topic distributions last.  The
 dispersion updates rely on CRT table-count augmentation, which makes
-every conditional a gamma, beta, or Dirichlet draw.
+every conditional a gamma, beta, or Dirichlet draw.  One kernel,
+``count_sweep``, serves every count kind but the gated nb-ftm.
 """
 
 from __future__ import annotations
@@ -37,7 +47,6 @@ from .distributions import (
     PROB_CEIL,
     PROB_FLOOR,
     TINY,
-    sample_beta,
     sample_crt_array,
     sample_dirichlet,
     sample_gamma,
@@ -77,14 +86,86 @@ class ModelKind(Enum):
         raise ValueError(f"unknown model kind {name!r}; choose from {[k.value for k in cls]}")
 
     @property
+    def spec(self) -> "KindSpec":
+        return KIND_SPECS[self]
+
+    @property
     def uses_normalized_weights(self) -> bool:
         """True for models whose topic weights are probability vectors."""
-        return self in (ModelKind.LDA, ModelKind.DIR_PFA, ModelKind.CRF_HDP)
+        return self.spec.normalized is not None
 
     @property
     def models_counts(self) -> bool:
         """True when document lengths are themselves generated (Poisson)."""
         return not self.uses_normalized_weights
+
+
+# Axes a count parameter lives on: one value per document j or per topic k.
+DOC, TOPIC = "j", "k"
+# r priors: Gamma(gamma0/K, 1/c) or Gamma(gamma0, 1/c) with gamma0 ~
+# Gamma(e0, 1/f0) learned, or Gamma(e0, 1/f0).
+GAMMA0_K, GAMMA0, E0F0 = "gamma0/K", "gamma0", "(e0, f0)"
+# p priors: Beta(a0, b0), the beta process Beta(c/K, c(1 - 1/K)), or p fixed.
+A0B0, BETA_PROCESS, HALF = "(a0, b0)", "(c/K, c(1-1/K))", "0.5"
+# Normalized weights: Dir(lda_alpha_total/K), or Dir(alpha r_tilde) (franchise).
+SMOOTHED, FRANCHISE = "lda_alpha_total/K", "alpha*r_tilde"
+
+
+@dataclass(frozen=True)
+class KindSpec:
+    """Where one kind keeps its NB dispersion r and probability p.
+
+    ``r_axis``/``p_axis`` are DOC or TOPIC, ``r_prior`` one of GAMMA0_K,
+    GAMMA0, E0F0 and ``p_prior`` one of A0B0, BETA_PROCESS, HALF; all four
+    are None for the normalized kinds, whose ``normalized`` names the
+    Dirichlet prior of their weights.  ``gated`` adds nb-ftm's binary
+    gates b_jk with sparsity pi_k.
+    """
+
+    r_axis: str | None = None
+    r_prior: str | None = None
+    p_axis: str | None = None
+    p_prior: str | None = None
+    gated: bool = False
+    normalized: str | None = None
+
+    @property
+    def r_field(self) -> str:
+        """The ``ModelState`` field that holds r."""
+        return f"r_{self.r_axis}"
+
+    @property
+    def p_field(self) -> str:
+        """The ``ModelState`` field that holds p."""
+        return f"p_{self.p_axis}"
+
+    @property
+    def samples_gamma0(self) -> bool:
+        """True when r's prior has a learned total mass gamma0."""
+        return self.r_prior in (GAMMA0_K, GAMMA0)
+
+    @property
+    def learns_p(self) -> bool:
+        return self.p_prior in (A0B0, BETA_PROCESS)
+
+    @property
+    def shared_kernel(self) -> bool:
+        """True for the kinds ``count_sweep`` serves."""
+        return self.r_axis is not None and not self.gated
+
+
+KIND_SPECS = {
+    ModelKind.LDA: KindSpec(normalized=SMOOTHED),
+    ModelKind.DIR_PFA: KindSpec(normalized=SMOOTHED),
+    ModelKind.CRF_HDP: KindSpec(normalized=FRANCHISE),
+    ModelKind.NB_LDA: KindSpec(DOC, GAMMA0, DOC, A0B0),
+    ModelKind.NB_HDP: KindSpec(TOPIC, GAMMA0_K, DOC, HALF),
+    ModelKind.NB_FTM: KindSpec(TOPIC, GAMMA0, DOC, HALF, gated=True),
+    ModelKind.BETA_NB: KindSpec(DOC, E0F0, TOPIC, BETA_PROCESS),
+    ModelKind.GAMMA_NB: KindSpec(TOPIC, GAMMA0_K, DOC, A0B0),
+    ModelKind.MARKED_BETA_NB: KindSpec(TOPIC, E0F0, TOPIC, BETA_PROCESS),
+    ModelKind.MARKED_GAMMA_NB: KindSpec(TOPIC, GAMMA0_K, TOPIC, A0B0),
+}
 
 
 @dataclass
@@ -231,6 +312,28 @@ def _dirichlet_rows(gen: np.random.Generator, concentration: np.ndarray) -> np.n
     return g / g.sum(axis=1, keepdims=True)
 
 
+def _along(axis: str, values: np.ndarray) -> np.ndarray:
+    """A per-document or per-topic vector shaped to broadcast over documents x topics."""
+    return values[:, None] if axis == DOC else values[None, :]
+
+
+def _per(axis: str, matrix: np.ndarray) -> np.ndarray:
+    """Sum a documents x topics matrix to one value per document or per topic."""
+    return matrix.sum(axis=1 if axis == DOC else 0)
+
+
+def _beta_prior(prior: str, hyper: HyperParams, K: int) -> tuple[float, float]:
+    """The two shapes of an A0B0 or BETA_PROCESS beta prior."""
+    if prior == BETA_PROCESS:
+        return hyper.c / K, hyper.c * (1.0 - 1.0 / K)
+    return hyper.a0, hyper.b0
+
+
+def _gamma0_share(spec: KindSpec, K: int) -> int:
+    """The divisor of gamma0 in the shape of each entry of r."""
+    return K if spec.r_prior == GAMMA0_K else 1
+
+
 def blank_state(kind: ModelKind, tokens, vocab_size: int, num_topics: int, eta: float) -> ModelState:
     """A structurally valid state with neutral parameter values."""
     tokens = tuple(np.asarray(t, dtype=np.int64) for t in tokens)
@@ -318,78 +421,61 @@ def update_topics(state: ModelState, rng: RandomSource) -> ModelState:
 
 
 # ---------------------------------------------------------------------------
-# Block Gibbs kernels, one per model kind.
+# Block Gibbs kernels: one shared count kernel, nb-ftm, crf-hdp and lda.
 # ---------------------------------------------------------------------------
 
 
-def _gamma_nb_core(state, hyper, rng, update_p: bool, doc_rngs=None, executor=None, fault=None):
+def count_sweep(state, hyper, rng, doc_rngs=None, executor=None, fault=None):
+    """One sweep of a count kind whose r and p each live on one axis.
+
+    Order: z; p ~ Beta(prior + tokens on p's axis, prior + the r mass
+    those tokens meet) unless p is fixed; table counts l_jk ~ CRT(n_jk,
+    r); for a gamma0 prior, the mixed probability p', l' ~ CRT(tables,
+    gamma0/K or gamma0) and the total mass gamma0; r given its tables;
+    weights lam_jk ~ Gamma(r + n_jk, p); topics.  ``fault="r-shape"``
+    adds 1 to r's shape, a deliberate corruption for harness self-checks.
+    """
+    spec = state.kind.spec
     _assign(state, state.lam, rng, doc_rngs, executor)
     gen = rng.generator
-    K = state.num_topics
-    train_n = state.train_counts
-    if update_p:
-        state.p_j = _beta_clamped(gen, hyper.a0 + train_n, hyper.b0 + state.r_k.sum())
-        _check_finite("p_j", state.p_j)
-    log1mp_sum = float(np.log1p(-state.p_j).sum())
-    state.p_prime = -log1mp_sum / (hyper.c - log1mp_sum)
-    _check_finite("p_prime", state.p_prime)
-    state.l_jk = sample_crt_array(state.n_jk, state.r_k[None, :], rng)
-    tables_per_topic = state.l_jk.sum(axis=0)
-    state.l_k_prime = sample_crt_array(tables_per_topic, state.gamma0 / K, rng)
-    gamma0_rate = hyper.f0 - math.log1p(-state.p_prime)
-    state.gamma0 = float(_gamma_clamped(gen, hyper.e0 + state.l_k_prime.sum(), 1.0 / gamma0_rate))
-    _check_finite("gamma0", state.gamma0)
-    r_shape = state.gamma0 / K + tables_per_topic
-    if fault == "r-shape":  # deliberate corruption for harness self-checks
+    J, K = state.n_jk.shape
+    span = J if spec.r_axis == TOPIC else K  # cells one entry of r covers
+    same_axis = spec.p_axis == spec.r_axis
+    r = getattr(state, spec.r_field)
+    if spec.learns_p:
+        a, b = _beta_prior(spec.p_prior, hyper, K)
+        p = _beta_clamped(gen, a + _per(spec.p_axis, state.n_jk), b + (span * r if same_axis else r.sum()))
+        setattr(state, spec.p_field, p)
+        _check_finite(spec.p_field, p)
+    p = getattr(state, spec.p_field)
+    # sum of log(1 - p) over the cells each entry of r covers
+    log1mp = span * np.log1p(-p) if same_axis else float(np.log1p(-p).sum())
+    state.l_jk = sample_crt_array(state.n_jk, _along(spec.r_axis, r), rng)
+    tables = _per(spec.r_axis, state.l_jk)
+    if spec.samples_gamma0:
+        share = _gamma0_share(spec, K)
+        # with r integrated out, each entry's tables are NB(gamma0 / share, p')
+        p_prime = -log1mp / (hyper.c - log1mp)
+        _check_finite("p_prime", p_prime)
+        l_prime = sample_crt_array(tables, state.gamma0 / share, rng)
+        if spec.r_axis == TOPIC:
+            state.l_k_prime = l_prime
+        if same_axis:
+            gamma0_rate = hyper.f0 - float(np.log1p(-p_prime).sum()) / share
+        else:  # every entry of r shares one p'
+            state.p_prime = p_prime
+            gamma0_rate = hyper.f0 - math.log1p(-p_prime) * (r.size / share)
+        state.gamma0 = float(_gamma_clamped(gen, hyper.e0 + l_prime.sum(), 1.0 / gamma0_rate))
+        _check_finite("gamma0", state.gamma0)
+        r_shape, r_rate = state.gamma0 / share + tables, hyper.c - log1mp
+    else:
+        r_shape, r_rate = hyper.e0 + tables, hyper.f0 - log1mp
+    if fault == "r-shape":
         r_shape = r_shape + 1.0
-    state.r_k = _gamma_clamped(gen, r_shape, 1.0 / (hyper.c - log1mp_sum))
-    _check_finite("r_k", state.r_k)
-    state.lam = _gamma_clamped(gen, state.r_k[None, :] + state.n_jk, state.p_j[:, None])
-    _check_finite("lam", state.lam)
-    update_topics(state, rng)
-    return state
-
-
-def gamma_nb_sweep(state, hyper, rng, doc_rngs=None, executor=None, fault=None):
-    """One sweep sharing dispersion r_k across documents, learning p_j.
-
-    Order: z; p_j ~ Beta(a0 + N_j, b0 + sum_k r_k); mixed probability
-    p'; table counts l_jk ~ CRT(n_jk, r_k) and l'_k ~ CRT(sum_j l_jk,
-    gamma0/K); total mass gamma0; dispersions r_k; weights
-    lam_jk ~ Gamma(r_k + n_jk, p_j); topics.
-    """
-    return _gamma_nb_core(state, hyper, rng, update_p=True, doc_rngs=doc_rngs, executor=executor, fault=fault)
-
-
-def nb_hdp_sweep(state, hyper, rng, doc_rngs=None, executor=None):
-    """Gamma-NB sweep with every p_j pinned at 0.5 (never resampled)."""
-    return _gamma_nb_core(state, hyper, rng, update_p=False, doc_rngs=doc_rngs, executor=executor)
-
-
-def nb_lda_sweep(state, hyper, rng, doc_rngs=None, executor=None):
-    """One sweep with document-wise dispersion r_j and probability p_j.
-
-    Documents share strength only through gamma0, the shape of the r_j
-    prior, which pools per-document table counts l'_j.
-    """
-    _assign(state, state.lam, rng, doc_rngs, executor)
-    gen = rng.generator
-    K = state.num_topics
-    train_n = state.train_counts
-    state.p_j = _beta_clamped(gen, hyper.a0 + train_n, hyper.b0 + K * state.r_j)
-    _check_finite("p_j", state.p_j)
-    log1mp = np.log1p(-state.p_j)
-    p_prime_j = (-K * log1mp) / (hyper.c - K * log1mp)
-    _check_finite("p_prime_j", p_prime_j)
-    state.l_jk = sample_crt_array(state.n_jk, state.r_j[:, None], rng)
-    tables_per_doc = state.l_jk.sum(axis=1)
-    l_prime_j = sample_crt_array(tables_per_doc, state.gamma0, rng)
-    gamma0_rate = hyper.f0 - float(np.log1p(-p_prime_j).sum())
-    state.gamma0 = float(_gamma_clamped(gen, hyper.e0 + l_prime_j.sum(), 1.0 / gamma0_rate))
-    _check_finite("gamma0", state.gamma0)
-    state.r_j = _gamma_clamped(gen, state.gamma0 + tables_per_doc, 1.0 / (hyper.c - K * log1mp))
-    _check_finite("r_j", state.r_j)
-    state.lam = _gamma_clamped(gen, state.r_j[:, None] + state.n_jk, state.p_j[:, None])
+    r = _gamma_clamped(gen, r_shape, 1.0 / r_rate)
+    setattr(state, spec.r_field, r)
+    _check_finite(spec.r_field, r)
+    state.lam = _gamma_clamped(gen, _along(spec.r_axis, r) + state.n_jk, _along(spec.p_axis, p))
     _check_finite("lam", state.lam)
     update_topics(state, rng)
     return state
@@ -412,9 +498,8 @@ def nb_ftm_sweep(state, hyper, rng, doc_rngs=None, executor=None):
     proposed = (gen.random((J, K)) < gate_prob).astype(np.int64)
     state.b_jk = np.where(state.n_jk > 0, 1, proposed)
     gates_per_topic = state.b_jk.sum(axis=0)
-    state.pi_k = _beta_clamped(
-        gen, hyper.c / K + gates_per_topic, hyper.c * (1.0 - 1.0 / K) + J - gates_per_topic
-    )
+    a, b = _beta_prior(BETA_PROCESS, hyper, K)
+    state.pi_k = _beta_clamped(gen, a + gates_per_topic, b + J - gates_per_topic)
     _check_finite("pi_k", state.pi_k)
     p_prime_k = (-gates_per_topic * log_half) / (hyper.c - gates_per_topic * log_half)
     state.l_jk = sample_crt_array(state.n_jk, state.r_k[None, :] * state.b_jk, rng)
@@ -434,90 +519,20 @@ def nb_ftm_sweep(state, hyper, rng, doc_rngs=None, executor=None):
     return state
 
 
-def beta_nb_sweep(state, hyper, rng, doc_rngs=None, executor=None):
-    """One sweep sharing per-topic p_k across documents, learning r_j."""
-    _assign(state, state.lam, rng, doc_rngs, executor)
-    gen = rng.generator
-    J, K = state.n_jk.shape
-    tokens_per_topic = state.n_jk.sum(axis=0)
-    state.p_k = _beta_clamped(
-        gen, hyper.c / K + tokens_per_topic, hyper.c * (1.0 - 1.0 / K) + state.r_j.sum()
-    )
-    _check_finite("p_k", state.p_k)
-    state.l_jk = sample_crt_array(state.n_jk, state.r_j[:, None], rng)
-    tables_per_doc = state.l_jk.sum(axis=1)
-    log1mp_sum = float(np.log1p(-state.p_k).sum())
-    state.r_j = _gamma_clamped(gen, hyper.e0 + tables_per_doc, 1.0 / (hyper.f0 - log1mp_sum))
-    _check_finite("r_j", state.r_j)
-    state.lam = _gamma_clamped(gen, state.r_j[:, None] + state.n_jk, state.p_k[None, :])
-    _check_finite("lam", state.lam)
-    update_topics(state, rng)
-    return state
-
-
-def marked_beta_nb_sweep(state, hyper, rng, doc_rngs=None, executor=None):
-    """One sweep with both r_k and p_k shared across documents."""
-    _assign(state, state.lam, rng, doc_rngs, executor)
-    gen = rng.generator
-    J, K = state.n_jk.shape
-    tokens_per_topic = state.n_jk.sum(axis=0)
-    state.p_k = _beta_clamped(
-        gen, hyper.c / K + tokens_per_topic, hyper.c * (1.0 - 1.0 / K) + J * state.r_k
-    )
-    _check_finite("p_k", state.p_k)
-    state.l_jk = sample_crt_array(state.n_jk, state.r_k[None, :], rng)
-    tables_per_topic = state.l_jk.sum(axis=0)
-    state.r_k = _gamma_clamped(
-        gen, hyper.e0 + tables_per_topic, 1.0 / (hyper.f0 - J * np.log1p(-state.p_k))
-    )
-    _check_finite("r_k", state.r_k)
-    state.lam = _gamma_clamped(gen, state.r_k[None, :] + state.n_jk, state.p_k[None, :])
-    _check_finite("lam", state.lam)
-    update_topics(state, rng)
-    return state
-
-
-def marked_gamma_nb_sweep(state, hyper, rng, doc_rngs=None, executor=None):
-    """Marked variant with a gamma-process dispersion measure.
-
-    Like marked-beta-nb but r_k ~ Gamma(gamma0/K, 1/c) with gamma0
-    resampled from pooled per-topic table counts l'_k.
-    """
-    _assign(state, state.lam, rng, doc_rngs, executor)
-    gen = rng.generator
-    J, K = state.n_jk.shape
-    tokens_per_topic = state.n_jk.sum(axis=0)
-    state.p_k = _beta_clamped(gen, hyper.a0 + tokens_per_topic, hyper.b0 + J * state.r_k)
-    _check_finite("p_k", state.p_k)
-    log1mp = np.log1p(-state.p_k)
-    p_prime_k = (-J * log1mp) / (hyper.c - J * log1mp)
-    _check_finite("p_prime_k", p_prime_k)
-    state.l_jk = sample_crt_array(state.n_jk, state.r_k[None, :], rng)
-    tables_per_topic = state.l_jk.sum(axis=0)
-    state.l_k_prime = sample_crt_array(tables_per_topic, state.gamma0 / K, rng)
-    gamma0_rate = hyper.f0 - float(np.log1p(-p_prime_k).sum()) / K
-    state.gamma0 = float(_gamma_clamped(gen, hyper.e0 + state.l_k_prime.sum(), 1.0 / gamma0_rate))
-    _check_finite("gamma0", state.gamma0)
-    state.r_k = _gamma_clamped(gen, state.gamma0 / K + tables_per_topic, 1.0 / (hyper.c - J * log1mp))
-    _check_finite("r_k", state.r_k)
-    state.lam = _gamma_clamped(gen, state.r_k[None, :] + state.n_jk, state.p_k[None, :])
-    _check_finite("lam", state.lam)
-    update_topics(state, rng)
-    return state
-
-
 def crf_hdp_sweep(state, hyper, rng, doc_rngs=None, executor=None):
     """Direct-assignment sweep of the normalized (franchise) model.
 
     Table counts l_jk ~ CRT(n_jk, alpha * r_tilde_k) feed the
     concentration update through the usual beta/Bernoulli auxiliaries
     (w_j, s_j, transient here); gamma0 stays fixed at 1 because its
-    finite-truncation sampler is biased (see ``crf_gamma0_update``).
+    finite-truncation sampler is biased.  Where alpha * r_tilde_k
+    underflows to 0 the CRT rate is floored at ``TINY``: CRT(m, r) tends
+    to one table as r -> 0, so this is the limiting law.
     """
     _assign(state, state.lam_tilde, rng, doc_rngs, executor)
     gen = rng.generator
     J, K = state.n_jk.shape
-    state.l_jk = sample_crt_array(state.n_jk, (state.alpha * state.r_tilde)[None, :], rng)
+    state.l_jk = sample_crt_array(state.n_jk, np.maximum(state.alpha * state.r_tilde, TINY)[None, :], rng)
     state.alpha = crf_alpha_step(
         state.alpha, int(state.l_jk.sum()), state.train_counts, hyper.a0, hyper.b0, gen
     )
@@ -549,29 +564,6 @@ def crf_alpha_step(alpha: float, total_tables: int, doc_sizes: np.ndarray, a0: f
     return float(_gamma_clamped(gen, shape, 1.0 / rate))
 
 
-def crf_gamma0_update(state, hyper, rng) -> float:
-    """Finite-truncation total-mass update for the franchise model.
-
-    Mixture-of-gammas step driven by an auxiliary beta variable and the
-    number of used topics.  Only approximately correct at finite K, so
-    sweeps never call it; it is provided for experimentation and left
-    disabled by default.  Returns the new gamma0 without touching the
-    state when there are no tables yet.
-    """
-    total_tables = int(state.l_jk.sum())
-    k_plus = count_active_topics(state)
-    if total_tables < 1 or k_plus < 1:
-        return state.gamma0
-    gen = rng.generator
-    w0 = float(_beta_clamped(gen, state.gamma0 + 1.0, float(total_tables)))
-    rate = hyper.f0 - math.log(w0)
-    head = hyper.e0 + k_plus - 1.0
-    pi0 = head / (head + rate * total_tables)
-    shape = hyper.e0 + k_plus if gen.random() < pi0 else hyper.e0 + k_plus - 1.0
-    state.gamma0 = float(_gamma_clamped(gen, shape, 1.0 / rate))
-    return state.gamma0
-
-
 def lda_sweep(state, hyper, rng, doc_rngs=None, executor=None):
     """Normalized-weight sweep with fixed smoothing; also serves dir-pfa."""
     _assign(state, state.lam_tilde, rng, doc_rngs, executor)
@@ -582,27 +574,21 @@ def lda_sweep(state, hyper, rng, doc_rngs=None, executor=None):
     return state
 
 
-_SWEEPS = {
-    ModelKind.LDA: lda_sweep,
-    ModelKind.DIR_PFA: lda_sweep,
-    ModelKind.NB_LDA: nb_lda_sweep,
-    ModelKind.NB_HDP: nb_hdp_sweep,
-    ModelKind.NB_FTM: nb_ftm_sweep,
-    ModelKind.BETA_NB: beta_nb_sweep,
-    ModelKind.GAMMA_NB: gamma_nb_sweep,
-    ModelKind.MARKED_BETA_NB: marked_beta_nb_sweep,
-    ModelKind.MARKED_GAMMA_NB: marked_gamma_nb_sweep,
-    ModelKind.CRF_HDP: crf_hdp_sweep,
-}
-
-
 def gibbs_sweep(state, hyper, rng, doc_rngs=None, executor=None, fault=None):
-    """Run one full block Gibbs sweep for the state's model kind."""
+    """Run one full block Gibbs sweep for the state's model kind.
+
+    ``fault`` is passed to ``count_sweep``; the other kernels reject it.
+    """
+    spec = state.kind.spec
+    if spec.shared_kernel:
+        return count_sweep(state, hyper, rng, doc_rngs=doc_rngs, executor=executor, fault=fault)
     if fault is not None:
-        if state.kind is not ModelKind.GAMMA_NB:
-            raise ValueError(f"fault injection is only wired into the gamma-nb kernel, not {state.kind.value}")
-        return gamma_nb_sweep(state, hyper, rng, doc_rngs=doc_rngs, executor=executor, fault=fault)
-    return _SWEEPS[state.kind](state, hyper, rng, doc_rngs=doc_rngs, executor=executor)
+        raise ValueError(f"fault injection is only wired into the shared count kernel, not {state.kind.value}")
+    if spec.gated:
+        sweep = nb_ftm_sweep
+    else:
+        sweep = crf_hdp_sweep if spec.normalized == FRANCHISE else lda_sweep
+    return sweep(state, hyper, rng, doc_rngs=doc_rngs, executor=executor)
 
 
 def count_active_topics(state: ModelState) -> int:
@@ -617,36 +603,29 @@ def count_active_topics(state: ModelState) -> int:
 
 def _draw_count_params(state: ModelState, hyper: HyperParams, rng: RandomSource) -> None:
     """Draw the kind-specific count parameters from their priors."""
+    spec = state.kind.spec
     gen = rng.generator
-    kind = state.kind
-    J, K = state.num_docs, state.num_topics
-    if kind in (ModelKind.GAMMA_NB, ModelKind.NB_HDP, ModelKind.MARKED_GAMMA_NB):
+    K = state.num_topics
+    size = {DOC: state.num_docs, TOPIC: K}
+    if spec.samples_gamma0:
         state.gamma0 = float(sample_gamma(hyper.e0, 1.0 / hyper.f0, rng))
-        state.r_k = _gamma_clamped(gen, np.full(K, state.gamma0 / K), 1.0 / hyper.c)
-    elif kind == ModelKind.NB_FTM:
-        state.gamma0 = float(sample_gamma(hyper.e0, 1.0 / hyper.f0, rng))
-        state.r_k = _gamma_clamped(gen, np.full(K, state.gamma0), 1.0 / hyper.c)
-        state.pi_k = _beta_clamped(gen, np.full(K, hyper.c / K), np.full(K, hyper.c * (1.0 - 1.0 / K)))
-    elif kind == ModelKind.NB_LDA:
-        state.gamma0 = float(sample_gamma(hyper.e0, 1.0 / hyper.f0, rng))
-        state.r_j = _gamma_clamped(gen, np.full(J, state.gamma0), 1.0 / hyper.c)
-    elif kind == ModelKind.BETA_NB:
-        state.r_j = _gamma_clamped(gen, np.full(J, hyper.e0), 1.0 / hyper.f0)
-    elif kind == ModelKind.MARKED_BETA_NB:
-        state.r_k = _gamma_clamped(gen, np.full(K, hyper.e0), 1.0 / hyper.f0)
-    elif kind == ModelKind.CRF_HDP:
+        r_shape = state.gamma0 / _gamma0_share(spec, K)
+        setattr(state, spec.r_field, _gamma_clamped(gen, np.full(size[spec.r_axis], r_shape), 1.0 / hyper.c))
+    elif spec.r_prior == E0F0:
+        setattr(state, spec.r_field, _gamma_clamped(gen, np.full(size[spec.r_axis], hyper.e0), 1.0 / hyper.f0))
+    if spec.gated:
+        a, b = _beta_prior(BETA_PROCESS, hyper, K)
+        state.pi_k = _beta_clamped(gen, np.full(K, a), np.full(K, b))
+    if spec.normalized == FRANCHISE:
         state.gamma0 = 1.0
         state.r_tilde = sample_dirichlet(np.full(K, state.gamma0 / K), rng)
         state.alpha = float(sample_gamma(hyper.a0, 1.0 / hyper.b0, rng))
-
-    if kind in (ModelKind.GAMMA_NB, ModelKind.NB_LDA):
-        state.p_j = np.atleast_1d(sample_beta(np.full(J, hyper.a0), np.full(J, hyper.b0), rng))
-    elif kind in (ModelKind.NB_HDP, ModelKind.NB_FTM):
-        state.p_j = np.full(J, 0.5)
-    if kind in (ModelKind.BETA_NB, ModelKind.MARKED_BETA_NB):
-        state.p_k = _beta_clamped(gen, np.full(K, hyper.c / K), np.full(K, hyper.c * (1.0 - 1.0 / K)))
-    elif kind == ModelKind.MARKED_GAMMA_NB:
-        state.p_k = np.atleast_1d(sample_beta(np.full(K, hyper.a0), np.full(K, hyper.b0), rng))
+    if spec.learns_p:
+        a, b = _beta_prior(spec.p_prior, hyper, K)
+        n = size[spec.p_axis]
+        setattr(state, spec.p_field, _beta_clamped(gen, np.full(n, a), np.full(n, b)))
+    elif spec.p_prior == HALF:
+        setattr(state, spec.p_field, np.full(size[spec.p_axis], 0.5))
 
 
 def initialize(kind: ModelKind, corpus, split, hyper: HyperParams, rng: RandomSource) -> ModelState:
@@ -740,32 +719,25 @@ def forward_draw(
     forward-model property checks.  ``doc_lengths`` is required for the
     normalized kinds, whose document lengths are not generated.
     """
-    if kind in (ModelKind.LDA, ModelKind.DIR_PFA):
+    spec = kind.spec
+    if spec.normalized == SMOOTHED:
         raise ValueError(f"forward simulation is not defined for {kind.value}")
-    if kind.uses_normalized_weights and doc_lengths is None:
+    if spec.normalized and doc_lengths is None:
         raise ValueError(f"{kind.value} needs explicit doc_lengths for forward simulation")
     state = blank_state(kind, [np.zeros(0, dtype=np.int64)] * num_docs, vocab_size, hyper.K, hyper.eta)
     gen = rng.generator
     _draw_count_params(state, hyper, rng)
     state.omega = _dirichlet_rows(gen, np.full((hyper.K, vocab_size), hyper.eta))
     J, K = num_docs, hyper.K
-    kind_scales = {
-        ModelKind.GAMMA_NB: lambda: (state.r_k[None, :], (state.p_j / (1 - state.p_j))[:, None]),
-        ModelKind.NB_HDP: lambda: (state.r_k[None, :], (state.p_j / (1 - state.p_j))[:, None]),
-        ModelKind.NB_LDA: lambda: (state.r_j[:, None], (state.p_j / (1 - state.p_j))[:, None]),
-        ModelKind.BETA_NB: lambda: (state.r_j[:, None], (state.p_k / (1 - state.p_k))[None, :]),
-        ModelKind.MARKED_BETA_NB: lambda: (state.r_k[None, :], (state.p_k / (1 - state.p_k))[None, :]),
-        ModelKind.MARKED_GAMMA_NB: lambda: (state.r_k[None, :], (state.p_k / (1 - state.p_k))[None, :]),
-    }
-    if kind == ModelKind.CRF_HDP:
+    if spec.normalized:
         state.lam_tilde = _dirichlet_rows(gen, np.broadcast_to(state.alpha * state.r_tilde, (J, K)))
-    elif kind == ModelKind.NB_FTM:
-        state.b_jk = (gen.random((J, K)) < state.pi_k[None, :]).astype(np.int64)
-        draws = _gamma_clamped(gen, np.broadcast_to(state.r_k, (J, K)), 1.0)
-        state.lam = np.where(state.b_jk > 0, draws, 0.0)
     else:
-        shape, scale = kind_scales[kind]()
-        state.lam = _gamma_clamped(gen, np.broadcast_to(shape, (J, K)), np.broadcast_to(scale, (J, K)))
+        if spec.gated:
+            state.b_jk = (gen.random((J, K)) < state.pi_k[None, :]).astype(np.int64)
+        r, p = getattr(state, spec.r_field), getattr(state, spec.p_field)
+        shape = np.broadcast_to(_along(spec.r_axis, r), (J, K))
+        scale = np.broadcast_to(_along(spec.p_axis, p / (1 - p)), (J, K))
+        state.lam = _gamma_clamped(gen, shape, scale) * state.b_jk  # ungated kinds keep every gate open
     simulate_data(state, rng, doc_lengths=doc_lengths)
     return state
 
@@ -790,10 +762,11 @@ def validate_state(state: ModelState, after_sweep: bool = True) -> None:
     if state.kind.uses_normalized_weights:
         if np.abs(state.lam_tilde.sum(axis=1) - 1.0).max() > 1e-10:
             raise ValueError("lam_tilde rows are not normalized")
-    if after_sweep and state.kind not in (ModelKind.LDA, ModelKind.DIR_PFA):
+    spec = state.kind.spec
+    if after_sweep and spec.normalized != SMOOTHED:
         if np.any(state.l_jk > state.n_jk):
             raise ValueError("l_jk exceeds n_jk somewhere")
-        gated = state.n_jk * (state.b_jk if state.kind == ModelKind.NB_FTM else 1)
+        gated = state.n_jk * (state.b_jk if spec.gated else 1)
         if not np.array_equal(state.l_jk == 0, gated == 0):
             raise ValueError("l_jk zero-pattern does not match gated counts")
     for name in ("r_k", "r_j"):

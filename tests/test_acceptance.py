@@ -177,6 +177,7 @@ def test_criterion_5_weight_normalization_reduction():
 
 GEWEKE_KINDS = (
     ModelKind.GAMMA_NB,
+    ModelKind.NB_HDP,
     ModelKind.NB_LDA,
     ModelKind.BETA_NB,
     ModelKind.MARKED_BETA_NB,

@@ -254,10 +254,16 @@ def test_geweke_detects_corrupted_kernel():
     assert report.max_abs_z > 6.0
 
 
+def test_geweke_detects_corrupted_shared_kernel_for_nb_lda():
+    settings = default_geweke_settings(ModelKind.NB_LDA)
+    report = geweke_check(ModelKind.NB_LDA, settings, 8000, 8000, RandomSource(12), fault="r-shape")
+    assert not report.passed(4.0)
+
+
 def test_geweke_fault_rejected_for_other_kernels():
-    settings = default_geweke_settings(ModelKind.BETA_NB)
+    settings = default_geweke_settings(ModelKind.NB_FTM)
     with pytest.raises(ValueError):
-        geweke_check(ModelKind.BETA_NB, settings, 10, 10, RandomSource(13), fault="r-shape")
+        geweke_check(ModelKind.NB_FTM, settings, 10, 10, RandomSource(13), fault="r-shape")
 
 
 def test_accumulate_uses_normalized_weights_for_crf():

@@ -797,22 +797,19 @@ def test_parallel_assignment_matches_serial_child_streams():
     assert any(not np.array_equal(a, b) for a, b in zip(serial.z, single.z))
 
 
-def test_crf_gamma0_update_disabled_path():
-    from nbproc import crf_gamma0_update
-
+def test_crf_hdp_sweep_survives_underflowing_table_rate():
+    # a tiny prior draw of alpha times an r_tilde entry clamped at TINY
+    # underflows to 0 on an occupied topic; the CRT rate is floored at
+    # TINY, whose law is the r -> 0 limit of one table per occupied cell
     hyper = MICRO.replace(K=2)
-    dl = np.full(3, 15)
-    state = forward_draw(ModelKind.CRF_HDP, hyper, 3, 5, RandomSource(82), doc_lengths=dl)
+    state = state_with_tokens(ModelKind.CRF_HDP, [[0, 1, 2, 0], [1, 1, 2]], 3, 2, seed=82)
+    state.alpha = 1e-20
+    state.r_tilde = np.array([TINY, 1.0])
+    state.lam_tilde = np.array([[1.0, TINY], [1.0, TINY]])  # every token goes to topic 0
+    assert state.alpha * state.r_tilde[0] == 0.0
     gibbs_sweep(state, hyper, RandomSource(83))
-    assert state.gamma0 == 1.0  # the sweep never calls the finite-K update
-    before = state.gamma0
-    out = crf_gamma0_update(state, hyper, RandomSource(84))
-    assert out == state.gamma0
-    assert np.isfinite(out) and out > 0
-    assert out != before  # tables exist, so the optional update moves it
-
-    empty = blank_state(ModelKind.CRF_HDP, [np.zeros(0, dtype=np.int64)], 5, 2, 0.3)
-    assert crf_gamma0_update(empty, hyper, RandomSource(85)) == empty.gamma0
+    validate_state(state)
+    assert np.array_equal(state.l_jk[:, 0], [1, 1])
 
 
 def test_marked_gamma_nb_single_doc_per_topic_structure():
