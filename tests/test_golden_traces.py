@@ -1,15 +1,22 @@
-"""Pinned sha256 of ``trace.csv`` for every model kind name at one seed.
+"""Pinned ``trace.csv`` of every model kind name at one seed, in two parts.
 
 Each kind is fitted with ``nbproc run`` on one tiny synthetic corpus
 (K = 5, 6 iterations of which 3 are burn-in, 2 warm-up sweeps, seed 11).
-A change that claims to keep the samplers' behaviour must leave every
-hash as it is: the trace holds perplexity, active topics and the
-parameter summaries of each iteration, so any change to a random draw
-or to a float expression in a kernel shows up here.
+The file is pinned as two values that together cover every byte of it:
 
-The hashes hold only for a fixed numpy version (they were recorded with
-numpy 2.4.6).  Another numpy release may turn the same Philox stream into
-different variates, which changes them with no change to nbproc.
+* the sha256 of everything after the first line, i.e. the header and one
+  row per iteration.  A change that claims to keep the samplers'
+  behaviour must leave every row hash as it is: the trace holds
+  perplexity, active topics and the parameter summaries of each
+  iteration, so any change to a random draw or to a float expression in
+  a kernel shows up here;
+* the exact ``# config_hash=<hex>`` first line.  It moves only when the
+  resolved configuration that is hashed changes, not the chain.
+
+The row hashes hold only for a fixed numpy version (they were recorded
+with numpy 2.4.6).  Another numpy release may turn the same Philox
+stream into different variates, which changes them with no change to
+nbproc.
 """
 
 import hashlib
@@ -20,21 +27,52 @@ import pytest
 
 from nbproc.cli import EXIT_OK, main
 
-GOLDEN_TRACE_SHA256 = {
-    "lda": "c4e33d20994cfd7da36f33b84d872dfad30c3daa635def5ab62a6cc2ea5398b2",
-    "dir-pfa": "7ce99b885ccd810aaf4b89dd0cd3d53011b274245020ea4c77578148d78747a4",
-    "nb-lda": "3759de6e3ed729dcf50f51e8fcb717366f0e636e6a88a6cb7fc90323714ee5ef",
-    "nb-hdp": "4f336b2e47785e8a0a680ca0497304e3bf6b159b495b30604bd5b5bbd3930f19",
-    "nb-ftm": "f707abb791aa2418b1d07eef65d8814407a6b9840425ef4fb080e16718811b25",
-    "beta-nb": "331f27b2dcabd5e8d0a0aa1871a936492c9f36d3c1d5dceacaf0980dc6f510e0",
-    "gamma-nb": "66c542aef21407137eeda2e8dc75890f454c4679e3ce408f24bb4eecd4eac118",
-    "marked-beta-nb": "d7a100889b427bad25267af6d559af5811fdc74c501eaea87a39653071ab8e4c",
-    "marked-gamma-nb": "4b384d632f75d9ef61004bfc53664f8ada37493c01264e2ee6e796e191041594",
-    "crf-hdp": "3651f5d0e0a82e3e3dfd9c5e0fa0c16bc10732c610ed1ed82c472b5eacf22db2",
+# kind name -> (sha256 of trace.csv after its first line, config hash of the first line)
+GOLDEN_TRACES = {
+    "lda": (
+        "9ff45bd04058bfb541952bd8d04b5742ad4dbb24b1d15213b835392548ed697e",
+        "9eb76d612d3864292119563691c6d84846d9f0c759bf7a37ac024f8832d4debd",
+    ),
+    "dir-pfa": (
+        "9ff45bd04058bfb541952bd8d04b5742ad4dbb24b1d15213b835392548ed697e",
+        "ba0576c0b1475c5ac44a67e63108b590240e4b607d3c4d9eee63f1f309dbb951",
+    ),
+    "nb-lda": (
+        "2d86fec14d59aa331b791cd80161c9c94035d3f92df26337b301320db89f8d40",
+        "0ee48f2865ec66681ea30619a2fd1c9201161cc33e3d2851f7689dadb5d9324f",
+    ),
+    "nb-hdp": (
+        "31d5a3f5e653f0ab7bb701f742ce386ecddbb73bcd865268909078bc823580cf",
+        "8e2d894aea06425cfdc30d6c6fa8bec1d8cfbe3c27228b893714279392817127",
+    ),
+    "nb-ftm": (
+        "b17f24b2f46df5bf65e52bfef8fb5484cfd414c0ea8c0dba9b99e497bb98d012",
+        "6f6ed8236e30c05d35be2efad583a2db7cc16017f2ca203fd3fba44c8438788f",
+    ),
+    "beta-nb": (
+        "91367d82fa590c0ca1b381b675b75df9d89f8908503948567b36aeffb05aa950",
+        "b0bcd4543d94e2e1c71e70cd75ed0a78902f101a2879db218eaee0c841eff92f",
+    ),
+    "gamma-nb": (
+        "621578a11d610830832b790248f891d9255c082ad2f6360f3dbcac7c6c8d8ea4",
+        "3c84922d8d7c5cdfb896799e25d46a79081895ec3f41a921577043adcc823d5e",
+    ),
+    "marked-beta-nb": (
+        "d6367c7679526d8401706abd28d7cc846b8f9c23f25b7553e8269e8712219855",
+        "01b41d5347bbbbec9185dfe7b8d048f9aafb37720bd7a17c98e9cf61d1455a3c",
+    ),
+    "marked-gamma-nb": (
+        "f34690009d5cd6d1840387816f26e9cd8b073eb2fb6e854e8b7952a8d73ff3d4",
+        "a6f7b609c43f8522a1ad7abd727b483c6ff137c3e43e149d62caa4c3b79a61ee",
+    ),
+    "crf-hdp": (
+        "536704f938532ad5ccca6c5ab4b6b50f51e0e6f134b1047286f92e515e8496fe",
+        "4c8938e63f5355980d1b366d9cdcbff3725d1116de150a6969af219119ccbd2d",
+    ),
 }
 
 
-@pytest.mark.parametrize("model", sorted(GOLDEN_TRACE_SHA256))
+@pytest.mark.parametrize("model", sorted(GOLDEN_TRACES))
 def test_trace_matches_golden_hash(model, tmp_path):
     spec = tmp_path / "synth.json"
     spec.write_text(json.dumps({"k_true": 3, "vocab_size": 15, "num_docs": 12, "r": 5.0, "p": 0.6, "seed": 9}))
@@ -42,5 +80,7 @@ def test_trace_matches_golden_hash(model, tmp_path):
     args = ["run", "--model", model, "--synth", str(spec), "--train-frac", "0.6", "--seed", "11"]
     args += ["--K", "5", "--iters", "6", "--burnin", "3", "--init-iters", "2", "--out", str(out)]
     assert main(args) == EXIT_OK
-    digest = hashlib.sha256((out / "trace.csv").read_bytes()).hexdigest()
-    assert digest == GOLDEN_TRACE_SHA256[model], f"{model} trace changed (numpy {np.__version__})"
+    first, rows = (out / "trace.csv").read_bytes().split(b"\n", 1)
+    rows_sha256, config_hash = GOLDEN_TRACES[model]
+    assert hashlib.sha256(rows).hexdigest() == rows_sha256, f"{model} trace rows changed (numpy {np.__version__})"
+    assert first.decode() == f"# config_hash={config_hash}", f"{model} config hash changed"
