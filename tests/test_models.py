@@ -21,7 +21,7 @@ from nbproc import (
     validate_state,
 )
 from nbproc.corpus import Corpus
-from nbproc.models import blank_state
+from nbproc.models import _assign, blank_state
 
 MICRO = HyperParams(c=1.0, eta=0.3, a0=3.0, b0=3.0, e0=1.0, f0=1.0, K=2, iters=2, burnin=0, init_iters=0)
 
@@ -93,6 +93,24 @@ def test_assignments_counts_always_match_lengths():
     state = forward_draw(ModelKind.GAMMA_NB, MICRO, 4, 5, RandomSource(4))
     sample_topic_assignments(state, RandomSource(5))
     assert np.array_equal(state.n_jk.sum(axis=1), state.train_counts)
+
+
+def test_assign_matches_reference_expression():
+    # uneven lengths, an empty document in the middle, the longest neither first nor last
+    K, V = 7, 30
+    gen = RandomSource(14).generator
+    tokens = [gen.integers(0, V, size=n) for n in (5, 40, 0, 173, 12, 1)]
+    state = state_with_tokens(ModelKind.GAMMA_NB, tokens, V, K, seed=15)
+    state.omega = gen.dirichlet(np.full(V, 0.3), size=K)
+    state.lam = gen.gamma(0.5, 2.0, size=(len(tokens), K))
+
+    expected_gen = RandomSource(16).generator
+    z, n_jk = replay_assign(state, state.lam, expected_gen)
+    actual_gen = RandomSource(16)
+    _assign(state, state.lam, actual_gen)
+    assert all(np.array_equal(a, b) for a, b in zip(state.z, z))
+    assert np.array_equal(state.n_jk, n_jk)
+    assert actual_gen.generator.random() == expected_gen.random()  # same number of uniforms consumed
 
 
 # ---------------------------------------------------------------------------
