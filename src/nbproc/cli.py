@@ -7,11 +7,11 @@ Subcommands::
     nbproc synth    write a synthetic corpus in the UCI layout
 
 Exit codes: 0 success, 1 check/validation failure, 2 usage error,
-3 I/O error.  ``NBPROC_THREADS`` overrides ``--workers``.
+3 I/O error.
 
 Every artifact embeds the hash of the resolved configuration (corpus
-content, model, hyperparameters, seed, workers) so runs can be matched
-to their inputs; the output directory itself is excluded from the hash,
+content, model, hyperparameters, seed) so runs can be matched to their
+inputs; the output directory itself is excluded from the hash,
 making reruns byte-comparable.  While a run is in progress the output
 directory holds a ``.incomplete`` sentinel; it is removed on success.
 """
@@ -28,7 +28,6 @@ import os
 import subprocess
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -85,7 +84,6 @@ class RunConfig:
     synth: dict | None = None
     train_frac: float = 0.6
     min_doc_freq: int = 1
-    workers: int = 1
     hyper: HyperParams = field(default_factory=HyperParams)
 
     @classmethod
@@ -107,8 +105,6 @@ class RunConfig:
         ModelKind.from_name(self.model)
         if not 0.0 < self.train_frac < 1.0:
             raise ValueError(f"train_frac must lie in (0, 1), got {self.train_frac}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.min_doc_freq < 1:
             raise ValueError(f"min_doc_freq must be >= 1, got {self.min_doc_freq}")
         has_files = self.docword is not None and self.vocab is not None
@@ -130,7 +126,6 @@ class RunConfig:
             "model": self.model,
             "train_frac": self.train_frac,
             "min_doc_freq": self.min_doc_freq,
-            "workers": self.workers,
             "hyper": dataclasses.asdict(self.hyper),
             "corpus": self.corpus_fingerprint(),
         }
@@ -156,41 +151,29 @@ def _commit_identifier() -> str:
     return "unknown"
 
 
-def run_experiment(kind: ModelKind, corpus: Corpus, split, hyper: HyperParams, workers: int = 1):
+def run_experiment(kind: ModelKind, corpus: Corpus, split, hyper: HyperParams):
     """Initialize, sweep, collect; returns (state, accumulator, trace).
 
-    Single-worker runs consume one random stream sequentially and are
-    bit-reproducible.  With workers > 1 the assignment step uses one
-    derived stream per (iteration, document), a different but equally
-    valid chain, and documents are processed by a thread pool.
+    The whole chain consumes one random stream, child 0 of the seed, in a
+    fixed order, so a run is bit-reproducible for a given seed and numpy
+    version.
     """
-    root = RandomSource(hyper.seed)
-    rng = root.child(0)
-    parallel_root = root.child(1)
+    rng = RandomSource(hyper.seed).child(0)
     state = initialize(kind, corpus, split, hyper, rng)
     acc = SampleAccumulator.empty(corpus.num_docs, corpus.vocab_size)
     trace = TraceReport()
-    executor = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
     started = time.perf_counter()
-    try:
-        for it in range(hyper.iters):
-            doc_rngs = None
-            if workers > 1:
-                iter_root = parallel_root.child(it)
-                doc_rngs = [iter_root.child(j) for j in range(corpus.num_docs)]
-            gibbs_sweep(state, hyper, rng, doc_rngs=doc_rngs, executor=executor)
-            if it >= hyper.burnin and (it - hyper.burnin) % hyper.collect_every == 0:
-                accumulate(acc, state)
-            if acc.num_samples > 0:
-                perplexity = heldout_perplexity(acc, split)
-            else:  # before collection starts, trace the instantaneous sample
-                snapshot = SampleAccumulator.empty(corpus.num_docs, corpus.vocab_size)
-                accumulate(snapshot, state)
-                perplexity = heldout_perplexity(snapshot, split)
-            trace.append(iteration=it, perplexity=perplexity, **trace_scalars(state))
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    for it in range(hyper.iters):
+        gibbs_sweep(state, hyper, rng)
+        if it >= hyper.burnin and (it - hyper.burnin) % hyper.collect_every == 0:
+            accumulate(acc, state)
+        if acc.num_samples > 0:
+            perplexity = heldout_perplexity(acc, split)
+        else:  # before collection starts, trace the instantaneous sample
+            snapshot = SampleAccumulator.empty(corpus.num_docs, corpus.vocab_size)
+            accumulate(snapshot, state)
+            perplexity = heldout_perplexity(snapshot, split)
+        trace.append(iteration=it, perplexity=perplexity, **trace_scalars(state))
     trace.final = {
         "perplexity": heldout_perplexity(acc, split),
         "active_topics": count_active_topics(state),
@@ -247,16 +230,12 @@ def cmd_run(args) -> int:
         ("vocab", args.vocab),
         ("train_frac", args.train_frac),
         ("min_doc_freq", args.min_doc_freq),
-        ("workers", args.workers),
     ):
         if value is not None:
             config_data[name] = value
     if args.synth:
         with open(args.synth, "r", encoding="utf-8") as fh:
             config_data["synth"] = json.load(fh)
-    env_workers = os.environ.get("NBPROC_THREADS")
-    if env_workers:
-        config_data["workers"] = int(env_workers)
     config = RunConfig.from_dict(config_data)
     report = run(config)
     print(
@@ -287,7 +266,6 @@ def run(config: RunConfig) -> dict:
         "synth": config.synth,
         "train_frac": config.train_frac,
         "min_doc_freq": config.min_doc_freq,
-        "workers": config.workers,
         "output_dir": str(out_dir),
         "hyper": dataclasses.asdict(config.hyper),
         "config_hash": config_hash,
@@ -300,7 +278,7 @@ def run(config: RunConfig) -> dict:
     kind = ModelKind.from_name(config.model)
     corpus = _load_run_corpus(config)
     split = split_train_test(corpus, config.train_frac, RandomSource(config.hyper.seed).child(2))
-    state, acc, trace = run_experiment(kind, corpus, split, config.hyper, workers=config.workers)
+    state, acc, trace = run_experiment(kind, corpus, split, config.hyper)
 
     _write_csv(
         out_dir / "trace.csv",
@@ -321,7 +299,6 @@ def run(config: RunConfig) -> dict:
         "seed": config.hyper.seed,
         "hyper": dataclasses.asdict(config.hyper),
         "train_frac": config.train_frac,
-        "workers": config.workers,
         "perplexity": trace.final["perplexity"],
         "active_topics": trace.final["active_topics"],
         "runtime_seconds": trace.final["wall_time_seconds"],
@@ -587,7 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", help="JSON run configuration (flags override)")
     run.add_argument("--train-frac", dest="train_frac", type=float, default=None)
     run.add_argument("--min-doc-freq", dest="min_doc_freq", type=int, default=None)
-    run.add_argument("--workers", type=int, default=None)
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--seed", dest="seed", type=int, default=None)
     run.add_argument("--K", dest="K", type=int, default=None)

@@ -369,44 +369,31 @@ def _recount(state: ModelState) -> None:
     ).astype(np.int64)
 
 
-def _assign(state: ModelState, weights: np.ndarray, rng: RandomSource, doc_rngs=None, executor=None) -> None:
+def _assign(state: ModelState, weights: np.ndarray, rng: RandomSource) -> None:
     """Reassign every training token to a topic given current weights."""
-    omega = state.omega
-
-    def draw(j: int, gen: np.random.Generator) -> np.ndarray:
-        terms = state.tokens[j]
-        n = len(terms)
-        if n == 0:
-            return np.zeros(0, dtype=np.int64)
-        w = omega[:, terms].T * weights[j]  # tokens x topics
-        cum = np.cumsum(w, axis=1)
+    gen = rng.generator
+    omega_t = np.ascontiguousarray(state.omega.T)  # vocabulary x topics
+    z = []
+    for j, terms in enumerate(state.tokens):
+        cum = omega_t[terms]  # tokens x topics
+        cum *= weights[j]
+        np.cumsum(cum, axis=1, out=cum)
         totals = cum[:, -1]
         if not np.all(np.isfinite(totals)) or not np.all(totals > 0):
             raise IterationError("z-weights", f"document {j} has no admissible topic")
-        u = gen.random(n) * totals
-        return (cum < u[:, None]).sum(axis=1).astype(np.int64)
-
-    if doc_rngs is not None:
-        if executor is not None:
-            state.z = list(executor.map(lambda j: draw(j, doc_rngs[j].generator), range(state.num_docs)))
-        else:
-            state.z = [draw(j, doc_rngs[j].generator) for j in range(state.num_docs)]
-    else:
-        gen = rng.generator
-        state.z = [draw(j, gen) for j in range(state.num_docs)]
+        u = gen.random(len(terms)) * totals
+        z.append((cum < u[:, None]).sum(axis=1).astype(np.int64))
+    state.z = z
     _recount(state)
 
 
-def sample_topic_assignments(state: ModelState, rng: RandomSource, doc_rngs=None, executor=None) -> ModelState:
+def sample_topic_assignments(state: ModelState, rng: RandomSource) -> ModelState:
     """Resample z for every training token and refresh n_jk.
 
     Probability of topic k for a token with term v is proportional to
     omega[k, v] times the document's weight for k (lam or lam_tilde).
-    With ``doc_rngs`` given, each document draws from its own source
-    (optionally through ``executor``), which yields a different but
-    equally valid chain than the single-source mode.
     """
-    _assign(state, state.topic_weights(), rng, doc_rngs=doc_rngs, executor=executor)
+    _assign(state, state.topic_weights(), rng)
     return state
 
 
@@ -425,7 +412,7 @@ def update_topics(state: ModelState, rng: RandomSource) -> ModelState:
 # ---------------------------------------------------------------------------
 
 
-def count_sweep(state, hyper, rng, doc_rngs=None, executor=None, fault=None):
+def count_sweep(state, hyper, rng, fault=None):
     """One sweep of a count kind whose r and p each live on one axis.
 
     Order: z; p ~ Beta(prior + tokens on p's axis, prior + the r mass
@@ -436,7 +423,7 @@ def count_sweep(state, hyper, rng, doc_rngs=None, executor=None, fault=None):
     adds 1 to r's shape, a deliberate corruption for harness self-checks.
     """
     spec = state.kind.spec
-    _assign(state, state.lam, rng, doc_rngs, executor)
+    _assign(state, state.lam, rng)
     gen = rng.generator
     J, K = state.n_jk.shape
     span = J if spec.r_axis == TOPIC else K  # cells one entry of r covers
@@ -481,14 +468,14 @@ def count_sweep(state, hyper, rng, doc_rngs=None, executor=None, fault=None):
     return state
 
 
-def nb_ftm_sweep(state, hyper, rng, doc_rngs=None, executor=None):
+def nb_ftm_sweep(state, hyper, rng):
     """One sweep of the gated model: sparsity pi_k, binary gates b_jk.
 
     A zero gate pins lam_jk to exactly 0, removing topic k from
     document j's assignment weights; n_jk > 0 forces the gate open.
     p is fixed at 0.5 throughout.
     """
-    _assign(state, state.lam, rng, doc_rngs, executor)
+    _assign(state, state.lam, rng)
     gen = rng.generator
     J, K = state.n_jk.shape
     log_half = math.log(0.5)
@@ -519,7 +506,7 @@ def nb_ftm_sweep(state, hyper, rng, doc_rngs=None, executor=None):
     return state
 
 
-def crf_hdp_sweep(state, hyper, rng, doc_rngs=None, executor=None):
+def crf_hdp_sweep(state, hyper, rng):
     """Direct-assignment sweep of the normalized (franchise) model.
 
     Table counts l_jk ~ CRT(n_jk, alpha * r_tilde_k) feed the
@@ -529,7 +516,7 @@ def crf_hdp_sweep(state, hyper, rng, doc_rngs=None, executor=None):
     underflows to 0 the CRT rate is floored at ``TINY``: CRT(m, r) tends
     to one table as r -> 0, so this is the limiting law.
     """
-    _assign(state, state.lam_tilde, rng, doc_rngs, executor)
+    _assign(state, state.lam_tilde, rng)
     gen = rng.generator
     J, K = state.n_jk.shape
     state.l_jk = sample_crt_array(state.n_jk, np.maximum(state.alpha * state.r_tilde, TINY)[None, :], rng)
@@ -564,9 +551,9 @@ def crf_alpha_step(alpha: float, total_tables: int, doc_sizes: np.ndarray, a0: f
     return float(_gamma_clamped(gen, shape, 1.0 / rate))
 
 
-def lda_sweep(state, hyper, rng, doc_rngs=None, executor=None):
+def lda_sweep(state, hyper, rng):
     """Normalized-weight sweep with fixed smoothing; also serves dir-pfa."""
-    _assign(state, state.lam_tilde, rng, doc_rngs, executor)
+    _assign(state, state.lam_tilde, rng)
     smoothing = hyper.lda_alpha_total / state.num_topics
     state.lam_tilde = _dirichlet_rows(rng.generator, smoothing + state.n_jk)
     _check_finite("lam_tilde", state.lam_tilde)
@@ -574,21 +561,21 @@ def lda_sweep(state, hyper, rng, doc_rngs=None, executor=None):
     return state
 
 
-def gibbs_sweep(state, hyper, rng, doc_rngs=None, executor=None, fault=None):
+def gibbs_sweep(state, hyper, rng, fault=None):
     """Run one full block Gibbs sweep for the state's model kind.
 
     ``fault`` is passed to ``count_sweep``; the other kernels reject it.
     """
     spec = state.kind.spec
     if spec.shared_kernel:
-        return count_sweep(state, hyper, rng, doc_rngs=doc_rngs, executor=executor, fault=fault)
+        return count_sweep(state, hyper, rng, fault=fault)
     if fault is not None:
         raise ValueError(f"fault injection is only wired into the shared count kernel, not {state.kind.value}")
     if spec.gated:
         sweep = nb_ftm_sweep
     else:
         sweep = crf_hdp_sweep if spec.normalized == FRANCHISE else lda_sweep
-    return sweep(state, hyper, rng, doc_rngs=doc_rngs, executor=executor)
+    return sweep(state, hyper, rng)
 
 
 def count_active_topics(state: ModelState) -> int:

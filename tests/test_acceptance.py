@@ -292,8 +292,6 @@ def test_criterion_9_reproducibility(tmp_path):
             "15",
             "--init-iters",
             "5",
-            "--workers",
-            "1",
             "--out",
             str(tmp_path / name),
         ]

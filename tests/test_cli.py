@@ -96,21 +96,6 @@ def test_nb_hdp_probability_column_constant(tmp_path):
     assert all(float(r["mean_p"]) == 0.5 for r in trace)
 
 
-def test_run_with_workers_changes_chain_but_completes(tmp_path):
-    assert main(run_args(tmp_path, "w1")) == EXIT_OK
-    assert main(run_args(tmp_path, "w2", extra=("--workers", "2"))) == EXIT_OK
-    report = json.loads((tmp_path / "w2" / "report.json").read_text())
-    assert report["workers"] == 2
-    assert (tmp_path / "w1" / "trace.csv").read_bytes() != (tmp_path / "w2" / "trace.csv").read_bytes()
-
-
-def test_workers_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("NBPROC_THREADS", "3")
-    assert main(run_args(tmp_path, "env")) == EXIT_OK
-    config = json.loads((tmp_path / "env" / "config.json").read_text())
-    assert config["workers"] == 3
-
-
 def test_run_missing_corpus_file_is_io_error(tmp_path, capsys):
     args = [
         "run",

@@ -31,43 +31,43 @@ from nbproc.cli import EXIT_OK, main
 GOLDEN_TRACES = {
     "lda": (
         "9ff45bd04058bfb541952bd8d04b5742ad4dbb24b1d15213b835392548ed697e",
-        "9eb76d612d3864292119563691c6d84846d9f0c759bf7a37ac024f8832d4debd",
+        "b9481603d0a5ecf9374a0ed50387afdfe0dcc08b560e7c95ca9059e92783ae67",
     ),
     "dir-pfa": (
         "9ff45bd04058bfb541952bd8d04b5742ad4dbb24b1d15213b835392548ed697e",
-        "ba0576c0b1475c5ac44a67e63108b590240e4b607d3c4d9eee63f1f309dbb951",
+        "e1997f128307b405aba5d251a4641d56d54ff57b92c9f9f571b4424f6bf9b4da",
     ),
     "nb-lda": (
         "2d86fec14d59aa331b791cd80161c9c94035d3f92df26337b301320db89f8d40",
-        "0ee48f2865ec66681ea30619a2fd1c9201161cc33e3d2851f7689dadb5d9324f",
+        "41ff096fb5cd39a2a7b9e92234f400d46388c0c739459427b2f6032cd6fd3e69",
     ),
     "nb-hdp": (
         "31d5a3f5e653f0ab7bb701f742ce386ecddbb73bcd865268909078bc823580cf",
-        "8e2d894aea06425cfdc30d6c6fa8bec1d8cfbe3c27228b893714279392817127",
+        "d499bb671f2f71f6b0c1680c775ba233ecfd7a43eec8c689daa07c55b969432d",
     ),
     "nb-ftm": (
         "b17f24b2f46df5bf65e52bfef8fb5484cfd414c0ea8c0dba9b99e497bb98d012",
-        "6f6ed8236e30c05d35be2efad583a2db7cc16017f2ca203fd3fba44c8438788f",
+        "607458895073b55a9d62c7016969d2741143b6bfb2d7d81673ad88429e6a0ec4",
     ),
     "beta-nb": (
         "91367d82fa590c0ca1b381b675b75df9d89f8908503948567b36aeffb05aa950",
-        "b0bcd4543d94e2e1c71e70cd75ed0a78902f101a2879db218eaee0c841eff92f",
+        "38342fcb7139983e276e8fa6ba5ce82c96abad6f55fa2ff8c9d58be2715cf8e4",
     ),
     "gamma-nb": (
         "621578a11d610830832b790248f891d9255c082ad2f6360f3dbcac7c6c8d8ea4",
-        "3c84922d8d7c5cdfb896799e25d46a79081895ec3f41a921577043adcc823d5e",
+        "8241230e2ca579da4ddcc460001d655684cb9137e37943113853e96e754c9acb",
     ),
     "marked-beta-nb": (
         "d6367c7679526d8401706abd28d7cc846b8f9c23f25b7553e8269e8712219855",
-        "01b41d5347bbbbec9185dfe7b8d048f9aafb37720bd7a17c98e9cf61d1455a3c",
+        "1467eebf2d934c1c0fd1c46b4b746810d7e1f63ff68793657796b121ade17f33",
     ),
     "marked-gamma-nb": (
         "f34690009d5cd6d1840387816f26e9cd8b073eb2fb6e854e8b7952a8d73ff3d4",
-        "a6f7b609c43f8522a1ad7abd727b483c6ff137c3e43e149d62caa4c3b79a61ee",
+        "d8940d347e099e3f794435042759b6dd898c23daa796c46eb776c96394365fb7",
     ),
     "crf-hdp": (
         "536704f938532ad5ccca6c5ab4b6b50f51e0e6f134b1047286f92e515e8496fe",
-        "4c8938e63f5355980d1b366d9cdcbff3725d1116de150a6969af219119ccbd2d",
+        "a7f91a6a1b40bbe000dbfd41b70dfac70bff239a7ae0b63f6250683aee7a337d",
     ),
 }
 

@@ -793,28 +793,6 @@ def test_forward_draw_rejects_normalized_without_lengths():
         forward_draw(ModelKind.LDA, MICRO, 3, 5, RandomSource(80))
 
 
-def test_parallel_assignment_matches_serial_child_streams():
-    # per-document child sources give identical results with or without
-    # a thread pool; both differ from the single-stream mode
-    from concurrent.futures import ThreadPoolExecutor
-
-    hyper = MICRO.replace(K=3)
-    base = state_with_tokens(ModelKind.GAMMA_NB, [[0, 1, 2, 0], [1, 1], [2, 0, 2]], 3, 3, seed=81)
-    doc_rngs = [RandomSource(90).child(j) for j in range(3)]
-
-    serial = base.clone()
-    sample_topic_assignments(serial, RandomSource(91), doc_rngs=[RandomSource(90).child(j) for j in range(3)])
-    pooled = base.clone()
-    with ThreadPoolExecutor(max_workers=3) as pool:
-        sample_topic_assignments(pooled, RandomSource(91), doc_rngs=doc_rngs, executor=pool)
-    assert all(np.array_equal(a, b) for a, b in zip(serial.z, pooled.z))
-    assert np.array_equal(serial.n_jk, pooled.n_jk)
-
-    single = base.clone()
-    sample_topic_assignments(single, RandomSource(91))
-    assert any(not np.array_equal(a, b) for a, b in zip(serial.z, single.z))
-
-
 def test_crf_hdp_sweep_survives_underflowing_table_rate():
     # a tiny prior draw of alpha times an r_tilde entry clamped at TINY
     # underflows to 0 on an occupied topic; the CRT rate is floored at
