@@ -329,6 +329,22 @@ def _beta_prior(prior: str, hyper: HyperParams, K: int) -> tuple[float, float]:
     return hyper.a0, hyper.b0
 
 
+def _check_beta_process(kind: ModelKind, hyper: HyperParams) -> None:
+    """Reject a truncation at which the kind's beta-process prior is improper.
+
+    Beta(c/K, c(1 - 1/K)) has a zero second shape at K = 1; it is the
+    prior of p for beta-nb and marked-beta-nb and of the gates' pi_k for
+    nb-ftm.
+    """
+    spec = kind.spec
+    if hyper.K < 2 and (spec.p_prior == BETA_PROCESS or spec.gated):
+        a, b = _beta_prior(BETA_PROCESS, hyper, hyper.K)
+        raise ValueError(
+            f"{kind.value} needs K >= 2, got K = {hyper.K}: its beta-process prior "
+            f"Beta(c/K, c(1-1/K)) = Beta({a:g}, {b:g}) has a zero shape"
+        )
+
+
 def _gamma0_share(spec: KindSpec, K: int) -> int:
     """The divisor of gamma0 in the shape of each entry of r."""
     return K if spec.r_prior == GAMMA0_K else 1
@@ -625,6 +641,7 @@ def initialize(kind: ModelKind, corpus, split, hyper: HyperParams, rng: RandomSo
     seed the target kind, whose remaining parameters come from their
     priors; gates start fully open.
     """
+    _check_beta_process(kind, hyper)
     state = blank_state(kind, split.train_tokens, corpus.vocab_size, hyper.K, hyper.eta)
     gen = rng.generator
     J, K = state.num_docs, state.num_topics
@@ -711,6 +728,7 @@ def forward_draw(
         raise ValueError(f"forward simulation is not defined for {kind.value}")
     if spec.normalized and doc_lengths is None:
         raise ValueError(f"{kind.value} needs explicit doc_lengths for forward simulation")
+    _check_beta_process(kind, hyper)
     state = blank_state(kind, [np.zeros(0, dtype=np.int64)] * num_docs, vocab_size, hyper.K, hyper.eta)
     gen = rng.generator
     _draw_count_params(state, hyper, rng)

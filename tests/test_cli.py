@@ -112,6 +112,24 @@ def test_run_missing_corpus_file_is_io_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def one_topic_args(tmp_path, model):
+    args = run_args(tmp_path, model, model=model)
+    args[args.index("--K") + 1] = "1"
+    return args
+
+
+@pytest.mark.parametrize("model", ["beta-nb", "marked-beta-nb", "nb-ftm"])
+def test_beta_process_kinds_reject_one_topic(tmp_path, capsys, model):
+    assert main(one_topic_args(tmp_path, model)) == EXIT_CHECK_FAILED
+    err = capsys.readouterr().err
+    assert f"{model} needs K >= 2, got K = 1" in err
+    assert "Beta(c/K, c(1-1/K))" in err
+
+
+def test_gamma_nb_runs_with_one_topic(tmp_path):
+    assert main(one_topic_args(tmp_path, "gamma-nb")) == EXIT_OK
+
+
 def test_run_conflicting_corpus_settings_fail(tmp_path):
     spec = write_synth_spec(tmp_path)
     args = ["run", "--model", "gamma-nb", "--out", str(tmp_path / "x")]

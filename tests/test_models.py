@@ -793,6 +793,12 @@ def test_forward_draw_rejects_normalized_without_lengths():
         forward_draw(ModelKind.LDA, MICRO, 3, 5, RandomSource(80))
 
 
+@pytest.mark.parametrize("kind", [ModelKind.BETA_NB, ModelKind.MARKED_BETA_NB, ModelKind.NB_FTM])
+def test_forward_draw_rejects_beta_process_at_one_topic(kind):
+    with pytest.raises(ValueError, match=r"needs K >= 2, got K = 1"):
+        forward_draw(kind, MICRO.replace(K=1), 3, 5, RandomSource(81))
+
+
 def test_crf_hdp_sweep_survives_underflowing_table_rate():
     # a tiny prior draw of alpha times an r_tilde entry clamped at TINY
     # underflows to 0 on an occupied topic; the CRT rate is floored at
