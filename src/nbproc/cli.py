@@ -214,12 +214,19 @@ def _load_run_corpus(config: RunConfig):
     return corpus
 
 
+def _load_json(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+
+
 def cmd_run(args) -> int:
     overrides = {name: getattr(args, name) for name in _HYPER_FIELDS if getattr(args, name, None) is not None}
     config_data = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            config_data = json.load(fh)
+        config_data = _load_json(args.config)
     hyper_data = dict(config_data.pop("hyper", {}))
     hyper_data.update(overrides)
     config_data["hyper"] = hyper_data
@@ -234,8 +241,7 @@ def cmd_run(args) -> int:
         if value is not None:
             config_data[name] = value
     if args.synth:
-        with open(args.synth, "r", encoding="utf-8") as fh:
-            config_data["synth"] = json.load(fh)
+        config_data["synth"] = _load_json(args.synth)
     config = RunConfig.from_dict(config_data)
     report = run(config)
     print(

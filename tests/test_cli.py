@@ -112,6 +112,14 @@ def test_run_missing_corpus_file_is_io_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--synth", "--config"])
+def test_run_non_json_file_is_io_error(tmp_path, capsys, flag):
+    bad = tmp_path / "bad.json"
+    bad.write_text("notjson\n")
+    assert main(["run", "--model", "gamma-nb", flag, str(bad), "--out", str(tmp_path / "x")]) == EXIT_IO
+    assert f"{bad} is not valid JSON" in capsys.readouterr().err
+
+
 def one_topic_args(tmp_path, model):
     args = run_args(tmp_path, model, model=model)
     args[args.index("--K") + 1] = "1"
