@@ -166,10 +166,11 @@ def test_usage_error_exit_code():
 
 def test_config_file_unknown_keys_rejected(tmp_path, capsys):
     config = tmp_path / "cfg.json"
-    config.write_text(json.dumps({"modle": "gamma-nb"}))
-    args = run_args(tmp_path, "cfgout", extra=("--config", str(config)))
-    assert main(args) == EXIT_CHECK_FAILED
-    assert "unknown config keys" in capsys.readouterr().err
+    for data in ({"modle": "gamma-nb"}, {"workers": 2}):  # a typo; a key that no longer exists
+        config.write_text(json.dumps(data))
+        args = run_args(tmp_path, "cfgout", extra=("--config", str(config)))
+        assert main(args) == EXIT_CHECK_FAILED
+        assert "unknown config keys" in capsys.readouterr().err
 
 
 def test_runconfig_rejects_unknown_hyper_keys():
