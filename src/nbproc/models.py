@@ -308,8 +308,10 @@ def _beta_clamped(gen: np.random.Generator, a, b) -> np.ndarray:
 
 
 def _dirichlet_rows(gen: np.random.Generator, concentration: np.ndarray) -> np.ndarray:
-    g = np.maximum(gen.gamma(concentration, 1.0), TINY)
-    return g / g.sum(axis=1, keepdims=True)
+    g = gen.gamma(concentration, 1.0)
+    np.maximum(g, TINY, out=g)
+    g /= g.sum(axis=1, keepdims=True)
+    return g
 
 
 def _along(axis: str, values: np.ndarray) -> np.ndarray:
@@ -418,8 +420,9 @@ def update_topics(state: ModelState, rng: RandomSource) -> ModelState:
     K, V = state.omega.shape
     all_z = np.concatenate(state.z) if state.z else np.zeros(0, dtype=np.int64)
     all_terms = np.concatenate(state.tokens) if state.tokens else np.zeros(0, dtype=np.int64)
-    counts = np.bincount(all_z * V + all_terms, minlength=K * V).reshape(K, V)
-    state.omega = _dirichlet_rows(rng.generator, state.eta + counts)
+    # the int64 counts are freed before the K x V gamma draw
+    concentration = state.eta + np.bincount(all_z * V + all_terms, minlength=K * V).reshape(K, V)
+    state.omega = _dirichlet_rows(rng.generator, concentration)
     return state
 
 
