@@ -47,10 +47,8 @@ from .evaluation import (
     TraceReport,
     accumulate,
     default_geweke_settings,
-    doc_term_probability,
     geweke_check,
     heldout_perplexity,
-    merged,
     summarize_parameters,
 )
 from .models import (

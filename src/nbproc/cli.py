@@ -160,7 +160,7 @@ def run_experiment(kind: ModelKind, corpus: Corpus, split, hyper: HyperParams):
     """
     rng = RandomSource(hyper.seed).child(0)
     state = initialize(kind, corpus, split, hyper, rng)
-    acc = SampleAccumulator.empty(corpus.num_docs, corpus.vocab_size)
+    acc = SampleAccumulator.empty(split, corpus.vocab_size)
     trace = TraceReport()
     started = time.perf_counter()
     for it in range(hyper.iters):
@@ -168,14 +168,14 @@ def run_experiment(kind: ModelKind, corpus: Corpus, split, hyper: HyperParams):
         if it >= hyper.burnin and (it - hyper.burnin) % hyper.collect_every == 0:
             accumulate(acc, state)
         if acc.num_samples > 0:
-            perplexity = heldout_perplexity(acc, split)
+            perplexity = heldout_perplexity(acc)
         else:  # before collection starts, trace the instantaneous sample
-            snapshot = SampleAccumulator.empty(corpus.num_docs, corpus.vocab_size)
+            snapshot = SampleAccumulator.empty(split, corpus.vocab_size)
             accumulate(snapshot, state)
-            perplexity = heldout_perplexity(snapshot, split)
+            perplexity = heldout_perplexity(snapshot)
         trace.append(iteration=it, perplexity=perplexity, **trace_scalars(state))
     trace.final = {
-        "perplexity": heldout_perplexity(acc, split),
+        "perplexity": heldout_perplexity(acc),
         "active_topics": count_active_topics(state),
         "wall_time_seconds": time.perf_counter() - started,
     }

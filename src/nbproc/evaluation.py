@@ -3,12 +3,15 @@
 The held-out predictive probability of term v in document j is the
 ratio of accumulated omega-times-weight products
 
-    f[j, v] = sum_s sum_k omega[v, k] * w[j, k]  /  sum_s sum_v sum_k (same)
+    f[j, v] = sum_s sum_k w[j, k] * omega[k, v]  /  sum_s sum_k w[j, k] * sum_v omega[k, v]
 
 over collected samples s, with w the document's topic weights (lam, or
 lam_tilde for normalized models, where the per-document scale cancels in
 the ratio anyway).  Per-word perplexity is exp of the negative mean log
-f over held-out tokens.
+f over held-out tokens, so the accumulator keeps the numerator only at
+the held-out (j, v) cells and the denominator once per document: its
+memory grows with the held-out tokens, never with documents x
+vocabulary.
 """
 
 from __future__ import annotations
@@ -45,55 +48,42 @@ class HarnessError(RuntimeError):
 
 @dataclass
 class SampleAccumulator:
-    """Running sums of omega-weight products across collected samples."""
+    """Running sums of omega-weight products at the held-out tokens across collected samples."""
 
     num_samples: int
-    weighted_term_mass: np.ndarray  # documents x vocabulary
+    test_terms: tuple[np.ndarray, ...]  # the split's held-out term ids, per document
+    test_mass: list[np.ndarray]  # per document, aligned with test_terms
     doc_totals: np.ndarray  # per-document denominators
+    vocab_size: int
 
     @classmethod
-    def empty(cls, num_docs: int, vocab_size: int) -> "SampleAccumulator":
+    def empty(cls, split: HeldOutSplit, vocab_size: int) -> "SampleAccumulator":
         return cls(
             num_samples=0,
-            weighted_term_mass=np.zeros((num_docs, vocab_size)),
-            doc_totals=np.zeros(num_docs),
+            test_terms=split.test_tokens,
+            test_mass=[np.zeros(len(terms)) for terms in split.test_tokens],
+            doc_totals=np.zeros(split.num_docs),
+            vocab_size=vocab_size,
         )
 
 
 def accumulate(acc: SampleAccumulator, state: ModelState) -> SampleAccumulator:
     """Fold one collected sample's omega-weight products into the sums."""
     weights = state.topic_weights()
-    if weights.shape[0] != acc.weighted_term_mass.shape[0] or state.vocab_size != acc.weighted_term_mass.shape[1]:
+    if weights.shape[0] != acc.doc_totals.shape[0] or state.vocab_size != acc.vocab_size:
         raise ValueError(
-            f"accumulator shape {acc.weighted_term_mass.shape} does not match "
+            f"accumulator shape ({acc.doc_totals.shape[0]}, {acc.vocab_size}) does not match "
             f"state ({weights.shape[0]}, {state.vocab_size})"
         )
-    contribution = weights @ state.omega  # documents x vocabulary
-    acc.weighted_term_mass += contribution
-    acc.doc_totals += contribution.sum(axis=1)
+    omega_t = np.ascontiguousarray(state.omega.T)
+    for mass, terms, w in zip(acc.test_mass, acc.test_terms, weights):
+        mass += omega_t[terms] @ w
+    acc.doc_totals += weights @ state.omega.sum(axis=1)
     acc.num_samples += 1
     return acc
 
 
-def merged(a: SampleAccumulator, b: SampleAccumulator) -> SampleAccumulator:
-    """Combine two accumulators (e.g. from parallel chains)."""
-    if a.weighted_term_mass.shape != b.weighted_term_mass.shape:
-        raise ValueError("cannot merge accumulators of different shapes")
-    return SampleAccumulator(
-        num_samples=a.num_samples + b.num_samples,
-        weighted_term_mass=a.weighted_term_mass + b.weighted_term_mass,
-        doc_totals=a.doc_totals + b.doc_totals,
-    )
-
-
-def doc_term_probability(acc: SampleAccumulator) -> np.ndarray:
-    """The normalized predictive matrix f[j, v] (rows sum to 1)."""
-    if acc.num_samples < 1:
-        raise EvaluationError("no samples collected yet")
-    return acc.weighted_term_mass / acc.doc_totals[:, None]
-
-
-def heldout_perplexity(acc: SampleAccumulator, split: HeldOutSplit) -> float:
+def heldout_perplexity(acc: SampleAccumulator) -> float:
     """Per-word perplexity of the held-out tokens under the accumulator.
 
     Documents without test tokens contribute nothing.  Uniform f gives
@@ -101,18 +91,18 @@ def heldout_perplexity(acc: SampleAccumulator, split: HeldOutSplit) -> float:
     """
     if acc.num_samples < 1:
         raise EvaluationError("no samples collected yet")
-    if split.total_test < 1:
+    total_test = sum(len(terms) for terms in acc.test_terms)
+    if total_test < 1:
         raise EvaluationError("the split holds out no tokens")
-    f = doc_term_probability(acc)
     log_total = 0.0
-    for j, test_terms in enumerate(split.test_tokens):
-        if len(test_terms) == 0:
+    for j, (mass, total) in enumerate(zip(acc.test_mass, acc.doc_totals)):
+        if len(mass) == 0:
             continue
-        probs = f[j, test_terms]
+        probs = mass / total
         if np.any(probs <= 0.0):
             raise EvaluationError(f"zero predictive mass for a held-out token of document {j}")
         log_total += float(np.log(probs).sum())
-    return float(math.exp(-log_total / split.total_test))
+    return float(math.exp(-log_total / total_test))
 
 
 @dataclass

@@ -1,18 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from nbproc import (
     EvaluationError,
+    HeldOutSplit,
     HyperParams,
     ModelKind,
     RandomSource,
     SampleAccumulator,
     accumulate,
     default_geweke_settings,
-    doc_term_probability,
     geweke_check,
     heldout_perplexity,
-    merged,
     split_train_test,
     summarize_parameters,
 )
@@ -42,23 +43,36 @@ def make_state(kind, J, K, V, omega, lam):
 # ---------------------------------------------------------------------------
 
 
+def held_out(*test_tokens):
+    """A split whose held-out term ids are given per document (no training tokens)."""
+    tests = tuple(np.asarray(t, dtype=np.int64) for t in test_tokens)
+    none = tuple(np.zeros(0, dtype=np.int64) for _ in tests)
+    return HeldOutSplit(0.5, none, tuple(np.arange(len(t)) for t in tests), none, tests)
+
+
+def predicted(acc):
+    """f[j, v] at each document's held-out terms, read off the accumulator."""
+    return [mass / total for mass, total in zip(acc.test_mass, acc.doc_totals)]
+
+
 def test_single_topic_weight_cancels():
     unigram = np.array([[0.5, 0.3, 0.2]])
     state = make_state(ModelKind.GAMMA_NB, 2, 1, 3, unigram, [[3.0], [0.7]])
-    acc = SampleAccumulator.empty(2, 3)
-    accumulate(acc, state)
-    f = doc_term_probability(acc)
-    assert np.allclose(f, np.vstack([unigram, unigram]), atol=1e-12)
+    split = held_out([0, 1, 2], [2, 2, 0])
+    acc = accumulate(SampleAccumulator.empty(split, 3), state)
+    for f, terms in zip(predicted(acc), split.test_tokens):
+        assert np.allclose(f, unigram[0, terms], atol=1e-12)
 
 
 def test_identical_samples_leave_ratio_unchanged():
     omega = np.array([[0.6, 0.4], [0.1, 0.9]])
     lam = np.array([[1.0, 2.0]])
     state = make_state(ModelKind.GAMMA_NB, 1, 2, 2, omega, lam)
-    acc1 = accumulate(SampleAccumulator.empty(1, 2), state)
-    f1 = doc_term_probability(acc1).copy()
-    acc2 = accumulate(accumulate(SampleAccumulator.empty(1, 2), state), state)
-    assert np.allclose(doc_term_probability(acc2), f1, atol=1e-12)
+    split = held_out([0, 1, 1])
+    acc1 = accumulate(SampleAccumulator.empty(split, 2), state)
+    acc2 = accumulate(accumulate(SampleAccumulator.empty(split, 2), state), state)
+    assert np.allclose(predicted(acc2)[0], predicted(acc1)[0], atol=1e-12)
+    assert heldout_perplexity(acc2) == pytest.approx(heldout_perplexity(acc1), rel=1e-12)
 
 
 def test_disjoint_topic_blend_matches_direct_formula():
@@ -68,52 +82,49 @@ def test_disjoint_topic_blend_matches_direct_formula():
     omega_b = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])
     lam_a = np.array([[2.0, 0.0]])
     lam_b = np.array([[0.0, 1.0]])
-    acc = SampleAccumulator.empty(1, 3)
+    split = held_out([0, 1, 2, 1])
+    acc = SampleAccumulator.empty(split, 3)
     accumulate(acc, make_state(ModelKind.GAMMA_NB, 1, 2, 3, omega_a, lam_a))
     accumulate(acc, make_state(ModelKind.GAMMA_NB, 1, 2, 3, omega_b, lam_b))
     expected_mass = lam_a @ omega_a + lam_b @ omega_b  # direct evaluation
     expected = expected_mass / expected_mass.sum()
-    assert np.allclose(doc_term_probability(acc), expected, atol=1e-12)
+    assert np.allclose(predicted(acc)[0], expected[0, split.test_tokens[0]], atol=1e-12)
 
 
 def test_accumulator_totals_consistent():
+    # every document holds out each term once, so its held-out mass is its whole row
     gen = RandomSource(1).generator
-    acc = SampleAccumulator.empty(4, 6)
+    acc = SampleAccumulator.empty(held_out(*[np.arange(6)] * 4), 6)
     for seed in range(5):
         omega = gen.dirichlet(np.full(6, 0.4), size=3)
         lam = gen.gamma(1.0, 1.0, size=(4, 3))
         accumulate(acc, make_state(ModelKind.GAMMA_NB, 4, 3, 6, omega, lam))
     assert acc.num_samples == 5
-    assert np.allclose(acc.doc_totals, acc.weighted_term_mass.sum(axis=1), rtol=1e-8)
-
-
-def test_merge_equals_sequential_accumulation():
-    gen = RandomSource(2).generator
-    states = [
-        make_state(
-            ModelKind.GAMMA_NB, 2, 2, 4, gen.dirichlet(np.full(4, 0.5), size=2), gen.gamma(1.0, 1.0, size=(2, 2))
-        )
-        for _ in range(4)
-    ]
-    sequential = SampleAccumulator.empty(2, 4)
-    for s in states:
-        accumulate(sequential, s)
-    left = SampleAccumulator.empty(2, 4)
-    right = SampleAccumulator.empty(2, 4)
-    for s in states[:2]:
-        accumulate(left, s)
-    for s in states[2:]:
-        accumulate(right, s)
-    combined = merged(left, right)
-    assert combined.num_samples == sequential.num_samples
-    assert np.allclose(combined.weighted_term_mass, sequential.weighted_term_mass, rtol=1e-10)
-    assert np.allclose(combined.doc_totals, sequential.doc_totals, rtol=1e-10)
+    assert np.allclose(acc.doc_totals, [mass.sum() for mass in acc.test_mass], rtol=1e-8)
 
 
 def test_accumulate_shape_mismatch():
     state = make_state(ModelKind.GAMMA_NB, 2, 1, 3, np.full((1, 3), 1 / 3), np.ones((2, 1)))
     with pytest.raises(ValueError):
-        accumulate(SampleAccumulator.empty(3, 3), state)
+        accumulate(SampleAccumulator.empty(held_out([0], [1], [2]), 3), state)
+    with pytest.raises(ValueError):
+        accumulate(SampleAccumulator.empty(held_out([0], [1]), 4), state)
+
+
+def test_accumulator_footprint_scales_with_held_out_tokens():
+    J, V = 50, 200_000
+    gen = RandomSource(14).generator
+    corpus = make_corpus([gen.integers(0, V, size=12) for _ in range(J)], V)
+    split = split_train_test(corpus, 0.5, RandomSource(15))
+    acc = SampleAccumulator.empty(split, V)
+    accumulate(acc, make_state(ModelKind.GAMMA_NB, J, 2, V, gen.dirichlet(np.ones(V), size=2), np.ones((J, 2))))
+    assert acc.test_terms is split.test_tokens  # shared with the split, not copied
+    held = []
+    for f in dataclasses.fields(acc):
+        if f.name != "test_terms":
+            value = getattr(acc, f.name)
+            held += value if isinstance(value, list) else [value]
+    assert sum(a.nbytes for a in held if isinstance(a, np.ndarray)) <= 8 * (split.total_test + J) + 64
 
 
 # ---------------------------------------------------------------------------
@@ -121,8 +132,9 @@ def test_accumulate_shape_mismatch():
 # ---------------------------------------------------------------------------
 
 
-def uniform_accumulator(J, V):
-    acc = SampleAccumulator.empty(J, V)
+def uniform_accumulator(split, V):
+    J = split.num_docs
+    acc = SampleAccumulator.empty(split, V)
     state = make_state(ModelKind.GAMMA_NB, J, 1, V, np.full((1, V), 1.0 / V), np.ones((J, 1)))
     return accumulate(acc, state)
 
@@ -130,16 +142,14 @@ def uniform_accumulator(J, V):
 def test_uniform_predictor_perplexity_is_vocab_size():
     corpus = make_corpus([[0, 1, 2, 3, 0], [2, 2, 4]], 5)
     split = split_train_test(corpus, 0.6, RandomSource(3))
-    acc = uniform_accumulator(2, 5)
-    assert heldout_perplexity(acc, split) == pytest.approx(5.0, rel=1e-12)
+    assert heldout_perplexity(uniform_accumulator(split, 5)) == pytest.approx(5.0, rel=1e-12)
 
 
 def test_uniform_perplexity_at_reference_vocab_size():
     V = 2566
     corpus = make_corpus([list(range(0, V, 7)) * 2], V)
     split = split_train_test(corpus, 0.5, RandomSource(4))
-    acc = uniform_accumulator(1, V)
-    assert heldout_perplexity(acc, split) == pytest.approx(V, rel=1e-9)
+    assert heldout_perplexity(uniform_accumulator(split, V)) == pytest.approx(V, rel=1e-9)
 
 
 def test_perplexity_invariant_to_per_document_weight_scale():
@@ -148,12 +158,40 @@ def test_perplexity_invariant_to_per_document_weight_scale():
     gen = RandomSource(6).generator
     omega = gen.dirichlet(np.full(4, 0.5), size=3)
     lam = gen.gamma(2.0, 1.0, size=(2, 3))
-    acc1 = accumulate(SampleAccumulator.empty(2, 4), make_state(ModelKind.GAMMA_NB, 2, 3, 4, omega, lam))
+    acc1 = accumulate(SampleAccumulator.empty(split, 4), make_state(ModelKind.GAMMA_NB, 2, 3, 4, omega, lam))
     scaled = lam * np.array([[17.0], [0.003]])
-    acc2 = accumulate(SampleAccumulator.empty(2, 4), make_state(ModelKind.GAMMA_NB, 2, 3, 4, omega, scaled))
-    p1 = heldout_perplexity(acc1, split)
-    p2 = heldout_perplexity(acc2, split)
-    assert p1 == pytest.approx(p2, rel=1e-12)
+    acc2 = accumulate(SampleAccumulator.empty(split, 4), make_state(ModelKind.GAMMA_NB, 2, 3, 4, omega, scaled))
+    assert heldout_perplexity(acc1) == pytest.approx(heldout_perplexity(acc2), rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", [ModelKind.GAMMA_NB, ModelKind.CRF_HDP])
+def test_perplexity_matches_dense_reference(kind):
+    # the reference is the dense documents x vocabulary evaluation: the sum
+    # over samples of w_s @ omega_s, its row sums, and a gather at the
+    # held-out terms
+    V, K = 9, 4
+    corpus = make_corpus([[0, 1, 2, 3, 4, 5, 6, 7], [5], [3, 3, 3, 3, 3, 3], [8, 1, 8, 0, 2]], V)
+    split = split_train_test(corpus, 0.5, RandomSource(16))
+    J = corpus.num_docs
+    assert len(split.test_tokens[1]) == 0  # a document with no held-out tokens
+    assert list(split.test_tokens[2]) == [3, 3, 3]  # a held-out term repeated within a document
+    gen = RandomSource(17).generator
+    acc = SampleAccumulator.empty(split, V)
+    dense = np.zeros((J, V))
+    for _ in range(3):
+        omega = gen.gamma(0.7, 1.0, size=(K, V))  # rows need not sum to one
+        if kind.uses_normalized_weights:
+            weights = gen.dirichlet(np.full(K, 0.5), size=J)  # crf-hdp's lam_tilde
+        else:
+            weights = gen.gamma(1.5, 2.0, size=(J, K))
+        accumulate(acc, make_state(kind, J, K, V, omega, weights))
+        dense += weights @ omega
+    f = dense / dense.sum(axis=1)[:, None]
+    log_total = sum(float(np.log(f[j, terms]).sum()) for j, terms in enumerate(split.test_tokens))
+    expected = np.exp(-log_total / split.total_test)
+    assert heldout_perplexity(acc) == pytest.approx(expected, rel=1e-12)
+    for j, terms in enumerate(split.test_tokens):
+        assert np.allclose(acc.test_mass[j], dense[j, terms], rtol=1e-12, atol=0.0)
 
 
 def test_perfect_predictor_approaches_one():
@@ -161,33 +199,33 @@ def test_perfect_predictor_approaches_one():
     split = split_train_test(corpus, 0.5, RandomSource(7))
     onehot = np.zeros((1, 3))
     onehot[0, 2] = 1.0
-    acc = accumulate(SampleAccumulator.empty(1, 3), make_state(ModelKind.GAMMA_NB, 1, 1, 3, onehot, np.ones((1, 1))))
-    assert heldout_perplexity(acc, split) == pytest.approx(1.0, rel=1e-12)
+    acc = accumulate(SampleAccumulator.empty(split, 3), make_state(ModelKind.GAMMA_NB, 1, 1, 3, onehot, np.ones((1, 1))))
+    assert heldout_perplexity(acc) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_perplexity_preconditions():
     corpus = make_corpus([[0, 1]], 2)
     split = split_train_test(corpus, 0.5, RandomSource(8))
-    with pytest.raises(EvaluationError):
-        heldout_perplexity(SampleAccumulator.empty(1, 2), split)
+    with pytest.raises(EvaluationError, match="no samples collected yet"):
+        heldout_perplexity(SampleAccumulator.empty(split, 2))
     single = make_corpus([[0]], 2)
     degenerate = split_train_test(single, 0.5, RandomSource(9))
     assert degenerate.total_test == 0
-    with pytest.raises(EvaluationError):
-        heldout_perplexity(uniform_accumulator(1, 2), degenerate)
+    with pytest.raises(EvaluationError, match="holds out no tokens"):
+        heldout_perplexity(uniform_accumulator(degenerate, 2))
 
 
 def test_zero_mass_on_test_token_is_an_error():
     corpus = make_corpus([[0, 1, 1, 1]], 2)
     split = split_train_test(corpus, 0.75, RandomSource(21))
-    held_out = {int(t) for t in split.test_tokens[0]}
-    assert held_out  # one token held out
+    held_out_terms = {int(t) for t in split.test_tokens[0]}
+    assert held_out_terms  # one token held out
     onehot = np.zeros((1, 2))
-    other = 1 - next(iter(held_out))
+    other = 1 - next(iter(held_out_terms))
     onehot[0, other] = 1.0
-    acc = accumulate(SampleAccumulator.empty(1, 2), make_state(ModelKind.GAMMA_NB, 1, 1, 2, onehot, np.ones((1, 1))))
-    with pytest.raises(EvaluationError):
-        heldout_perplexity(acc, split)
+    acc = accumulate(SampleAccumulator.empty(split, 2), make_state(ModelKind.GAMMA_NB, 1, 1, 2, onehot, np.ones((1, 1))))
+    with pytest.raises(EvaluationError, match="document 0"):
+        heldout_perplexity(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +308,7 @@ def test_accumulate_uses_normalized_weights_for_crf():
     omega = np.array([[0.7, 0.3], [0.2, 0.8]])
     lam_tilde = np.array([[0.25, 0.75]])
     state = make_state(ModelKind.CRF_HDP, 1, 2, 2, omega, lam_tilde)
-    acc = accumulate(SampleAccumulator.empty(1, 2), state)
+    split = held_out([0, 1])
+    acc = accumulate(SampleAccumulator.empty(split, 2), state)
     expected = lam_tilde @ omega
-    assert np.allclose(doc_term_probability(acc), expected / expected.sum(), atol=1e-12)
+    assert np.allclose(predicted(acc)[0], expected[0] / expected.sum(), atol=1e-12)
