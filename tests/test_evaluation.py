@@ -199,7 +199,8 @@ def test_perfect_predictor_approaches_one():
     split = split_train_test(corpus, 0.5, RandomSource(7))
     onehot = np.zeros((1, 3))
     onehot[0, 2] = 1.0
-    acc = accumulate(SampleAccumulator.empty(split, 3), make_state(ModelKind.GAMMA_NB, 1, 1, 3, onehot, np.ones((1, 1))))
+    state = make_state(ModelKind.GAMMA_NB, 1, 1, 3, onehot, np.ones((1, 1)))
+    acc = accumulate(SampleAccumulator.empty(split, 3), state)
     assert heldout_perplexity(acc) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -223,7 +224,8 @@ def test_zero_mass_on_test_token_is_an_error():
     onehot = np.zeros((1, 2))
     other = 1 - next(iter(held_out_terms))
     onehot[0, other] = 1.0
-    acc = accumulate(SampleAccumulator.empty(split, 2), make_state(ModelKind.GAMMA_NB, 1, 1, 2, onehot, np.ones((1, 1))))
+    state = make_state(ModelKind.GAMMA_NB, 1, 1, 2, onehot, np.ones((1, 1)))
+    acc = accumulate(SampleAccumulator.empty(split, 2), state)
     with pytest.raises(EvaluationError, match="document 0"):
         heldout_perplexity(acc)
 
