@@ -18,6 +18,14 @@ with numpy 2.4.6).  Another numpy release may turn the same Philox
 stream into different variates, which changes them with no change to
 nbproc.  The perplexity column also comes from BLAS products, whose last
 bits may differ under another BLAS build.
+
+``GOLDEN_GEWEKE`` pins the Geweke path of every kind with a forward
+simulation: the forward and chain means of a short ``geweke_check``
+(300 forward draws, 300 chain steps, seed 7) at the default Geweke
+settings, K = 2 and J = 3.  The traces above never call
+``forward_draw``, and at this size nb-ftm's gates open and close often,
+so this pin covers code the trace pins do not.  It holds for a fixed
+numpy version, as the row hashes do.
 """
 
 import hashlib
@@ -26,7 +34,9 @@ import json
 import numpy as np
 import pytest
 
-from nbproc.cli import EXIT_OK, main
+from nbproc.cli import _GEWEKE_KINDS, EXIT_OK, main
+from nbproc.evaluation import default_geweke_settings, geweke_check
+from nbproc.rng import RandomSource
 
 # kind name -> (sha256 of trace.csv after its first line, config hash of the first line)
 GOLDEN_TRACES = {
@@ -85,3 +95,28 @@ def test_trace_matches_golden_hash(model, tmp_path):
     rows_sha256, config_hash = GOLDEN_TRACES[model]
     assert hashlib.sha256(rows).hexdigest() == rows_sha256, f"{model} trace rows changed (numpy {np.__version__})"
     assert first.decode() == f"# config_hash={config_hash}", f"{model} config hash changed"
+
+
+# kind name -> sha256 of json.dumps([forward_means, chain_means], sort_keys=True)
+GOLDEN_GEWEKE = {
+    "nb-lda": "7f0234b526edd094e3dafb01cb2d157645c556609d2c5b516c6fe69a29c7f9b5",
+    "nb-hdp": "eec6cfd4384c60f2b84aea897df9a7eef74e921495ddce964b3f6d7ec2ef3d48",
+    "nb-ftm": "741c7de9069a0ed79472ae08fdf0ad9d22eaea3e932101ea77e15ffe4cf0df16",
+    "beta-nb": "63d29274a043a7aaf72040d00cbcc2c78461233caeec7aa0339f37877c3f95a7",
+    "gamma-nb": "74665a7b2985b5293f5c3986dc610026296d59bf8cbe107d2a9e2640f9af7bf3",
+    "marked-beta-nb": "bef1f1533042c1742d294b440d90c77175541ac63b8560e22b3c07058e34e91b",
+    "marked-gamma-nb": "398fcebf86c1ad7abd2e04f92e749a99db70a6ead8209e863a3fd086508a93ae",
+    "crf-hdp": "a9d21fe8d415be30f7c420b2c00b2614e0207c536620db54afebf9e6bc4e3049",
+}
+
+
+def test_geweke_pins_cover_every_forward_kind():
+    assert sorted(GOLDEN_GEWEKE) == sorted(kind.value for kind in _GEWEKE_KINDS)
+
+
+@pytest.mark.parametrize("kind", _GEWEKE_KINDS, ids=lambda k: k.value)
+def test_geweke_path_matches_golden_hash(kind):
+    report = geweke_check(kind, default_geweke_settings(kind), 300, 300, RandomSource(7))
+    means = json.dumps([report.forward_means, report.chain_means], sort_keys=True)
+    digest = hashlib.sha256(means.encode()).hexdigest()
+    assert digest == GOLDEN_GEWEKE[kind.value], f"{kind.value} Geweke path changed (numpy {np.__version__})"
