@@ -478,7 +478,7 @@ _GEWEKE_KINDS = tuple(kind for kind in ModelKind if kind.spec.normalized != SMOO
 def _make_geweke_check(kind: ModelKind):
     def check(rng, quick, fault):
         draws = 4_000 if quick else 50_000
-        kernel_fault = fault if (fault == "r-shape" and kind.spec.shared_kernel) else None
+        kernel_fault = fault if (fault == "r-shape" and kind.models_counts) else None
         report = geweke_check(kind, default_geweke_settings(kind), draws, draws, rng, fault=kernel_fault)
         return report.passed(4.0), f"max |z| = {report.max_abs_z:.2f} over {len(report.z_scores)} stats (threshold 4)"
 

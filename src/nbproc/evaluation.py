@@ -124,8 +124,8 @@ def trace_scalars(state: ModelState) -> dict:
     nan = float("nan")
     return {
         "active_topics": count_active_topics(state),
-        "r_sum": float(getattr(state, spec.r_field).sum()) if spec.r_axis else nan,
-        "mean_p": float(getattr(state, spec.p_field).mean()) if spec.p_axis else nan,
+        "r_sum": float(state.r.sum()) if spec.r_axis else nan,
+        "mean_p": float(state.p.mean()) if spec.p_axis else nan,
         "gamma0": float(state.gamma0) if spec.samples_gamma0 else nan,
         "alpha": float(state.alpha) if spec.normalized == FRANCHISE else nan,
     }
@@ -155,8 +155,8 @@ def summarize_parameters(state: ModelState) -> dict:
 
     def _rows(axis: str, tokens: np.ndarray, **extra) -> list[dict]:
         columns = {
-            "r": getattr(state, spec.r_field) if spec.r_axis == axis else None,
-            "p": getattr(state, spec.p_field) if spec.p_axis == axis else None,
+            "r": state.r if spec.r_axis == axis else None,
+            "p": state.p if spec.p_axis == axis else None,
             **extra,
         }
         rows = []
@@ -209,13 +209,11 @@ def _monitored_stats(state: ModelState) -> dict[str, float]:
     if state.kind.models_counts:
         stats["n_total"] = float(state.n_jk.sum())
     if spec.r_axis:
-        r = getattr(state, spec.r_field)
-        stats["r_mean"] = float(r.mean())
-        stats["r_sq_mean"] = float((r**2).mean())
+        stats["r_mean"] = float(state.r.mean())
+        stats["r_sq_mean"] = float((state.r**2).mean())
     if spec.learns_p:
-        p = getattr(state, spec.p_field)
-        stats["p_mean"] = float(p.mean())
-        stats["p_sq_mean"] = float((p**2).mean())
+        stats["p_mean"] = float(state.p.mean())
+        stats["p_sq_mean"] = float((state.p**2).mean())
     if spec.samples_gamma0:
         stats["gamma0"] = float(state.gamma0)
         stats["gamma0_sq"] = float(state.gamma0**2)

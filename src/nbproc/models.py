@@ -28,11 +28,12 @@ process Beta(c/K, c(1 - 1/K)).  The 50/K smoothing is
 ``lda_alpha_total / K``; crf-hdp learns alpha ~ Gamma(a0, 1/b0) and
 r~ ~ Dir(gamma0/K) with gamma0 fixed at 1.
 
-All kernels run a full-corpus scan in a fixed order: topic assignments
-first, then count-parameter updates, topic distributions last.  The
-dispersion updates rely on CRT table-count augmentation, which makes
-every conditional a gamma, beta, or Dirichlet draw.  One kernel,
-``count_sweep``, serves every count kind but the gated nb-ftm.
+``gibbs_sweep`` states the sweep order once for every kind: topic
+assignments, the kind's parameter block, topic distributions.  CRT
+table-count augmentation makes every conditional a gamma, beta, or
+Dirichlet draw.  One block, ``count_sweep``, serves all seven count
+kinds: nb-ftm is the gamma-NB process with beta-Bernoulli gates on the
+same draws, and the other kinds keep every gate open.
 """
 
 from __future__ import annotations
@@ -130,16 +131,6 @@ class KindSpec:
     normalized: str | None = None
 
     @property
-    def r_field(self) -> str:
-        """The ``ModelState`` field that holds r."""
-        return f"r_{self.r_axis}"
-
-    @property
-    def p_field(self) -> str:
-        """The ``ModelState`` field that holds p."""
-        return f"p_{self.p_axis}"
-
-    @property
     def samples_gamma0(self) -> bool:
         """True when r's prior has a learned total mass gamma0."""
         return self.r_prior in (GAMMA0_K, GAMMA0)
@@ -147,11 +138,6 @@ class KindSpec:
     @property
     def learns_p(self) -> bool:
         return self.p_prior in (A0B0, BETA_PROCESS)
-
-    @property
-    def shared_kernel(self) -> bool:
-        """True for the kinds ``count_sweep`` serves."""
-        return self.r_axis is not None and not self.gated
 
 
 KIND_SPECS = {
@@ -235,12 +221,10 @@ class ModelState:
     omega: np.ndarray  # topics x vocabulary distributions
     lam: np.ndarray  # documents x topics weights
     lam_tilde: np.ndarray  # normalized weights (rows sum to 1)
-    r_k: np.ndarray
-    r_j: np.ndarray
-    p_k: np.ndarray
-    p_j: np.ndarray
+    r: np.ndarray  # NB dispersion, one entry per spec.r_axis (none for normalized kinds)
+    p: np.ndarray  # NB probability, one entry per spec.p_axis (likewise)
     pi_k: np.ndarray
-    b_jk: np.ndarray  # binary gates (nb-ftm)
+    b_jk: np.ndarray  # binary gates (nb-ftm); all open for the other kinds
     gamma0: float
     alpha: float
     l_jk: np.ndarray  # CRT table counts
@@ -278,10 +262,8 @@ class ModelState:
             omega=self.omega.copy(),
             lam=self.lam.copy(),
             lam_tilde=self.lam_tilde.copy(),
-            r_k=self.r_k.copy(),
-            r_j=self.r_j.copy(),
-            p_k=self.p_k.copy(),
-            p_j=self.p_j.copy(),
+            r=self.r.copy(),
+            p=self.p.copy(),
             pi_k=self.pi_k.copy(),
             b_jk=self.b_jk.copy(),
             gamma0=self.gamma0,
@@ -356,6 +338,7 @@ def blank_state(kind: ModelKind, tokens, vocab_size: int, num_topics: int, eta: 
     """A structurally valid state with neutral parameter values."""
     tokens = tuple(np.asarray(t, dtype=np.int64) for t in tokens)
     J, K, V = len(tokens), num_topics, vocab_size
+    size = {DOC: J, TOPIC: K, None: 0}
     return ModelState(
         kind=kind,
         eta=float(eta),
@@ -365,10 +348,8 @@ def blank_state(kind: ModelKind, tokens, vocab_size: int, num_topics: int, eta: 
         omega=np.full((K, V), 1.0 / V),
         lam=np.ones((J, K)),
         lam_tilde=np.full((J, K), 1.0 / K),
-        r_k=np.ones(K),
-        r_j=np.ones(J),
-        p_k=np.full(K, 0.5),
-        p_j=np.full(J, 0.5),
+        r=np.ones(size[kind.spec.r_axis]),
+        p=np.full(size[kind.spec.p_axis], 0.5),
         pi_k=np.full(K, 0.5),
         b_jk=np.ones((J, K), dtype=np.int64),
         gamma0=1.0,
@@ -427,36 +408,48 @@ def update_topics(state: ModelState, rng: RandomSource) -> ModelState:
 
 
 # ---------------------------------------------------------------------------
-# Block Gibbs kernels: one shared count kernel, nb-ftm, crf-hdp and lda.
+# Block Gibbs kernels: one sweep order, and a parameter block per weight law.
 # ---------------------------------------------------------------------------
 
 
 def count_sweep(state, hyper, rng, fault=None):
-    """One sweep of a count kind whose r and p each live on one axis.
+    """Parameter block of a count kind, whose r and p each live on one axis.
 
-    Order: z; p ~ Beta(prior + tokens on p's axis, prior + the r mass
-    those tokens meet) unless p is fixed; table counts l_jk ~ CRT(n_jk,
-    r); for a gamma0 prior, the mixed probability p', l' ~ CRT(tables,
-    gamma0/K or gamma0) and the total mass gamma0; r given its tables;
-    weights lam_jk ~ Gamma(r + n_jk, p); topics.  ``fault="r-shape"``
-    adds 1 to r's shape, a deliberate corruption for harness self-checks.
+    Order: p ~ Beta(prior + tokens on p's axis, prior + the r mass those
+    tokens meet) unless p is fixed; gates b_jk and sparsity pi_k if gated;
+    tables l_jk ~ CRT(n_jk, r b_jk); for a gamma0 prior, the mixed
+    probability p', l' ~ CRT(tables, gamma0/K or gamma0) and the total
+    mass gamma0; r given its tables; lam_jk ~ Gamma(r b_jk + n_jk, p), and
+    exactly 0 where both vanish.  ``fault="r-shape"`` adds 1 to r's shape,
+    a deliberate corruption for harness self-checks.
     """
     spec = state.kind.spec
-    _assign(state, state.lam, rng)
     gen = rng.generator
     J, K = state.n_jk.shape
     span = J if spec.r_axis == TOPIC else K  # cells one entry of r covers
     same_axis = spec.p_axis == spec.r_axis
-    r = getattr(state, spec.r_field)
+    r = state.r
     if spec.learns_p:
         a, b = _beta_prior(spec.p_prior, hyper, K)
-        p = _beta_clamped(gen, a + _per(spec.p_axis, state.n_jk), b + (span * r if same_axis else r.sum()))
-        setattr(state, spec.p_field, p)
-        _check_finite(spec.p_field, p)
-    p = getattr(state, spec.p_field)
-    # sum of log(1 - p) over the cells each entry of r covers
-    log1mp = span * np.log1p(-p) if same_axis else float(np.log1p(-p).sum())
-    state.l_jk = sample_crt_array(state.n_jk, _along(spec.r_axis, r), rng)
+        state.p = _beta_clamped(gen, a + _per(spec.p_axis, state.n_jk), b + (span * r if same_axis else r.sum()))
+        _check_finite("p", state.p)
+    p = state.p
+    if spec.gated:  # p is fixed at 0.5
+        log_half = math.log(0.5)
+        # gate: off cells compete pi_k * 0.5^{r_k} against (1 - pi_k); n_jk > 0 forces it open
+        on_mass = state.pi_k[None, :] * np.exp(r[None, :] * log_half)
+        gate_prob = on_mass / (on_mass + (1.0 - state.pi_k[None, :]))
+        proposed = (gen.random((J, K)) < gate_prob).astype(np.int64)
+        state.b_jk = np.where(state.n_jk > 0, 1, proposed)
+        gates_per_topic = state.b_jk.sum(axis=0)
+        a, b = _beta_prior(BETA_PROCESS, hyper, K)
+        state.pi_k = _beta_clamped(gen, a + gates_per_topic, b + J - gates_per_topic)
+        _check_finite("pi_k", state.pi_k)
+        log1mp = gates_per_topic * log_half  # over the open cells of each topic
+    else:
+        # sum of log(1 - p) over the cells each entry of r covers
+        log1mp = span * np.log1p(-p) if same_axis else float(np.log1p(-p).sum())
+    state.l_jk = sample_crt_array(state.n_jk, _along(spec.r_axis, r) * state.b_jk, rng)
     tables = _per(spec.r_axis, state.l_jk)
     if spec.samples_gamma0:
         share = _gamma0_share(spec, K)
@@ -466,7 +459,7 @@ def count_sweep(state, hyper, rng, fault=None):
         l_prime = sample_crt_array(tables, state.gamma0 / share, rng)
         if spec.r_axis == TOPIC:
             state.l_k_prime = l_prime
-        if same_axis:
+        if same_axis or spec.gated:
             gamma0_rate = hyper.f0 - float(np.log1p(-p_prime).sum()) / share
         else:  # every entry of r shares one p'
             state.p_prime = p_prime
@@ -478,55 +471,16 @@ def count_sweep(state, hyper, rng, fault=None):
         r_shape, r_rate = hyper.e0 + tables, hyper.f0 - log1mp
     if fault == "r-shape":
         r_shape = r_shape + 1.0
-    r = _gamma_clamped(gen, r_shape, 1.0 / r_rate)
-    setattr(state, spec.r_field, r)
-    _check_finite(spec.r_field, r)
-    state.lam = _gamma_clamped(gen, _along(spec.r_axis, r) + state.n_jk, _along(spec.p_axis, p))
+    state.r = _gamma_clamped(gen, r_shape, 1.0 / r_rate)
+    _check_finite("r", state.r)
+    lam_shape = _along(spec.r_axis, state.r) * state.b_jk + state.n_jk
+    is_open = lam_shape > 0  # a closed gate with no tokens pins lam_jk to 0
+    state.lam = np.where(is_open, _gamma_clamped(gen, np.where(is_open, lam_shape, 1.0), _along(spec.p_axis, p)), 0.0)
     _check_finite("lam", state.lam)
-    update_topics(state, rng)
-    return state
-
-
-def nb_ftm_sweep(state, hyper, rng):
-    """One sweep of the gated model: sparsity pi_k, binary gates b_jk.
-
-    A zero gate pins lam_jk to exactly 0, removing topic k from
-    document j's assignment weights; n_jk > 0 forces the gate open.
-    p is fixed at 0.5 throughout.
-    """
-    _assign(state, state.lam, rng)
-    gen = rng.generator
-    J, K = state.n_jk.shape
-    log_half = math.log(0.5)
-    # gate: off cells compete pi_k * 0.5^{r_k} against (1 - pi_k)
-    on_mass = state.pi_k[None, :] * np.exp(state.r_k[None, :] * log_half)
-    gate_prob = on_mass / (on_mass + (1.0 - state.pi_k[None, :]))
-    proposed = (gen.random((J, K)) < gate_prob).astype(np.int64)
-    state.b_jk = np.where(state.n_jk > 0, 1, proposed)
-    gates_per_topic = state.b_jk.sum(axis=0)
-    a, b = _beta_prior(BETA_PROCESS, hyper, K)
-    state.pi_k = _beta_clamped(gen, a + gates_per_topic, b + J - gates_per_topic)
-    _check_finite("pi_k", state.pi_k)
-    p_prime_k = (-gates_per_topic * log_half) / (hyper.c - gates_per_topic * log_half)
-    state.l_jk = sample_crt_array(state.n_jk, state.r_k[None, :] * state.b_jk, rng)
-    tables_per_topic = state.l_jk.sum(axis=0)
-    state.l_k_prime = sample_crt_array(tables_per_topic, state.gamma0, rng)
-    gamma0_rate = hyper.f0 - float(np.log1p(-p_prime_k).sum())
-    state.gamma0 = float(_gamma_clamped(gen, hyper.e0 + state.l_k_prime.sum(), 1.0 / gamma0_rate))
-    _check_finite("gamma0", state.gamma0)
-    state.r_k = _gamma_clamped(gen, state.gamma0 + tables_per_topic, 1.0 / (hyper.c - gates_per_topic * log_half))
-    _check_finite("r_k", state.r_k)
-    lam_shape = state.r_k[None, :] * state.b_jk + state.n_jk
-    open_gate = lam_shape > 0
-    draws = _gamma_clamped(gen, np.where(open_gate, lam_shape, 1.0), 0.5)
-    state.lam = np.where(open_gate, draws, 0.0)
-    _check_finite("lam", state.lam)
-    update_topics(state, rng)
-    return state
 
 
 def crf_hdp_sweep(state, hyper, rng):
-    """Direct-assignment sweep of the normalized (franchise) model.
+    """Parameter block of the normalized (franchise) model's direct-assignment sweep.
 
     Table counts l_jk ~ CRT(n_jk, alpha * r_tilde_k) feed the
     concentration update through the usual beta/Bernoulli auxiliaries
@@ -535,9 +489,8 @@ def crf_hdp_sweep(state, hyper, rng):
     underflows to 0 the CRT rate is floored at ``TINY``: CRT(m, r) tends
     to one table as r -> 0, so this is the limiting law.
     """
-    _assign(state, state.lam_tilde, rng)
     gen = rng.generator
-    J, K = state.n_jk.shape
+    K = state.num_topics
     state.l_jk = sample_crt_array(state.n_jk, np.maximum(state.alpha * state.r_tilde, TINY)[None, :], rng)
     state.alpha = crf_alpha_step(
         state.alpha, int(state.l_jk.sum()), state.train_counts, hyper.a0, hyper.b0, gen
@@ -549,8 +502,6 @@ def crf_hdp_sweep(state, hyper, rng):
     _check_finite("r_tilde", state.r_tilde)
     state.lam_tilde = _dirichlet_rows(gen, state.alpha * state.r_tilde[None, :] + state.n_jk)
     _check_finite("lam_tilde", state.lam_tilde)
-    update_topics(state, rng)
-    return state
 
 
 def crf_alpha_step(alpha: float, total_tables: int, doc_sizes: np.ndarray, a0: float, b0: float, gen) -> float:
@@ -571,30 +522,31 @@ def crf_alpha_step(alpha: float, total_tables: int, doc_sizes: np.ndarray, a0: f
 
 
 def lda_sweep(state, hyper, rng):
-    """Normalized-weight sweep with fixed smoothing; also serves dir-pfa."""
-    _assign(state, state.lam_tilde, rng)
+    """Parameter block of the normalized sweep with fixed smoothing; also serves dir-pfa."""
     smoothing = hyper.lda_alpha_total / state.num_topics
     state.lam_tilde = _dirichlet_rows(rng.generator, smoothing + state.n_jk)
     _check_finite("lam_tilde", state.lam_tilde)
-    update_topics(state, rng)
-    return state
 
 
 def gibbs_sweep(state, hyper, rng, fault=None):
     """Run one full block Gibbs sweep for the state's model kind.
 
-    ``fault`` is passed to ``count_sweep``; the other kernels reject it.
+    Every kind runs the same order: topic assignments z, the kind's
+    parameter block, then the topic distributions.  ``fault`` is passed
+    to ``count_sweep``; the normalized kinds reject it before any draw.
     """
-    spec = state.kind.spec
-    if spec.shared_kernel:
-        return count_sweep(state, hyper, rng, fault=fault)
-    if fault is not None:
-        raise ValueError(f"fault injection is only wired into the shared count kernel, not {state.kind.value}")
-    if spec.gated:
-        sweep = nb_ftm_sweep
+    kind = state.kind
+    if fault is not None and not kind.models_counts:
+        raise ValueError(f"fault injection is only wired into the count kernel, not {kind.value}")
+    _assign(state, state.topic_weights(), rng)
+    if kind.models_counts:
+        count_sweep(state, hyper, rng, fault=fault)
+    elif kind.spec.normalized == FRANCHISE:
+        crf_hdp_sweep(state, hyper, rng)
     else:
-        sweep = crf_hdp_sweep if spec.normalized == FRANCHISE else lda_sweep
-    return sweep(state, hyper, rng)
+        lda_sweep(state, hyper, rng)
+    update_topics(state, rng)
+    return state
 
 
 def count_active_topics(state: ModelState) -> int:
@@ -616,9 +568,9 @@ def _draw_count_params(state: ModelState, hyper: HyperParams, rng: RandomSource)
     if spec.samples_gamma0:
         state.gamma0 = float(sample_gamma(hyper.e0, 1.0 / hyper.f0, rng))
         r_shape = state.gamma0 / _gamma0_share(spec, K)
-        setattr(state, spec.r_field, _gamma_clamped(gen, np.full(size[spec.r_axis], r_shape), 1.0 / hyper.c))
+        state.r = _gamma_clamped(gen, np.full(size[spec.r_axis], r_shape), 1.0 / hyper.c)
     elif spec.r_prior == E0F0:
-        setattr(state, spec.r_field, _gamma_clamped(gen, np.full(size[spec.r_axis], hyper.e0), 1.0 / hyper.f0))
+        state.r = _gamma_clamped(gen, np.full(size[spec.r_axis], hyper.e0), 1.0 / hyper.f0)
     if spec.gated:
         a, b = _beta_prior(BETA_PROCESS, hyper, K)
         state.pi_k = _beta_clamped(gen, np.full(K, a), np.full(K, b))
@@ -626,12 +578,10 @@ def _draw_count_params(state: ModelState, hyper: HyperParams, rng: RandomSource)
         state.gamma0 = 1.0
         state.r_tilde = sample_dirichlet(np.full(K, state.gamma0 / K), rng)
         state.alpha = float(sample_gamma(hyper.a0, 1.0 / hyper.b0, rng))
-    if spec.learns_p:
+    if spec.learns_p:  # a fixed p keeps the 0.5 of ``blank_state``
         a, b = _beta_prior(spec.p_prior, hyper, K)
         n = size[spec.p_axis]
-        setattr(state, spec.p_field, _beta_clamped(gen, np.full(n, a), np.full(n, b)))
-    elif spec.p_prior == HALF:
-        setattr(state, spec.p_field, np.full(size[spec.p_axis], 0.5))
+        state.p = _beta_clamped(gen, np.full(n, a), np.full(n, b))
 
 
 def initialize(kind: ModelKind, corpus, split, hyper: HyperParams, rng: RandomSource) -> ModelState:
@@ -742,9 +692,8 @@ def forward_draw(
     else:
         if spec.gated:
             state.b_jk = (gen.random((J, K)) < state.pi_k[None, :]).astype(np.int64)
-        r, p = getattr(state, spec.r_field), getattr(state, spec.p_field)
-        shape = np.broadcast_to(_along(spec.r_axis, r), (J, K))
-        scale = np.broadcast_to(_along(spec.p_axis, p / (1 - p)), (J, K))
+        shape = np.broadcast_to(_along(spec.r_axis, state.r), (J, K))
+        scale = np.broadcast_to(_along(spec.p_axis, state.p / (1 - state.p)), (J, K))
         state.lam = _gamma_clamped(gen, shape, scale) * state.b_jk  # ungated kinds keep every gate open
     simulate_data(state, rng, doc_lengths=doc_lengths)
     return state
@@ -761,8 +710,7 @@ def validate_state(state: ModelState, after_sweep: bool = True) -> None:
         raise ValueError("n_jk rows do not sum to the document training counts")
     if np.abs(state.omega.sum(axis=1) - 1.0).max() > 1e-10:
         raise ValueError("omega rows are not normalized")
-    for name in ("p_j", "p_k", "pi_k"):
-        arr = getattr(state, name)
+    for name, arr in (("p", state.p), ("pi_k", state.pi_k)):
         if np.any(arr <= 0) or np.any(arr >= 1):
             raise ValueError(f"{name} has entries outside the open unit interval")
     if np.any(state.r_tilde <= 0) or abs(state.r_tilde.sum() - 1.0) > 1e-10:
@@ -774,11 +722,9 @@ def validate_state(state: ModelState, after_sweep: bool = True) -> None:
     if after_sweep and spec.normalized != SMOOTHED:
         if np.any(state.l_jk > state.n_jk):
             raise ValueError("l_jk exceeds n_jk somewhere")
-        gated = state.n_jk * (state.b_jk if spec.gated else 1)
-        if not np.array_equal(state.l_jk == 0, gated == 0):
+        if not np.array_equal(state.l_jk == 0, state.n_jk * state.b_jk == 0):
             raise ValueError("l_jk zero-pattern does not match gated counts")
-    for name in ("r_k", "r_j"):
-        if np.any(getattr(state, name) <= 0):
-            raise ValueError(f"{name} has non-positive entries")
+    if np.any(state.r <= 0):
+        raise ValueError("r has non-positive entries")
     if state.gamma0 <= 0 or state.alpha <= 0:
         raise ValueError("gamma0 and alpha must stay positive")

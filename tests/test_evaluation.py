@@ -255,8 +255,8 @@ def test_summary_orders_by_token_count():
 def test_summary_reports_applicable_parameters():
     state = make_state(ModelKind.BETA_NB, 2, 2, 3, np.full((2, 3), 1 / 3), np.ones((2, 2)))
     state.n_jk = np.array([[1, 0], [0, 2]])
-    state.p_k = np.array([0.1, 0.9])
-    state.r_j = np.array([2.0, 3.0])
+    state.p = np.array([0.1, 0.9])
+    state.r = np.array([2.0, 3.0])
     summary = summarize_parameters(state)
     top = summary["topics"][0]  # topic 1 holds 2 tokens, ranks first
     assert top["index"] == 1
@@ -300,10 +300,16 @@ def test_geweke_detects_corrupted_shared_kernel_for_nb_lda():
     assert not report.passed(4.0)
 
 
-def test_geweke_fault_rejected_for_other_kernels():
+def test_geweke_detects_corrupted_shared_kernel_for_nb_ftm():
     settings = default_geweke_settings(ModelKind.NB_FTM)
+    report = geweke_check(ModelKind.NB_FTM, settings, 8000, 8000, RandomSource(12), fault="r-shape")
+    assert not report.passed(4.0)
+
+
+def test_geweke_fault_rejected_for_other_kernels():
+    settings = default_geweke_settings(ModelKind.CRF_HDP)
     with pytest.raises(ValueError):
-        geweke_check(ModelKind.NB_FTM, settings, 10, 10, RandomSource(13), fault="r-shape")
+        geweke_check(ModelKind.CRF_HDP, settings, 10, 10, RandomSource(13), fault="r-shape")
 
 
 def test_accumulate_uses_normalized_weights_for_crf():

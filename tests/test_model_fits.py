@@ -51,7 +51,7 @@ def test_nb_lda_single_document_rate_recovery():
         seed=101,
         sweeps=3000,
         warmup=500,
-        collect=lambda s: s.r_j[0] * s.p_j[0] / (1 - s.p_j[0]),
+        collect=lambda s: s.r[0] * s.p[0] / (1 - s.p[0]),
     )
     n_train = split.train_counts[0]
     assert n_train == 200  # 0.8 * 250
@@ -73,7 +73,7 @@ def test_nb_lda_identical_documents_exchangeable():
         sweeps=21_000,
         warmup=1000,
         thin=5,
-        collect=lambda s: (s.r_j[0], s.r_j[1]),
+        collect=lambda s: (s.r[0], s.r[1]),
     )
     r1 = np.array([r[0] for r in rows])
     r2 = np.array([r[1] for r in rows])
@@ -98,7 +98,7 @@ def test_beta_nb_probability_transition_is_sharp():
         seed=105,
         sweeps=400,
         warmup=200,
-        collect=lambda s: (s.p_k.copy(), s.n_jk.sum(axis=0) > 0),
+        collect=lambda s: (s.p.copy(), s.n_jk.sum(axis=0) > 0),
     )
     p_mean = np.mean([r[0] for r in rows], axis=0)
     used_frac = np.mean([r[1] for r in rows], axis=0)
@@ -131,7 +131,7 @@ def test_marked_beta_nb_recovers_both_dispersion_regimes():
         seed=107,
         sweeps=600,
         warmup=300,
-        collect=lambda s: (s.r_k.copy(), s.p_k.copy(), s.n_jk.sum(axis=0), (s.omega[:, :10].sum(axis=1))),
+        collect=lambda s: (s.r.copy(), s.p.copy(), s.n_jk.sum(axis=0), (s.omega[:, :10].sum(axis=1))),
     )
     r_mean = np.mean([r[0] for r in rows], axis=0)
     p_mean = np.mean([r[1] for r in rows], axis=0)

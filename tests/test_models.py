@@ -226,10 +226,10 @@ def test_gamma_nb_sweep_exact_replay():
     K, V = 2, 4
     z, n_jk = replay_assign(state, state.lam, gen)
     N = np.array([len(t) for t in state.tokens])
-    p_j = np.clip(gen.beta(hyper.a0 + N, hyper.b0 + state.r_k.sum()), 1e-12, 1 - 1e-12)
+    p_j = np.clip(gen.beta(hyper.a0 + N, hyper.b0 + state.r.sum()), 1e-12, 1 - 1e-12)
     S = float(np.log1p(-p_j).sum())
     p_prime = -S / (hyper.c - S)
-    l_jk = replay_crt(n_jk, state.r_k[None, :], gen)
+    l_jk = replay_crt(n_jk, state.r[None, :], gen)
     tables = l_jk.sum(axis=0)
     l_prime = replay_crt(tables, state.gamma0 / K, gen)
     gamma0 = float(max(gen.gamma(hyper.e0 + l_prime.sum(), 1.0 / (hyper.f0 - math.log1p(-p_prime))), TINY))
@@ -239,12 +239,12 @@ def test_gamma_nb_sweep_exact_replay():
 
     assert all(np.array_equal(a, b) for a, b in zip(swept.z, z))
     assert np.array_equal(swept.n_jk, n_jk)
-    assert np.array_equal(swept.p_j, p_j)
+    assert np.array_equal(swept.p, p_j)
     assert swept.p_prime == p_prime
     assert np.array_equal(swept.l_jk, l_jk)
     assert np.array_equal(swept.l_k_prime, l_prime)
     assert swept.gamma0 == gamma0
-    assert np.array_equal(swept.r_k, r_k)
+    assert np.array_equal(swept.r, r_k)
     assert np.array_equal(swept.lam, lam)
     assert np.array_equal(swept.omega, omega)
 
@@ -262,10 +262,10 @@ def test_nb_lda_sweep_exact_replay():
     K, V = 2, 4
     z, n_jk = replay_assign(state, state.lam, gen)
     N = np.array([len(t) for t in state.tokens])
-    p_j = np.clip(gen.beta(hyper.a0 + N, hyper.b0 + K * state.r_j), 1e-12, 1 - 1e-12)
+    p_j = np.clip(gen.beta(hyper.a0 + N, hyper.b0 + K * state.r), 1e-12, 1 - 1e-12)
     log1mp = np.log1p(-p_j)
     p_prime_j = (-K * log1mp) / (hyper.c - K * log1mp)
-    l_jk = replay_crt(n_jk, state.r_j[:, None], gen)
+    l_jk = replay_crt(n_jk, state.r[:, None], gen)
     tables = l_jk.sum(axis=1)
     l_prime_j = replay_crt(tables, state.gamma0, gen)
     gamma0 = float(
@@ -276,10 +276,10 @@ def test_nb_lda_sweep_exact_replay():
     omega = replay_topics(z, state.tokens, hyper.eta, K, V, gen)
 
     assert np.array_equal(swept.n_jk, n_jk)
-    assert np.array_equal(swept.p_j, p_j)
+    assert np.array_equal(swept.p, p_j)
     assert np.array_equal(swept.l_jk, l_jk)
     assert swept.gamma0 == gamma0
-    assert np.array_equal(swept.r_j, r_j)
+    assert np.array_equal(swept.r, r_j)
     assert np.array_equal(swept.lam, lam)
     assert np.array_equal(swept.omega, omega)
 
@@ -308,8 +308,8 @@ def test_gamma_nb_unused_topic_prior_shrinkage():
         lambda s: (
             s.n_jk[:, 1].sum(),
             int(np.array_equal(s.l_jk == 0, s.n_jk == 0)),
-            s.r_k[1],
-            s.gamma0 / 2 / (hyper.c - float(np.log1p(-s.p_j).sum())),
+            s.r[1],
+            s.gamma0 / 2 / (hyper.c - float(np.log1p(-s.p).sum())),
         ),
     )
     assert all(r[1] == 1 for r in rows)  # l vanishes exactly with n
@@ -325,7 +325,7 @@ def test_gamma_nb_lambda_conjugacy_single_doc():
     hyper = MICRO.replace(K=1)
     base = state_with_tokens(ModelKind.GAMMA_NB, [np.zeros(12, dtype=np.int64)], 1, 1, seed=17)
     base.omega = np.ones((1, 1))
-    rows = conditional_draws(base, hyper, 20_000, 18, lambda s: (s.lam[0, 0], (s.r_k[0] + 12) * s.p_j[0]))
+    rows = conditional_draws(base, hyper, 20_000, 18, lambda s: (s.lam[0, 0], (s.r[0] + 12) * s.p[0]))
     lam_mean = np.mean([r[0] for r in rows])
     paired_mean = np.mean([r[1] for r in rows])
     assert abs(lam_mean / paired_mean - 1) < 0.02
@@ -358,7 +358,7 @@ def test_marked_gamma_nb_gamma0_pooled_shape():
         attempts += 1
 
     def extract(s):
-        log_term = float(np.log1p(-((-3 * np.log1p(-s.p_k)) / (hyper.c - 3 * np.log1p(-s.p_k)))).sum())
+        log_term = float(np.log1p(-((-3 * np.log1p(-s.p)) / (hyper.c - 3 * np.log1p(-s.p)))).sum())
         return s.gamma0, (hyper.e0 + s.l_k_prime.sum()) / (hyper.f0 - log_term / hyper.K)
 
     rows = conditional_draws(base, hyper, 20_000, 22, extract)
@@ -373,11 +373,11 @@ def test_beta_nb_unused_topic_probability_mean():
     base.omega = np.array([[0.6, 0.4 - 1e-9, 1e-9], [1e-9, 1e-9, 1.0 - 2e-9]])
     base.omega /= base.omega.sum(axis=1, keepdims=True)
     base.lam = np.array([[3.0, 1e-8], [3.0, 1e-8]])
-    base.r_j = np.array([1.5, 2.5])
-    rows = conditional_draws(base, hyper, 20_000, 24, lambda s: (s.p_k[1], s.n_jk[:, 1].sum()))
+    base.r = np.array([1.5, 2.5])
+    rows = conditional_draws(base, hyper, 20_000, 24, lambda s: (s.p[1], s.n_jk[:, 1].sum()))
     used = [p for p, n1 in rows if n1 == 0]
     assert len(used) > 18_000  # topic 1 has ~zero likelihood for terms 0,1
-    expected = (hyper.c / 2) / (hyper.c + base.r_j.sum())
+    expected = (hyper.c / 2) / (hyper.c + base.r.sum())
     assert abs(np.mean(used) / expected - 1) < 0.02
 
 
@@ -402,10 +402,10 @@ def test_marked_beta_nb_degenerate_grid_posterior():
     n_tokens = 7
     base = state_with_tokens(ModelKind.MARKED_BETA_NB, [np.zeros(n_tokens, dtype=np.int64)], 1, 1, seed=26)
     base.omega = np.ones((1, 1))
-    base.r_k = np.array([2.3])
-    rows = conditional_draws(base, hyper, 20_000, 27, lambda s: s.p_k[0])
+    base.r = np.array([2.3])
+    rows = conditional_draws(base, hyper, 20_000, 27, lambda s: s.p[0])
     grid = np.linspace(1e-6, 1 - 1e-6, 200_001)
-    log_post = (hyper.c + n_tokens - 1) * np.log(grid) + (base.r_k[0] - 1) * np.log1p(-grid)
+    log_post = (hyper.c + n_tokens - 1) * np.log(grid) + (base.r[0] - 1) * np.log1p(-grid)
     post = np.exp(log_post - log_post.max())
     grid_mean = float((grid * post).sum() / post.sum())
     assert abs(np.mean(rows) / grid_mean - 1) < 0.02
@@ -417,7 +417,7 @@ def test_marked_beta_nb_unused_topic_reverts_to_prior():
     base.omega = np.array([[1.0 - 1e-9, 1e-9], [1e-9, 1.0 - 1e-9]])
     base.lam = np.array([[2.0, 1e-9], [2.0, 1e-9]])
     rows = conditional_draws(
-        base, hyper, 20_000, 29, lambda s: (s.l_jk[:, 1].sum(), s.r_k[1], 1.0 / (hyper.f0 - 2 * math.log1p(-s.p_k[1])))
+        base, hyper, 20_000, 29, lambda s: (s.l_jk[:, 1].sum(), s.r[1], 1.0 / (hyper.f0 - 2 * math.log1p(-s.p[1])))
     )
     assert all(r[0] == 0 for r in rows)  # unused topic never opens a table
     r_mean = np.mean([r[1] for r in rows])
@@ -477,7 +477,7 @@ def test_nb_hdp_probability_pinned():
     source = RandomSource(37)
     for _ in range(50):
         gibbs_sweep(state, hyper, source)
-        assert np.all(state.p_j == 0.5)
+        assert np.all(state.p == 0.5)
 
 
 def test_nb_hdp_vmr_of_fitted_counts():
@@ -490,7 +490,7 @@ def test_nb_hdp_vmr_of_fitted_counts():
     for _ in range(100):
         gibbs_sweep(state, hyper, source)
     gen = RandomSource(41).generator
-    r = max(state.r_k.max(), 0.5)
+    r = max(state.r.max(), 0.5)
     draws = gen.poisson(gen.gamma(r, 1.0, size=200_000))  # NB(r, 1/2)
     vmr = draws.var() / draws.mean()
     assert abs(vmr - 2.0) < 0.2
@@ -507,7 +507,7 @@ def test_nb_hdp_chain_differs_from_gamma_nb():
         trace = []
         for _ in range(20):
             gibbs_sweep(state, hyper, source)
-            trace.append(state.r_k.sum())
+            trace.append(state.r.sum())
         r_sums[kind] = trace
     assert r_sums[ModelKind.NB_HDP] != r_sums[ModelKind.GAMMA_NB]
 
@@ -528,7 +528,7 @@ def test_nb_ftm_gates():
         assert np.all(s.lam[s.b_jk == 0] == 0.0)  # closed gates pin weights to 0
         assert np.all(s.lam[s.b_jk == 1] > 0.0)
         saw_closed = saw_closed or bool(np.any(s.b_jk == 0))
-        assert np.all(s.p_j == 0.5)
+        assert np.all(s.p == 0.5)
     assert saw_closed
 
 
@@ -660,13 +660,13 @@ CONTINUOUS_CHANGED = {
     ModelKind.LDA: {"omega", "lam_tilde"},
     ModelKind.DIR_PFA: {"omega", "lam_tilde"},
     ModelKind.CRF_HDP: {"omega", "lam_tilde", "alpha", "r_tilde"},
-    ModelKind.GAMMA_NB: {"omega", "lam", "p_j", "p_prime", "gamma0", "r_k"},
-    ModelKind.NB_HDP: {"omega", "lam", "p_prime", "gamma0", "r_k"},
-    ModelKind.NB_LDA: {"omega", "lam", "p_j", "gamma0", "r_j"},
-    ModelKind.NB_FTM: {"omega", "lam", "pi_k", "gamma0", "r_k"},
-    ModelKind.BETA_NB: {"omega", "lam", "p_k", "r_j"},
-    ModelKind.MARKED_BETA_NB: {"omega", "lam", "p_k", "r_k"},
-    ModelKind.MARKED_GAMMA_NB: {"omega", "lam", "p_k", "gamma0", "r_k"},
+    ModelKind.GAMMA_NB: {"omega", "lam", "p", "p_prime", "gamma0", "r"},
+    ModelKind.NB_HDP: {"omega", "lam", "p_prime", "gamma0", "r"},
+    ModelKind.NB_LDA: {"omega", "lam", "p", "gamma0", "r"},
+    ModelKind.NB_FTM: {"omega", "lam", "pi_k", "gamma0", "r"},
+    ModelKind.BETA_NB: {"omega", "lam", "p", "r"},
+    ModelKind.MARKED_BETA_NB: {"omega", "lam", "p", "r"},
+    ModelKind.MARKED_GAMMA_NB: {"omega", "lam", "p", "gamma0", "r"},
 }
 INTEGER_MAY_CHANGE = {
     ModelKind.LDA: {"z", "n_jk"},
@@ -686,10 +686,8 @@ STATE_FIELDS = (
     "omega",
     "lam",
     "lam_tilde",
-    "r_k",
-    "r_j",
-    "p_k",
-    "p_j",
+    "r",
+    "p",
     "pi_k",
     "b_jk",
     "gamma0",
@@ -829,8 +827,8 @@ def test_marked_gamma_nb_single_doc_per_topic_structure():
         20_000,
         87,
         lambda s: (
-            s.r_k[0],
-            (s.gamma0 / 2 + s.l_jk[:, 0].sum()) / (hyper.c - math.log1p(-s.p_k[0])),
+            s.r[0],
+            (s.gamma0 / 2 + s.l_jk[:, 0].sum()) / (hyper.c - math.log1p(-s.p[0])),
         ),
     )
     assert abs(np.mean([r[0] for r in rows]) / np.mean([r[1] for r in rows]) - 1) < 0.02
