@@ -38,6 +38,7 @@ same draws, and the other kinds keep every gate open.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -253,26 +254,7 @@ class ModelState:
         return self.lam_tilde if self.kind.uses_normalized_weights else self.lam
 
     def clone(self) -> "ModelState":
-        return ModelState(
-            kind=self.kind,
-            eta=self.eta,
-            tokens=tuple(t.copy() for t in self.tokens),
-            z=[z.copy() for z in self.z],
-            n_jk=self.n_jk.copy(),
-            omega=self.omega.copy(),
-            lam=self.lam.copy(),
-            lam_tilde=self.lam_tilde.copy(),
-            r=self.r.copy(),
-            p=self.p.copy(),
-            pi_k=self.pi_k.copy(),
-            b_jk=self.b_jk.copy(),
-            gamma0=self.gamma0,
-            alpha=self.alpha,
-            l_jk=self.l_jk.copy(),
-            l_k_prime=self.l_k_prime.copy(),
-            p_prime=self.p_prime,
-            r_tilde=self.r_tilde.copy(),
-        )
+        return copy.deepcopy(self)
 
 
 def _check_finite(name: str, value) -> None:

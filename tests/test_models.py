@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -723,6 +724,24 @@ def test_sweep_touches_exactly_its_parameters(kind):
             assert not same, f"{kind.value}: expected {name} to be resampled"
         elif name not in INTEGER_MAY_CHANGE[kind]:
             assert same, f"{kind.value}: {name} must stay fixed but changed"
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+def test_clone_is_equal_and_shares_no_array(kind):
+    state = state_with_tokens(kind, [np.array([0, 1, 1, 4]), np.array([2, 3])], 5, 3)
+    twin = state.clone()
+    assert twin.kind is state.kind
+    for f in dataclasses.fields(state):
+        a, b = getattr(state, f.name), getattr(twin, f.name)
+        if isinstance(a, np.ndarray):
+            a, b = [a], [b]
+        if isinstance(a, (list, tuple)):
+            assert type(a) is type(b) and len(a) == len(b), f.name
+            for x, y in zip(a, b):
+                assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+                assert not np.shares_memory(x, y), f"{f.name} is shared with the original"
+        else:
+            assert a == b, f.name
 
 
 # ---------------------------------------------------------------------------
