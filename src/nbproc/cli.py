@@ -71,6 +71,14 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 _HYPER_FIELDS = tuple(f.name for f in dataclasses.fields(HyperParams))
+# a synth settings file holds SyntheticSpec fields plus the corpus seed
+_SYNTH_KEYS = {f.name for f in dataclasses.fields(SyntheticSpec)} | {"seed"}
+
+
+def _json_object(name: str, value) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a JSON object, got {type(value).__name__}")
+    return value
 
 
 @dataclass
@@ -89,7 +97,7 @@ class RunConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
         data = dict(data)
-        hyper_data = data.pop("hyper", {})
+        hyper_data = _json_object("hyper", data.pop("hyper", {}))
         unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
@@ -110,6 +118,9 @@ class RunConfig:
         has_files = self.docword is not None and self.vocab is not None
         if has_files == (self.synth is not None):
             raise ValueError("provide either --docword/--vocab or --synth, not both or neither")
+        unknown_synth = set(_json_object("synth", self.synth)) - _SYNTH_KEYS if self.synth is not None else ()
+        if unknown_synth:
+            raise ValueError(f"unknown synth keys: {sorted(unknown_synth)}")
 
     def corpus_fingerprint(self) -> str:
         digest = hashlib.sha256()
@@ -217,9 +228,12 @@ def _load_run_corpus(config: RunConfig):
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ParseError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ParseError(f"{path} must hold a JSON object, got {type(data).__name__}")
+    return data
 
 
 def cmd_run(args) -> int:
@@ -227,7 +241,7 @@ def cmd_run(args) -> int:
     config_data = {}
     if args.config:
         config_data = _load_json(args.config)
-    hyper_data = dict(config_data.pop("hyper", {}))
+    hyper_data = dict(_json_object("hyper", config_data.pop("hyper", {})))
     hyper_data.update(overrides)
     config_data["hyper"] = hyper_data
     for name, value in (

@@ -40,7 +40,8 @@ from __future__ import annotations
 
 import copy
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -181,6 +182,10 @@ class HyperParams:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):  # a JSON config can hold any type
+            value, integral = getattr(self, f.name), f.type == "int"
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral if integral else numbers.Real):
+                raise ValueError(f"{f.name} must be {'an integer' if integral else 'a number'}, got {value!r}")
         for name in ("c", "eta", "a0", "b0", "e0", "f0", "lda_alpha_total"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):

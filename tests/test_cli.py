@@ -173,6 +173,32 @@ def test_config_file_unknown_keys_rejected(tmp_path, capsys):
         assert "unknown config keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, content, message, code",
+    [
+        ("--config", [1, 2], "must hold a JSON object, got list", EXIT_IO),
+        ("--config", {"hyper": 5}, "hyper must be a JSON object, got int", EXIT_CHECK_FAILED),
+        ("--config", {"hyper": {"K": "abc"}}, "K must be an integer, got 'abc'", EXIT_CHECK_FAILED),
+        ("--config", {"hyper": {"K": 2.5}}, "K must be an integer, got 2.5", EXIT_CHECK_FAILED),
+        ("--config", {"hyper": {"iters": True}}, "iters must be an integer, got True", EXIT_CHECK_FAILED),
+        ("--synth", {"k_true": 3, "vocab_size": 12, "num_docs": 10, "bogus": 1}, "unknown synth keys", EXIT_CHECK_FAILED),
+    ],
+    ids=["config-list", "hyper-int", "K-string", "K-float", "iters-bool", "synth-unknown-key"],
+)
+def test_run_rejects_wrongly_shaped_json(tmp_path, capsys, flag, content, message, code):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(content))
+    synth = bad if flag == "--synth" else write_synth_spec(tmp_path)
+    args = ["run", "--model", "gamma-nb", "--synth", str(synth), "--out", str(tmp_path / "out")]
+    if flag == "--config":
+        args += ["--config", str(bad)]
+    assert main(args) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
+    assert code != EXIT_IO or str(bad) in err[0]
+    assert not (tmp_path / "out").exists()  # rejected before run() writes config.json or .incomplete
+
+
 def test_runconfig_rejects_unknown_hyper_keys():
     with pytest.raises(ValueError, match="unknown hyper"):
         RunConfig.from_dict(
