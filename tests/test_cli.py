@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from nbproc import RandomSource, load_bag_of_words
-from nbproc.cli import EXIT_CHECK_FAILED, EXIT_IO, EXIT_OK, RunConfig, main
+from nbproc.cli import EXIT_CHECK_FAILED, EXIT_IO, EXIT_OK, RunConfig, _make_geweke_check, main
+from nbproc.models import ModelKind
 
 
 def write_synth_spec(tmp_path, **overrides):
@@ -285,6 +286,12 @@ def test_validate_fault_injection_fails(capsys):
     assert main(["validate", "--quick", "--fault-inject", "crt-shape"]) == EXIT_CHECK_FAILED
     out = capsys.readouterr().out
     assert "[FAIL] crt-sampler-vs-pmf" in out
+
+
+def test_validate_r_shape_fault_fails_nb_ftm_check():
+    # the check nbproc validate --quick --fault-inject r-shape runs as geweke-nb-ftm
+    ok, detail = _make_geweke_check(ModelKind.NB_FTM)(RandomSource(0).child(1), True, "r-shape")
+    assert not ok, detail
 
 
 def test_failed_run_leaves_sentinel(tmp_path, capsys):
