@@ -118,9 +118,10 @@ class RunConfig:
         has_files = self.docword is not None and self.vocab is not None
         if has_files == (self.synth is not None):
             raise ValueError("provide either --docword/--vocab or --synth, not both or neither")
-        unknown_synth = set(_json_object("synth", self.synth)) - _SYNTH_KEYS if self.synth is not None else ()
-        if unknown_synth:
-            raise ValueError(f"unknown synth keys: {sorted(unknown_synth)}")
+        if self.synth is not None:
+            unknown_synth = set(_json_object("synth", self.synth)) - _SYNTH_KEYS
+            if unknown_synth:
+                raise ValueError(f"unknown synth keys: {sorted(unknown_synth)}")
 
     def corpus_fingerprint(self) -> str:
         digest = hashlib.sha256()
