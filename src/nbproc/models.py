@@ -41,6 +41,8 @@ from __future__ import annotations
 import copy
 import math
 import numbers
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -55,6 +57,13 @@ from .distributions import (
     sample_gamma,
 )
 from .rng import RandomSource
+
+# A Dirichlet draw of at least BLOCKED_CELLS cells is split into at most
+# ROW_BLOCKS row blocks with a child stream each, so that threads can draw
+# the blocks at once; the block count is fixed so output never depends on
+# the core count.
+BLOCKED_CELLS = 2**20
+ROW_BLOCKS = 8
 
 
 class IterationError(RuntimeError):
@@ -156,6 +165,15 @@ KIND_SPECS = {
 }
 
 
+def check_number(name: str, value, integral: bool = False) -> None:
+    """Reject a setting that is not a number (an integer if ``integral``), naming it.
+
+    Settings read from JSON can hold any type; a bool is not a number here.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral if integral else numbers.Real):
+        raise ValueError(f"{name} must be {'an integer' if integral else 'a number'}, got {value!r}")
+
+
 @dataclass
 class HyperParams:
     """Fixed scalars of the model family and the sampling schedule.
@@ -183,9 +201,7 @@ class HyperParams:
 
     def __post_init__(self):
         for f in fields(self):  # a JSON config can hold any type
-            value, integral = getattr(self, f.name), f.type == "int"
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral if integral else numbers.Real):
-                raise ValueError(f"{f.name} must be {'an integer' if integral else 'a number'}, got {value!r}")
+            check_number(f.name, getattr(self, f.name), integral=f.type == "int")
         for name in ("c", "eta", "a0", "b0", "e0", "f0", "lda_alpha_total"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
@@ -276,11 +292,49 @@ def _beta_clamped(gen: np.random.Generator, a, b) -> np.ndarray:
     return np.clip(gen.beta(a, b), PROB_FLOOR, PROB_CEIL)
 
 
-def _dirichlet_rows(gen: np.random.Generator, concentration: np.ndarray) -> np.ndarray:
-    g = gen.gamma(concentration, 1.0)
-    np.maximum(g, TINY, out=g)
-    g /= g.sum(axis=1, keepdims=True)
-    return g
+def _dirichlet_rows(gen: np.random.Generator, concentration, *, _workers: int | None = None) -> np.ndarray:
+    """Draw every row of a rows x columns concentration from its Dirichlet.
+
+    The draw is made in place: a writable C-contiguous float64
+    ``concentration`` is overwritten and returned, and any other input
+    (read-only, strided or of another dtype) is copied first.  A draw of
+    fewer than ``BLOCKED_CELLS`` cells takes its gammas from ``gen``.  A
+    larger one splits the rows into ``min(ROW_BLOCKS, rows)`` fixed blocks,
+    each drawn from a child Philox stream keyed by one ``gen.integers``
+    draw, and runs the blocks on up to one thread per available core.  The
+    output depends only on ``gen``'s state and the shape of the draw, never
+    on the thread count, and ``gen`` advances by the same keys whatever the
+    concentration values.
+    """
+    rows = np.require(concentration, np.float64, ["C", "W"])
+    if rows.size < BLOCKED_CELLS:
+        _normalized_gammas(gen, rows)
+        return rows
+    blocks = np.array_split(rows, min(ROW_BLOCKS, len(rows)))
+    keys = gen.integers(2**63, size=len(blocks))
+    streams = [np.random.Generator(np.random.Philox(int(key))) for key in keys]
+    workers = _workers or min(len(blocks), _available_cores())
+    if workers == 1:
+        for stream, block in zip(streams, blocks):
+            _normalized_gammas(stream, block)
+    else:  # numpy's array gamma releases the GIL
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(_normalized_gammas, streams, blocks))
+    return rows
+
+
+def _normalized_gammas(gen: np.random.Generator, rows: np.ndarray) -> None:
+    """Replace each row's concentrations by Gamma(., 1) draws clamped at TINY, normalized."""
+    gen.standard_gamma(rows, out=rows)
+    np.maximum(rows, TINY, out=rows)
+    rows /= rows.sum(axis=1, keepdims=True)
+
+
+def _available_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _along(axis: str, values: np.ndarray) -> np.ndarray:
@@ -388,7 +442,7 @@ def update_topics(state: ModelState, rng: RandomSource) -> ModelState:
     K, V = state.omega.shape
     all_z = np.concatenate(state.z) if state.z else np.zeros(0, dtype=np.int64)
     all_terms = np.concatenate(state.tokens) if state.tokens else np.zeros(0, dtype=np.int64)
-    # the int64 counts are freed before the K x V gamma draw
+    # the int64 counts are freed before the gammas overwrite the K x V concentration
     concentration = state.eta + np.bincount(all_z * V + all_terms, minlength=K * V).reshape(K, V)
     state.omega = _dirichlet_rows(rng.generator, concentration)
     return state
@@ -525,7 +579,7 @@ def gibbs_sweep(state, hyper, rng, fault=None):
     kind = state.kind
     if fault is not None and not kind.models_counts:
         raise ValueError(f"fault injection is only wired into the count kernel, not {kind.value}")
-    _assign(state, state.topic_weights(), rng)
+    sample_topic_assignments(state, rng)
     if kind.models_counts:
         count_sweep(state, hyper, rng, fault=fault)
     elif kind.spec.normalized == FRANCHISE:

@@ -22,7 +22,7 @@ from nbproc import (
     validate_state,
 )
 from nbproc.corpus import Corpus
-from nbproc.models import _assign, blank_state
+from nbproc.models import BLOCKED_CELLS, TINY, _assign, _dirichlet_rows, blank_state
 
 MICRO = HyperParams(c=1.0, eta=0.3, a0=3.0, b0=3.0, e0=1.0, f0=1.0, K=2, iters=2, burnin=0, init_iters=0)
 
@@ -117,6 +117,64 @@ def test_assign_matches_reference_expression():
 # ---------------------------------------------------------------------------
 # topic updates
 # ---------------------------------------------------------------------------
+
+BLOCKED = (16, 65_536)  # 2**20 cells: the smallest draw that is split into row blocks
+
+
+def test_blocked_dirichlet_bytes_depend_on_seed_alone():
+    assert BLOCKED[0] * BLOCKED[1] == BLOCKED_CELLS
+    conc = np.full(BLOCKED, 0.05)
+    one = _dirichlet_rows(RandomSource(21).generator, conc, _workers=1)
+    assert one is conc  # drawn in place
+    two = _dirichlet_rows(RandomSource(21).generator, np.full(BLOCKED, 0.05), _workers=2)
+    again = _dirichlet_rows(RandomSource(21).generator, np.full(BLOCKED, 0.05), _workers=2)
+    assert one.tobytes() == two.tobytes() == again.tobytes()
+
+
+def test_blocked_dirichlet_rows_use_distinct_streams():
+    draw = _dirichlet_rows(RandomSource(22).generator, np.full(BLOCKED, 0.05), _workers=2)
+    assert len(np.unique(draw, axis=0)) == BLOCKED[0]  # a stream reused by two blocks repeats their rows
+
+
+def test_blocked_dirichlet_main_stream_use_ignores_values():
+    small, large = RandomSource(23).generator, RandomSource(23).generator
+    _dirichlet_rows(small, np.full(BLOCKED, 0.05))
+    _dirichlet_rows(large, np.full(BLOCKED, 3.0))
+    assert small.bytes(64) == large.bytes(64)  # the same state after the draw
+
+
+def test_blocked_dirichlet_row_mass_matches_beta_mean():
+    a, b = 0.05, 1.0  # the two gamma algorithms: shape below and above 1
+    half = BLOCKED[1] // 2
+    conc = np.hstack([np.full((BLOCKED[0], half), a), np.full((BLOCKED[0], half), b)])
+    mass = _dirichlet_rows(RandomSource(24).generator, conc, _workers=2)[:, :half].sum(axis=1)
+    # each row's mass on the a-half is Beta(a * half, b * half)
+    total = (a + b) * half
+    mean = a / (a + b)
+    sd = math.sqrt(mean * (1 - mean) / (total + 1))
+    assert np.all(np.abs(mass - mean) < 5 * sd)
+
+
+def test_small_dirichlet_matches_unblocked_oracle():
+    shape = (16, 65_535)  # one cell short of a blocked draw
+    conc = RandomSource(25).generator.gamma(0.5, 1.0, size=shape) + 0.05
+    oracle_gen, gen = RandomSource(26).generator, RandomSource(26).generator
+    expected = np.maximum(oracle_gen.gamma(conc, 1.0), TINY)
+    expected /= expected.sum(axis=1, keepdims=True)
+    assert _dirichlet_rows(gen, conc.copy()).tobytes() == expected.tobytes()
+    assert gen.bytes(64) == oracle_gen.bytes(64)  # the same variates consumed
+
+
+def test_blocked_dirichlet_accepts_read_only_input():
+    row = np.linspace(0.05, 2.0, BLOCKED[1])
+    frozen = np.full(BLOCKED, 0.5)
+    frozen.flags.writeable = False
+    for conc in (np.broadcast_to(row, BLOCKED), frozen):
+        draw = _dirichlet_rows(RandomSource(27).generator, conc)
+        assert not np.shares_memory(draw, conc)
+        assert np.allclose(draw.sum(axis=1), 1.0)
+    assert np.array_equal(row, np.linspace(0.05, 2.0, BLOCKED[1])) and np.all(frozen == 0.5)
+
 
 
 def test_update_topics_prior_only():
