@@ -56,14 +56,6 @@ class Corpus:
     def doc_lengths(self) -> np.ndarray:
         return np.array([len(t) for t in self.doc_tokens], dtype=np.int64)
 
-    def counts_matrix(self) -> np.ndarray:
-        """Dense documents-by-terms count matrix."""
-        counts = np.zeros((self.num_docs, self.vocab_size), dtype=np.int64)
-        for j, tokens in enumerate(self.doc_tokens):
-            if len(tokens):
-                counts[j] = np.bincount(tokens, minlength=self.vocab_size)
-        return counts
-
     def same_as(self, other: "Corpus") -> bool:
         """Content equality: identical vocabulary and token counts."""
         return (
@@ -144,11 +136,11 @@ def load_bag_of_words(docword_path, vocab_path) -> Corpus:
 
 def write_bag_of_words(corpus: Corpus, docword_path, vocab_path) -> None:
     """Write a corpus in the UCI docword/vocabulary format."""
-    counts = corpus.counts_matrix()
-    docs, terms = np.nonzero(counts)
-    lines = [str(corpus.num_docs), str(corpus.vocab_size), str(len(docs))]
-    for j, v in zip(docs, terms):
-        lines.append(f"{j + 1} {v + 1} {counts[j, v]}")
+    cells = []  # document-major, terms ascending within a document
+    for j, tokens in enumerate(corpus.doc_tokens):
+        terms, counts = np.unique(tokens, return_counts=True)
+        cells.extend(f"{j + 1} {v + 1} {n}" for v, n in zip(terms, counts))
+    lines = [str(corpus.num_docs), str(corpus.vocab_size), str(len(cells)), *cells]
     with open(docword_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
     with open(vocab_path, "w", encoding="utf-8") as fh:

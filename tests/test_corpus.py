@@ -266,8 +266,16 @@ def test_synthesize_retry_cap_on_degenerate_settings():
         synthesize_corpus(HyperParams(), spec, RandomSource(11))
 
 
-def test_counts_matrix_consistency():
-    corpus = make_corpus([[0, 0, 1], [2]], 3)
-    counts = corpus.counts_matrix()
-    assert counts.tolist() == [[2, 1, 0], [0, 0, 1]]
-    assert counts.sum() == corpus.total_tokens
+def test_write_bag_of_words_matches_dense_counts(tmp_path):
+    # an empty document, repeated terms, and a longer random document
+    gen = RandomSource(31).generator
+    corpus = make_corpus([[0, 0, 1], [], [2, 2, 2, 0], gen.integers(0, 40, size=300)], 40)
+    write_bag_of_words(corpus, tmp_path / "docword.txt", tmp_path / "vocab.txt")
+    # the reference: nonzero cells of the dense documents x terms counts, row-major
+    counts = np.zeros((corpus.num_docs, corpus.vocab_size), dtype=np.int64)
+    for j, tokens in enumerate(corpus.doc_tokens):
+        counts[j] = np.bincount(tokens, minlength=corpus.vocab_size)
+    docs, terms = np.nonzero(counts)
+    lines = [str(corpus.num_docs), str(corpus.vocab_size), str(len(docs))]
+    lines += [f"{j + 1} {v + 1} {counts[j, v]}" for j, v in zip(docs, terms)]
+    assert (tmp_path / "docword.txt").read_bytes() == ("\n".join(lines) + "\n").encode()
