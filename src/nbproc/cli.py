@@ -59,6 +59,7 @@ from .models import (
     SMOOTHED,
     HyperParams,
     ModelKind,
+    check_number,
     count_active_topics,
     gibbs_sweep,
     initialize,
@@ -72,7 +73,10 @@ EXIT_IO = 3
 
 _HYPER_FIELDS = tuple(f.name for f in dataclasses.fields(HyperParams))
 # a synth settings file holds SyntheticSpec fields plus the corpus seed
-_SYNTH_KEYS = {f.name for f in dataclasses.fields(SyntheticSpec)} | {"seed"}
+_SYNTH_FIELDS = dataclasses.fields(SyntheticSpec)
+_SYNTH_KEYS = {f.name for f in _SYNTH_FIELDS} | {"seed"}
+_SYNTH_REQUIRED = {f.name for f in _SYNTH_FIELDS if f.default is dataclasses.MISSING}
+_SYNTH_INTEGERS = {f.name for f in _SYNTH_FIELDS if f.type == "int"} | {"seed"}
 
 
 def _json_object(name: str, value) -> dict:
@@ -110,6 +114,13 @@ class RunConfig:
         return config
 
     def validate(self) -> None:
+        # a JSON config can hold any type; check types before any comparison
+        for name in ("model", "output_dir", "docword", "vocab"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise ValueError(f"{name} must be a string, got {value!r}")
+        check_number("train_frac", self.train_frac)
+        check_number("min_doc_freq", self.min_doc_freq, integral=True)
         ModelKind.from_name(self.model)
         if not 0.0 < self.train_frac < 1.0:
             raise ValueError(f"train_frac must lie in (0, 1), got {self.train_frac}")
@@ -122,6 +133,15 @@ class RunConfig:
             unknown_synth = set(_json_object("synth", self.synth)) - _SYNTH_KEYS
             if unknown_synth:
                 raise ValueError(f"unknown synth keys: {sorted(unknown_synth)}")
+            missing_synth = _SYNTH_REQUIRED - set(self.synth)
+            if missing_synth:
+                raise ValueError(f"missing synth keys: {sorted(missing_synth)}")
+            for name, value in self.synth.items():
+                if name == "topic_sharpness" and value is None:
+                    continue  # falls back to eta
+                # r and p also take one value per topic or per document
+                for entry in value if name in ("r", "p") and isinstance(value, list) else (value,):
+                    check_number(name, entry, integral=name in _SYNTH_INTEGERS)
 
     def corpus_fingerprint(self) -> str:
         digest = hashlib.sha256()

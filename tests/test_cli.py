@@ -183,8 +183,20 @@ def test_config_file_unknown_keys_rejected(tmp_path, capsys):
         ("--config", {"hyper": {"K": 2.5}}, "K must be an integer, got 2.5", EXIT_CHECK_FAILED),
         ("--config", {"hyper": {"iters": True}}, "iters must be an integer, got True", EXIT_CHECK_FAILED),
         ("--synth", {"k_true": 3, "vocab_size": 12, "num_docs": 10, "bogus": 1}, "unknown synth keys", EXIT_CHECK_FAILED),
+        ("--config", {"train_frac": "abc"}, "train_frac must be a number, got 'abc'", EXIT_CHECK_FAILED),
+        ("--config", {"min_doc_freq": 2.5}, "min_doc_freq must be an integer, got 2.5", EXIT_CHECK_FAILED),
+        ("--config", {"vocab": 5}, "vocab must be a string, got 5", EXIT_CHECK_FAILED),
+        ("--synth", {"k_true": 3, "vocab_size": "abc", "num_docs": 10}, "vocab_size must be an integer, got 'abc'", EXIT_CHECK_FAILED),
+        ("--synth", {"vocab_size": 12, "num_docs": 10}, "missing synth keys: ['k_true']", EXIT_CHECK_FAILED),
+        ("--synth", {"k_true": 3, "vocab_size": 12, "num_docs": 10, "r": [5, "x", 5]}, "r must be a number, got 'x'", EXIT_CHECK_FAILED),
+        ("--synth", {"k_true": 3, "vocab_size": 12, "num_docs": 10, "topic_sharpness": "x"}, "topic_sharpness must be a number", EXIT_CHECK_FAILED),
+        ("--synth", {"k_true": 3, "vocab_size": 12, "num_docs": 10, "seed": 1.5}, "seed must be an integer, got 1.5", EXIT_CHECK_FAILED),
     ],
-    ids=["config-list", "hyper-int", "K-string", "K-float", "iters-bool", "synth-unknown-key"],
+    ids=[
+        "config-list", "hyper-int", "K-string", "K-float", "iters-bool", "synth-unknown-key",
+        "train-frac-string", "min-doc-freq-float", "vocab-int",
+        "synth-vocab-size-string", "synth-missing-k-true", "synth-r-entry-string", "synth-sharpness-string", "synth-seed-float",
+    ],
 )
 def test_run_rejects_wrongly_shaped_json(tmp_path, capsys, flag, content, message, code):
     bad = tmp_path / "bad.json"
