@@ -139,8 +139,9 @@ class RunConfig:
             for name, value in self.synth.items():
                 if name == "topic_sharpness" and value is None:
                     continue  # falls back to eta
-                # r and p also take one value per topic or per document
-                for entry in value if name in ("r", "p") and isinstance(value, list) else (value,):
+                # r and p also take a list: one value per topic or per document
+                entries = value if name in ("r", "p") and isinstance(value, list) else [value]
+                for entry in entries:
                     check_number(name, entry, integral=name in _SYNTH_INTEGERS)
 
     def corpus_fingerprint(self) -> str:

@@ -58,10 +58,8 @@ from .distributions import (
 )
 from .rng import RandomSource
 
-# A Dirichlet draw of at least BLOCKED_CELLS cells is split into at most
-# ROW_BLOCKS row blocks with a child stream each, so that threads can draw
-# the blocks at once; the block count is fixed so output never depends on
-# the core count.
+# Row-blocked Dirichlet draws (see _dirichlet_rows); the block count is a
+# constant so that the output never depends on the core count.
 BLOCKED_CELLS = 2**20
 ROW_BLOCKS = 8
 
