@@ -77,6 +77,7 @@ _SYNTH_FIELDS = dataclasses.fields(SyntheticSpec)
 _SYNTH_KEYS = {f.name for f in _SYNTH_FIELDS} | {"seed"}
 _SYNTH_REQUIRED = {f.name for f in _SYNTH_FIELDS if f.default is dataclasses.MISSING}
 _SYNTH_INTEGERS = {f.name for f in _SYNTH_FIELDS if f.type == "int"} | {"seed"}
+_HASH_BLOCK = 1 << 20  # corpus files are hashed in 1 MiB reads, not read whole
 
 
 def _json_object(name: str, value) -> dict:
@@ -143,6 +144,10 @@ class RunConfig:
                 entries = value if name in ("r", "p") and isinstance(value, list) else [value]
                 for entry in entries:
                     check_number(name, entry, integral=name in _SYNTH_INTEGERS)
+            spec, synth_seed = _synth_spec(self.synth)
+            spec.validate()
+            if not 0 <= synth_seed < 2**64:
+                raise ValueError(f"seed must be a 64-bit unsigned integer, got {synth_seed}")
 
     def corpus_fingerprint(self) -> str:
         digest = hashlib.sha256()
@@ -151,7 +156,8 @@ class RunConfig:
         else:
             for path in (self.docword, self.vocab):
                 with open(path, "rb") as fh:
-                    digest.update(fh.read())
+                    while block := fh.read(_HASH_BLOCK):
+                        digest.update(block)
         return digest.hexdigest()
 
     def config_hash(self) -> str:
@@ -234,11 +240,16 @@ def _write_csv(path: Path, header, rows, config_hash: str) -> None:
             writer.writerow([_format_cell(v) for v in row])
 
 
+def _synth_spec(synth: dict) -> tuple[SyntheticSpec, int]:
+    """The corpus settings and the corpus seed of a synth settings object."""
+    spec_data = dict(synth)
+    synth_seed = spec_data.pop("seed", 0)
+    return SyntheticSpec(**spec_data), synth_seed
+
+
 def _load_run_corpus(config: RunConfig):
     if config.synth is not None:
-        spec_data = dict(config.synth)
-        synth_seed = spec_data.pop("seed", 0)
-        spec = SyntheticSpec(**spec_data)
+        spec, synth_seed = _synth_spec(config.synth)
         corpus, _ = synthesize_corpus(config.hyper, spec, RandomSource(synth_seed))
     else:
         corpus = load_bag_of_words(config.docword, config.vocab)

@@ -4,13 +4,24 @@ The interchange format is the UCI sparse bag-of-words layout: a docword
 file whose first three lines give D (documents), W (vocabulary size) and
 NNZ (number of nonzero doc/term cells), followed by NNZ lines of
 ``docID wordID count`` with 1-based ids, plus a vocabulary file with one
-term per line.  LF and CRLF line endings are both accepted.
+term per line.  Both files are UTF-8; a line ends at LF, CRLF or CR.
+
+The data lines are read in one pass by ``np.loadtxt`` into an NNZ x 3
+integer array, checked with array operations, and expanded into every
+document's sorted tokens with one ``np.repeat``, so loading takes memory
+in proportion to NNZ and the token count.  Blank lines are skipped, fields
+are separated by any whitespace, and a (doc, term) cell given on several
+lines gets the sum of their counts.  A field is an ASCII integer with an
+optional sign.  When a check fails, a line-by-line walk finds the first
+bad line and the ``ParseError`` names it.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import re
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +30,10 @@ from .distributions import sample_dirichlet
 from .rng import RandomSource
 
 logger = logging.getLogger(__name__)
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+_MAX_TOKENS = _INT64_MAX // 8  # the most int64 entries one numpy array can hold
+_INTEGER = re.compile(r"[+-]?[0-9]+")  # the integers np.loadtxt reads as int64; int() takes more
 
 
 class ParseError(ValueError):
@@ -65,64 +80,122 @@ class Corpus:
         )
 
 
-def _tokens_from_counts(num_docs: int, vocab_size: int, cells: dict[tuple[int, int], int]) -> tuple[np.ndarray, ...]:
-    per_doc: list[list[int]] = [[] for _ in range(num_docs)]
-    for (doc, term), count in cells.items():
-        per_doc[doc].extend([term] * count)
-    return tuple(np.sort(np.asarray(tokens, dtype=np.int64)) for tokens in per_doc)
+def _header(fh, path) -> tuple[int, int, int]:
+    """Read the D, W and NNZ header lines."""
+    values = []
+    for lineno, name in enumerate(("D", "W", "NNZ"), 1):
+        line = fh.readline()
+        if not line:
+            raise ParseError(f"{path}: line {lineno}: missing {name} header line")
+        line = line.rstrip("\n")
+        if not _INTEGER.fullmatch(line.strip()):
+            raise ParseError(f"{path}: line {lineno}: {name} header is not an integer: {line!r}")
+        value = int(line)
+        if value < 0:
+            raise ParseError(f"{path}: line {lineno}: {name} must be non-negative, got {value}")
+        values.append(value)
+    num_docs, vocab_size, nnz = values
+    if max(num_docs, 1) * max(vocab_size, 1) > _INT64_MAX:
+        raise ParseError(f"{path}: line 2: D x W = {num_docs * vocab_size} cells do not fit a 64-bit index")
+    return num_docs, vocab_size, nnz
+
+
+def _data_rows(fh, num_docs: int, vocab_size: int, nnz: int) -> np.ndarray | None:
+    """The remaining lines as an (NNZ, 3) array of docID, wordID, count.
+
+    Returns None if any line is malformed or out of range; ``_first_bad_line``
+    then finds the line.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            rows = np.loadtxt(fh, dtype=np.int64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if rows.size == 0:
+        rows = rows.reshape(0, 3)
+    if rows.shape != (nnz, 3):
+        return None
+    high = rows.max(axis=0, initial=1)
+    if rows.min(initial=1) < 1 or high[0] > num_docs or high[1] > vocab_size:
+        return None
+    if rows[:, 2].sum(dtype=np.float64) > _MAX_TOKENS:
+        return None
+    return rows
+
+
+def _first_bad_line(path, num_docs: int, vocab_size: int, nnz: int) -> str:
+    """Walk the data lines one by one and describe the first fault."""
+    seen = tokens = 0
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if lineno <= 3 or not line:
+                continue
+            where = f"{path}: line {lineno}"
+            if seen >= nnz:
+                return f"{where}: more than NNZ={nnz} data lines"
+            parts = line.split()
+            if len(parts) != 3:
+                return f"{where}: expected 'docID wordID count', got {line!r}"
+            if not all(_INTEGER.fullmatch(p) for p in parts):
+                return f"{where}: non-integer field in {line!r}"
+            doc_id, word_id, count = (int(p) for p in parts)
+            if not 1 <= doc_id <= num_docs:
+                return f"{where}: docID {doc_id} outside 1..{num_docs}"
+            if not 1 <= word_id <= vocab_size:
+                return f"{where}: wordID {word_id} outside 1..{vocab_size}"
+            if count <= 0:
+                return f"{where}: count must be positive, got {count}"
+            tokens += count
+            if tokens > _MAX_TOKENS:
+                return f"{where}: counts add up to {tokens} tokens, more than one array can hold"
+            seen += 1
+    if seen != nnz:
+        return f"{path}: expected NNZ={nnz} data lines, found {seen}"
+    return f"{path}: data lines do not parse as 'docID wordID count'"
+
+
+def _not_utf8(path) -> ParseError:
+    """A ParseError naming the line of the first byte that is not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = 1 + len(re.findall(rb"\r\n?|\n", data[: exc.start]))
+        return ParseError(f"{path}: line {lineno}: not UTF-8 text: {exc.reason} at byte {exc.start}")
+    return ParseError(f"{path}: not UTF-8 text")
+
+
+def _doc_tokens(rows: np.ndarray, num_docs: int, vocab_size: int) -> tuple[np.ndarray, ...]:
+    """Each document's tokens, sorted by term, from checked docword rows."""
+    doc, term, count = rows.T
+    # document-major, terms ascending: the lines of a repeated (doc, term)
+    # cell end up adjacent, so the repeat adds up their counts
+    order = np.argsort((doc - 1) * vocab_size + term, kind="stable")
+    tokens = np.repeat(term[order] - 1, count[order])
+    lengths = np.zeros(num_docs, dtype=np.int64)
+    np.add.at(lengths, doc - 1, count)
+    ends = np.cumsum(lengths).tolist()
+    return tuple(tokens[end - n : end] for end, n in zip(ends, lengths.tolist()))
 
 
 def load_bag_of_words(docword_path, vocab_path) -> Corpus:
     """Load a corpus from UCI-format docword and vocabulary files."""
-    with open(docword_path, "r", encoding="utf-8") as fh:
-        raw_lines = fh.read().splitlines()
-
-    def _header_int(idx: int, name: str) -> int:
-        if idx >= len(raw_lines):
-            raise ParseError(f"{docword_path}: line {idx + 1}: missing {name} header line")
-        try:
-            value = int(raw_lines[idx].strip())
-        except ValueError:
-            raise ParseError(
-                f"{docword_path}: line {idx + 1}: {name} header is not an integer: {raw_lines[idx]!r}"
-            ) from None
-        if value < 0:
-            raise ParseError(f"{docword_path}: line {idx + 1}: {name} must be non-negative, got {value}")
-        return value
-
-    num_docs = _header_int(0, "D")
-    vocab_size = _header_int(1, "W")
-    nnz = _header_int(2, "NNZ")
-
-    cells: dict[tuple[int, int], int] = {}
-    seen = 0
-    for idx in range(3, len(raw_lines)):
-        line = raw_lines[idx].strip()
-        if not line:
-            continue
-        if seen >= nnz:
-            raise ParseError(f"{docword_path}: line {idx + 1}: more than NNZ={nnz} data lines")
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError(f"{docword_path}: line {idx + 1}: expected 'docID wordID count', got {line!r}")
-        try:
-            doc_id, word_id, count = (int(p) for p in parts)
-        except ValueError:
-            raise ParseError(f"{docword_path}: line {idx + 1}: non-integer field in {line!r}") from None
-        if not 1 <= doc_id <= num_docs:
-            raise ParseError(f"{docword_path}: line {idx + 1}: docID {doc_id} outside 1..{num_docs}")
-        if not 1 <= word_id <= vocab_size:
-            raise ParseError(f"{docword_path}: line {idx + 1}: wordID {word_id} outside 1..{vocab_size}")
-        if count <= 0:
-            raise ParseError(f"{docword_path}: line {idx + 1}: count must be positive, got {count}")
-        key = (doc_id - 1, word_id - 1)
-        cells[key] = cells.get(key, 0) + count
-        seen += 1
-    if seen != nnz:
-        raise ParseError(f"{docword_path}: expected NNZ={nnz} data lines, found {seen}")
-
-    with open(vocab_path, "r", encoding="utf-8") as fh:
-        vocab_lines = fh.read().splitlines()
+    try:
+        with open(docword_path, "r", encoding="utf-8") as fh:
+            num_docs, vocab_size, nnz = _header(fh, docword_path)
+            rows = _data_rows(fh, num_docs, vocab_size, nnz)
+        if rows is None:
+            raise ParseError(_first_bad_line(docword_path, num_docs, vocab_size, nnz))
+    except UnicodeDecodeError:
+        raise _not_utf8(docword_path) from None
+    try:
+        with open(vocab_path, "r", encoding="utf-8") as fh:
+            vocab_lines = fh.read().split("\n")
+    except UnicodeDecodeError:
+        raise _not_utf8(vocab_path) from None
     while vocab_lines and not vocab_lines[-1].strip():
         vocab_lines.pop()
     vocab = tuple(line.strip() for line in vocab_lines)
@@ -131,7 +204,7 @@ def load_bag_of_words(docword_path, vocab_path) -> Corpus:
             f"{vocab_path}: expected {vocab_size} vocabulary lines to match the docword header, "
             f"found {len(vocab)}"
         )
-    return Corpus(vocab=vocab, doc_tokens=_tokens_from_counts(num_docs, vocab_size, cells))
+    return Corpus(vocab=vocab, doc_tokens=_doc_tokens(rows, num_docs, vocab_size))
 
 
 def write_bag_of_words(corpus: Corpus, docword_path, vocab_path) -> None:
@@ -267,6 +340,25 @@ class SyntheticSpec:
     p: float | np.ndarray = 0.5
     max_retries: int = 100
 
+    def validate(self) -> None:
+        """Reject an out-of-range setting, naming it."""
+        for name in ("k_true", "vocab_size", "num_docs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.topic_sharpness is not None and not self.topic_sharpness > 0:
+            raise ValueError(f"topic_sharpness must be positive, got {self.topic_sharpness}")
+        for name, length, owner in (("r", self.k_true, "k_true"), ("p", self.num_docs, "num_docs")):
+            values = np.asarray(getattr(self, name), dtype=np.float64)
+            if values.ndim != 0 and values.shape != (length,):
+                raise ValueError(f"{name} must be a number or a list of {owner} = {length} values, got shape {values.shape}")
+        if not np.all(np.asarray(self.r, dtype=np.float64) > 0):
+            raise ValueError(f"r must be positive, got {self.r}")
+        p = np.asarray(self.p, dtype=np.float64)
+        if not np.all((p > 0) & (p < 1)):
+            raise ValueError(f"p must lie in (0, 1), got {self.p}")
+        if self.max_retries < 0:
+            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+
 
 @dataclass
 class SyntheticGroundTruth:
@@ -286,16 +378,11 @@ def synthesize_corpus(hyper, truth: SyntheticSpec, rng: RandomSource) -> tuple[C
     drawn from the owning topic.  Documents that come out empty are
     resampled up to ``truth.max_retries`` times.
     """
+    truth.validate()
     k_true, V, J = truth.k_true, truth.vocab_size, truth.num_docs
-    if min(k_true, V, J) < 1:
-        raise ValueError("k_true, vocab_size and num_docs must all be positive")
     sharpness = truth.topic_sharpness if truth.topic_sharpness is not None else hyper.eta
-    if sharpness <= 0:
-        raise ValueError(f"topic sharpness must be positive, got {sharpness}")
     r_k = np.broadcast_to(np.asarray(truth.r, dtype=np.float64), (k_true,)).copy()
     p_j = np.broadcast_to(np.asarray(truth.p, dtype=np.float64), (J,)).copy()
-    if np.any(r_k <= 0) or np.any(p_j <= 0) or np.any(p_j >= 1):
-        raise ValueError("r must be positive and p inside the open unit interval")
 
     gen = rng.generator
     omega = np.vstack([sample_dirichlet(np.full(V, sharpness), rng) for _ in range(k_true)])

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from .rng import RandomSource
 
@@ -205,6 +204,8 @@ def crt_pmf(m: int, r, triangle: StirlingTriangle | None = None) -> np.ndarray:
     log space.  Intended as a reference/oracle; the samplers never need
     it (``sample_crt`` is exact on its own).
     """
+    from scipy.special import gammaln  # imported here so that importing nbproc does not load scipy
+
     m = int(m)
     if m < 0:
         raise ParameterError(f"m must be non-negative, got {m}")

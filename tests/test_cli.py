@@ -1,5 +1,10 @@
 import csv
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +12,8 @@ import pytest
 from nbproc import RandomSource, load_bag_of_words
 from nbproc.cli import EXIT_CHECK_FAILED, EXIT_IO, EXIT_OK, RunConfig, _make_geweke_check, main
 from nbproc.models import ModelKind
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_synth_spec(tmp_path, **overrides):
@@ -113,6 +120,32 @@ def test_run_missing_corpus_file_is_io_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_run_non_utf8_docword_is_io_error(tmp_path, capsys):
+    docword, vocab = tmp_path / "d.txt", tmp_path / "v.txt"
+    docword.write_bytes(b"1\n2\n1\n1 2 \xff\n")
+    vocab.write_text("a\nb\n")
+    args = ["run", "--model", "gamma-nb", "--docword", str(docword), "--vocab", str(vocab), "--out", str(tmp_path / "x")]
+    assert main(args) == EXIT_IO
+    assert f"error: {docword}: line 4: not UTF-8 text" in capsys.readouterr().err
+
+
+def test_corpus_fingerprint_hashes_both_files_whole(tmp_path):
+    # larger than one read block, so the digest spans several reads
+    docword, vocab = tmp_path / "d.txt", tmp_path / "v.txt"
+    docword.write_bytes(b"1\n3\n1\n1 3 2\n" + b"\n" * (3 << 20))
+    vocab.write_bytes(b"a\nb\nc\n")
+    config = RunConfig(model="gamma-nb", output_dir="x", docword=str(docword), vocab=str(vocab))
+    expected = hashlib.sha256(docword.read_bytes() + vocab.read_bytes()).hexdigest()
+    assert config.corpus_fingerprint() == expected
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    code = "import sys, nbproc, nbproc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("flag", ["--synth", "--config"])
 def test_run_non_json_file_is_io_error(tmp_path, capsys, flag):
     bad = tmp_path / "bad.json"
@@ -191,11 +224,23 @@ def test_config_file_unknown_keys_rejected(tmp_path, capsys):
         ("--synth", {"k_true": 3, "vocab_size": 12, "num_docs": 10, "r": [5, "x", 5]}, "r must be a number, got 'x'", EXIT_CHECK_FAILED),
         ("--synth", {"k_true": 3, "vocab_size": 12, "num_docs": 10, "topic_sharpness": "x"}, "topic_sharpness must be a number", EXIT_CHECK_FAILED),
         ("--synth", {"k_true": 3, "vocab_size": 12, "num_docs": 10, "seed": 1.5}, "seed must be an integer, got 1.5", EXIT_CHECK_FAILED),
+        ("--synth", {"k_true": 0, "vocab_size": 12, "num_docs": 10}, "k_true must be positive, got 0", EXIT_CHECK_FAILED),
+        ("--synth", {"k_true": 3, "vocab_size": 0, "num_docs": 10}, "vocab_size must be positive, got 0", EXIT_CHECK_FAILED),
+        ("--synth", {"k_true": 3, "vocab_size": 12, "num_docs": -1}, "num_docs must be positive, got -1", EXIT_CHECK_FAILED),
+        ("--synth", {"k_true": 3, "vocab_size": 12, "num_docs": 10, "topic_sharpness": 0}, "topic_sharpness must be positive", EXIT_CHECK_FAILED),
+        ("--synth", {"k_true": 3, "vocab_size": 12, "num_docs": 10, "r": 0}, "r must be positive, got 0", EXIT_CHECK_FAILED),
+        ("--synth", {"k_true": 3, "vocab_size": 12, "num_docs": 10, "r": [5, 5]}, "r must be a number or a list of k_true = 3 values", EXIT_CHECK_FAILED),
+        ("--synth", {"k_true": 3, "vocab_size": 12, "num_docs": 10, "p": 1}, "p must lie in (0, 1), got 1", EXIT_CHECK_FAILED),
+        ("--synth", {"k_true": 3, "vocab_size": 12, "num_docs": 2, "p": [0.5, 0.5, 0.5]}, "p must be a number or a list of num_docs = 2 values", EXIT_CHECK_FAILED),
+        ("--synth", {"k_true": 3, "vocab_size": 12, "num_docs": 10, "max_retries": -1}, "max_retries must be >= 0, got -1", EXIT_CHECK_FAILED),
+        ("--synth", {"k_true": 3, "vocab_size": 12, "num_docs": 10, "seed": -1}, "seed must be a 64-bit unsigned integer, got -1", EXIT_CHECK_FAILED),
     ],
     ids=[
         "config-list", "hyper-int", "K-string", "K-float", "iters-bool", "synth-unknown-key",
         "train-frac-string", "min-doc-freq-float", "vocab-int",
         "synth-vocab-size-string", "synth-missing-k-true", "synth-r-entry-string", "synth-sharpness-string", "synth-seed-float",
+        "synth-k-true-zero", "synth-vocab-size-zero", "synth-num-docs-negative", "synth-sharpness-zero", "synth-r-zero",
+        "synth-r-list-length", "synth-p-one", "synth-p-list-length", "synth-max-retries-negative", "synth-seed-negative",
     ],
 )
 def test_run_rejects_wrongly_shaped_json(tmp_path, capsys, flag, content, message, code):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,127 @@ def test_load_malformed_header(tmp_path):
     dw, vf = write_files(tmp_path, "two\n3\n1\n1 1 1\n", "a\nb\nc\n")
     with pytest.raises(ParseError, match="line 1"):
         load_bag_of_words(dw, vf)
+
+
+def reference_doc_tokens(docword_text):
+    """The line-by-line loader the vectorized one replaced, kept as an oracle.
+
+    It assumes well-formed input: the header, then NNZ valid data lines.
+    """
+    lines = docword_text.splitlines()
+    num_docs = int(lines[0])
+    per_doc = [[] for _ in range(num_docs)]
+    for line in lines[3:]:
+        if not line.strip():
+            continue
+        doc_id, word_id, count = (int(p) for p in line.split())
+        per_doc[doc_id - 1].extend([word_id - 1] * count)
+    return tuple(np.sort(np.asarray(tokens, dtype=np.int64)) for tokens in per_doc)
+
+
+def random_docword(gen):
+    """A valid docword text with the layouts the format allows.
+
+    Duplicate (doc, term) lines, blank and whitespace-only lines, CRLF,
+    tabs, ``+n`` fields, documents with no tokens and NNZ = 0 all occur.
+    """
+    num_docs, vocab_size = int(gen.integers(1, 8)), int(gen.integers(1, 10))
+    nnz = int(gen.choice([0, gen.integers(1, 30)]))
+    rows = []
+    for _ in range(nnz):
+        fields = [str(int(gen.integers(1, num_docs + 1))), str(int(gen.integers(1, vocab_size + 1))),
+                  str(int(gen.integers(1, 5)))]
+        fields = ["+" + f if gen.random() < 0.2 else f for f in fields]
+        seps = [str(gen.choice([" ", "\t", "  ", " \t "])) for _ in range(2)]
+        row = fields[0] + seps[0] + fields[1] + seps[1] + fields[2]
+        rows.append(str(gen.choice(["", " ", "\t"])) + row + str(gen.choice(["", " ", "\t"])))
+        if gen.random() < 0.15:
+            rows.append(str(gen.choice(["", "   ", "\t"])))
+    eol = str(gen.choice(["\n", "\r\n"]))
+    text = eol.join([str(num_docs), str(vocab_size), str(nnz), *rows]) + eol
+    vocab = "".join(f"t{v}{eol}" for v in range(vocab_size))
+    return text, vocab
+
+
+def test_load_matches_line_walk_on_random_corpora(tmp_path):
+    gen = np.random.default_rng(2024)
+    saw_duplicate = saw_empty_doc = saw_no_data = False
+    for _ in range(300):
+        text, vocab = random_docword(gen)
+        (tmp_path / "docword.txt").write_bytes(text.encode())
+        (tmp_path / "vocab.txt").write_bytes(vocab.encode())
+        corpus = load_bag_of_words(tmp_path / "docword.txt", tmp_path / "vocab.txt")
+        expected = reference_doc_tokens(text)
+        assert corpus.vocab == tuple(vocab.split())
+        assert len(corpus.doc_tokens) == len(expected)
+        for got, want in zip(corpus.doc_tokens, expected):
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+        cells = [tuple(line.split()[:2]) for line in text.splitlines()[3:] if line.strip()]
+        saw_duplicate |= len({(int(d), int(w)) for d, w in cells}) < len(cells)
+        saw_empty_doc |= any(len(t) == 0 for t in expected)
+        saw_no_data |= not cells
+    assert saw_duplicate and saw_empty_doc and saw_no_data
+
+
+def test_load_sums_duplicate_cells(tmp_path):
+    dw, vf = write_files(tmp_path, "2\n3\n3\n2 3 1\n1 2 2\n2 3 2\n", "a\nb\nc\n")
+    corpus = load_bag_of_words(dw, vf)
+    assert [list(t) for t in corpus.doc_tokens] == [[1, 1], [2, 2, 2]]
+
+
+@pytest.mark.parametrize(
+    "data, line, message",
+    [
+        ("1 1\n", 4, "expected 'docID wordID count', got '1 1'"),
+        ("1 1 1\n1 2 1 1\n", 5, "expected 'docID wordID count', got '1 2 1 1'"),
+        ("1 1 1\n1 x 1\n", 5, "non-integer field in '1 x 1'"),
+        ("1 1 1.5\n", 4, "non-integer field in '1 1 1.5'"),
+        ("# a comment\n1 1 1\n", 4, "non-integer field in '# a comment'"),
+        ("1 1 1\n1 2 1\n1 3 1\n", 6, "more than NNZ=2 data lines"),
+        ("1 1 1\n1 2 1_0\n", 5, "non-integer field in '1 2 1_0'"),
+        ("1 1 1\n1 2 99999999999999999999\n", 5, "counts add up to 100000000000000000000 tokens, more than one array can hold"),
+    ],
+    ids=["two-fields", "four-fields", "non-integer", "float", "comment", "more-than-nnz", "underscore", "huge-count"],
+)
+def test_load_bad_data_line_names_it(tmp_path, data, line, message):
+    nnz = 2 if "more than" in message else data.count("\n")
+    dw, vf = write_files(tmp_path, f"2\n3\n{nnz}\n" + data, "a\nb\nc\n")
+    with pytest.raises(ParseError) as exc:
+        load_bag_of_words(dw, vf)
+    assert str(exc.value) == f"{dw}: line {line}: {message}"
+
+
+def test_load_header_takes_the_data_line_integers_only(tmp_path):
+    dw, vf = write_files(tmp_path, "2\n1_0\n1\n1 1 1\n", "a\n")
+    with pytest.raises(ParseError, match="line 2: W header is not an integer: '1_0'"):
+        load_bag_of_words(dw, vf)
+
+
+def test_load_vocab_lines_end_at_line_breaks_only(tmp_path):
+    # U+0085 and U+2028 are line breaks to str.splitlines, not to a text file
+    dw, vf = write_files(tmp_path, "1\n2\n1\n1 2 1\n", "a\x85b\r\nc\u2028d\r\n")
+    assert load_bag_of_words(dw, vf).vocab == ("a\x85b", "c\u2028d")
+
+
+def test_load_header_too_large_for_an_index(tmp_path):
+    dw, vf = write_files(tmp_path, "4000000000\n4000000000\n0\n", "a\n")
+    with pytest.raises(ParseError, match="line 2: D x W"):
+        load_bag_of_words(dw, vf)
+
+
+@pytest.mark.parametrize("which", ["docword", "vocab"])
+def test_load_non_utf8_names_file_and_line(tmp_path, which):
+    docword, vocab = b"2\n3\n1\n1 1 1\n", b"a\nb\nc\n"
+    if which == "docword":
+        docword = b"2\n3\n1\n1 1 \xff\n"
+    else:
+        vocab = b"a\r\nb\xffc\r\nc\r\n"
+    (tmp_path / "docword.txt").write_bytes(docword)
+    (tmp_path / "vocab.txt").write_bytes(vocab)
+    with pytest.raises(ParseError) as exc:
+        load_bag_of_words(tmp_path / "docword.txt", tmp_path / "vocab.txt")
+    line = 4 if which == "docword" else 2
+    assert str(exc.value).startswith(f"{tmp_path / (which + '.txt')}: line {line}: not UTF-8 text")
 
 
 def test_round_trip(tmp_path):
@@ -257,6 +380,26 @@ def test_synthesize_rejects_bad_settings():
         synthesize_corpus(
             HyperParams(), SyntheticSpec(k_true=1, vocab_size=5, num_docs=5, p=1.5), RandomSource(0)
         )
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"num_docs": 0}, "num_docs must be positive"),
+        ({"topic_sharpness": 0.0}, "topic_sharpness must be positive"),
+        ({"r": np.array([1.0, 2.0])}, "r must be a number or a list of k_true = 3 values"),
+        ({"r": np.array([1.0, -2.0, 1.0])}, "r must be positive"),
+        ({"p": np.full(4, 0.5)}, "p must be a number or a list of num_docs = 5 values"),
+        ({"p": 1.0}, "p must lie in (0, 1)"),
+        ({"max_retries": -1}, "max_retries must be >= 0"),
+    ],
+)
+def test_synthetic_spec_validate_names_the_setting(overrides, message):
+    spec = SyntheticSpec(**{"k_true": 3, "vocab_size": 5, "num_docs": 5, **overrides})
+    with pytest.raises(ValueError, match=re.escape(message)):
+        spec.validate()
+    with pytest.raises(ValueError, match=re.escape(message)):
+        synthesize_corpus(HyperParams(), spec, RandomSource(0))
 
 
 def test_synthesize_retry_cap_on_degenerate_settings():
