@@ -303,14 +303,19 @@ def run(config: RunConfig) -> dict:
 
     Writes trace.csv, params.csv, report.json and a resolved-config echo
     into the output directory and returns the report.  A `.incomplete`
-    sentinel flags partial output until the run finishes.
+    sentinel flags partial output until the run finishes.  The corpus is
+    read and split before anything is written, so a bad corpus leaves no
+    output behind.
     """
+    config_hash = config.config_hash()
+    kind = ModelKind.from_name(config.model)
+    corpus = _load_run_corpus(config)
+    split = split_train_test(corpus, config.train_frac, RandomSource(config.hyper.seed).child(2))
+
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     sentinel = out_dir / ".incomplete"
     sentinel.write_text("run in progress or aborted\n")
-
-    config_hash = config.config_hash()
     commit = _commit_identifier()
     resolved = {
         "model": config.model,
@@ -328,9 +333,6 @@ def run(config: RunConfig) -> dict:
         json.dump(resolved, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    kind = ModelKind.from_name(config.model)
-    corpus = _load_run_corpus(config)
-    split = split_train_test(corpus, config.train_frac, RandomSource(config.hyper.seed).child(2))
     state, acc, trace = run_experiment(kind, corpus, split, config.hyper)
 
     _write_csv(

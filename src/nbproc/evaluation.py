@@ -5,13 +5,13 @@ ratio of accumulated omega-times-weight products
 
     f[j, v] = sum_s sum_k w[j, k] * omega[k, v]  /  sum_s sum_k w[j, k] * sum_v omega[k, v]
 
-over collected samples s, with w the document's topic weights (lam, or
-lam_tilde for normalized models, where the per-document scale cancels in
-the ratio anyway).  Per-word perplexity is exp of the negative mean log
-f over held-out tokens, so the accumulator keeps the numerator only at
-the held-out (j, v) cells and the denominator once per document: its
-memory grows with the held-out tokens, never with documents x
-vocabulary.
+over collected samples s, with w the document's topic weights lam
+(probability vectors for normalized models; the per-document scale
+cancels in the ratio anyway).  Per-word perplexity is exp of the
+negative mean log f over held-out tokens, so the accumulator keeps the
+numerator only at the held-out (j, v) cells and the denominator once per
+document: its memory grows with the held-out tokens, never with
+documents x vocabulary.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ class SampleAccumulator:
 
 def accumulate(acc: SampleAccumulator, state: ModelState) -> SampleAccumulator:
     """Fold one collected sample's omega-weight products into the sums."""
-    weights = state.topic_weights()
+    weights = state.lam
     if weights.shape[0] != acc.doc_totals.shape[0] or state.vocab_size != acc.vocab_size:
         raise ValueError(
             f"accumulator shape ({acc.doc_totals.shape[0]}, {acc.vocab_size}) does not match "
@@ -225,7 +225,7 @@ def _monitored_stats(state: ModelState) -> dict[str, float]:
         stats["alpha"] = float(state.alpha)
         stats["alpha_sq"] = float(state.alpha**2)
         stats["rtilde_sq_mean"] = float((state.r_tilde**2).mean())
-        stats["ltilde_sq_mean"] = float((state.lam_tilde**2).mean())
+        stats["ltilde_sq_mean"] = float((state.lam**2).mean())  # old name: pinned digests hash it
         stats["n_sq_mean"] = float((state.n_jk.astype(float) ** 2).mean())
     return stats
 
@@ -281,7 +281,7 @@ def geweke_check(
     if num_forward < 1 or num_gibbs < 1:
         raise ValueError("num_forward and num_gibbs must both be at least 1")
     hyper = settings.hyper
-    doc_lengths = np.full(settings.num_docs, settings.doc_length) if kind.uses_normalized_weights else None
+    doc_lengths = None if kind.models_counts else np.full(settings.num_docs, settings.doc_length)
 
     forward_rows = []
     for _ in range(num_forward):

@@ -1,17 +1,18 @@
 """Model state, initialization, and one-iteration block Gibbs kernels.
 
-Each model variant couples per-document topic weights ``lam[j, k]`` (or
-normalized weights ``lam_tilde``) with topic distributions ``omega[k]``
-over the vocabulary.  The count kinds are one negative-binomial process
-that differs only in where the dispersion r and the probability p live
-(one value per document j or per topic k) and which priors they take;
-``KIND_SPECS`` holds one ``KindSpec`` row per kind:
+Each model variant couples per-document topic weights ``lam[j, k]``
+(probability-vector rows for the normalized kinds) with topic
+distributions ``omega[k]`` over the vocabulary.  The count kinds are one
+negative-binomial process that differs only in where the dispersion r
+and the probability p live (one value per document j or per topic k) and
+which priors they take; ``KIND_SPECS`` holds one ``KindSpec`` row per
+kind:
 
 ================  =====  ========  =====  ===============  ==========================
 kind              r on   r prior   p on   p prior          other
 ================  =====  ========  =====  ===============  ==========================
-lda / dir-pfa     -      -         -      -                lam_tilde ~ Dir(50/K)
-crf-hdp           -      -         -      -                lam_tilde ~ Dir(alpha r~)
+lda / dir-pfa     -      -         -      -                lam ~ Dir(50/K)
+crf-hdp           -      -         -      -                lam ~ Dir(alpha r~)
 nb-lda            j      gamma0    j      (a0, b0)
 nb-hdp            k      gamma0/K  j      fixed 0.5
 nb-ftm            k      gamma0    j      fixed 0.5        gates b_jk ~ Bernoulli(pi_k)
@@ -33,7 +34,7 @@ assignments, the kind's parameter block, topic distributions.  CRT
 table-count augmentation makes every conditional a gamma, beta, or
 Dirichlet draw.  One block, ``count_sweep``, serves all seven count
 kinds: nb-ftm is the gamma-NB process with beta-Bernoulli gates on the
-same draws, and the other kinds keep every gate open.
+same draws; the other kinds have no gates.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import math
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -100,14 +101,12 @@ class ModelKind(Enum):
         return KIND_SPECS[self]
 
     @property
-    def uses_normalized_weights(self) -> bool:
-        """True for models whose topic weights are probability vectors."""
-        return self.spec.normalized is not None
-
-    @property
     def models_counts(self) -> bool:
-        """True when document lengths are themselves generated (Poisson)."""
-        return not self.uses_normalized_weights
+        """True when document lengths are themselves generated (Poisson).
+
+        The other kinds' topic weights are probability vectors.
+        """
+        return self.spec.normalized is None
 
 
 # Axes a count parameter lives on: one value per document j or per topic k.
@@ -218,9 +217,7 @@ class HyperParams:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
 
     def replace(self, **overrides) -> "HyperParams":
-        values = {f: getattr(self, f) for f in self.__dataclass_fields__}
-        values.update(overrides)
-        return HyperParams(**values)
+        return replace(self, **overrides)
 
 
 @dataclass
@@ -229,8 +226,9 @@ class ModelState:
 
     Fields a given kind never updates stay at their initial values; the
     training tokens travel with the state so a kernel sweep is
-    self-contained.  ``lam`` holds unnormalized topic weights,
-    ``lam_tilde`` their normalized counterpart for lda/dir-pfa/crf-hdp.
+    self-contained.  ``lam`` holds the topic weights: rows that sum to
+    one for lda/dir-pfa/crf-hdp.  ``pi_k`` and ``b_jk`` are None except
+    for the gated kind, nb-ftm.
     """
 
     kind: ModelKind
@@ -240,11 +238,10 @@ class ModelState:
     n_jk: np.ndarray  # documents x topics counts derived from z
     omega: np.ndarray  # topics x vocabulary distributions
     lam: np.ndarray  # documents x topics weights
-    lam_tilde: np.ndarray  # normalized weights (rows sum to 1)
     r: np.ndarray  # NB dispersion, one entry per spec.r_axis (none for normalized kinds)
     p: np.ndarray  # NB probability, one entry per spec.p_axis (likewise)
-    pi_k: np.ndarray
-    b_jk: np.ndarray  # binary gates (nb-ftm); all open for the other kinds
+    pi_k: np.ndarray | None  # gate sparsity (nb-ftm)
+    b_jk: np.ndarray | None  # binary gates (nb-ftm)
     gamma0: float
     alpha: float
     l_jk: np.ndarray  # CRT table counts
@@ -267,10 +264,6 @@ class ModelState:
     @property
     def train_counts(self) -> np.ndarray:
         return np.array([len(t) for t in self.tokens], dtype=np.int64)
-
-    def topic_weights(self) -> np.ndarray:
-        """The weights the assignment step uses for this kind."""
-        return self.lam_tilde if self.kind.uses_normalized_weights else self.lam
 
     def clone(self) -> "ModelState":
         return copy.deepcopy(self)
@@ -373,6 +366,11 @@ def _gamma0_share(spec: KindSpec, K: int) -> int:
     return K if spec.r_prior == GAMMA0_K else 1
 
 
+def _gated(state: ModelState, values: np.ndarray) -> np.ndarray:
+    """Documents x topics ``values`` times the gates b_jk; kinds without gates keep them as they are."""
+    return values if state.b_jk is None else values * state.b_jk
+
+
 def blank_state(kind: ModelKind, tokens, vocab_size: int, num_topics: int, eta: float) -> ModelState:
     """A structurally valid state with neutral parameter values."""
     tokens = tuple(np.asarray(t, dtype=np.int64) for t in tokens)
@@ -385,12 +383,11 @@ def blank_state(kind: ModelKind, tokens, vocab_size: int, num_topics: int, eta: 
         z=[np.zeros(len(t), dtype=np.int64) for t in tokens],
         n_jk=np.zeros((J, K), dtype=np.int64),
         omega=np.full((K, V), 1.0 / V),
-        lam=np.ones((J, K)),
-        lam_tilde=np.full((J, K), 1.0 / K),
+        lam=np.full((J, K), 1.0 if kind.models_counts else 1.0 / K),
         r=np.ones(size[kind.spec.r_axis]),
         p=np.full(size[kind.spec.p_axis], 0.5),
-        pi_k=np.full(K, 0.5),
-        b_jk=np.ones((J, K), dtype=np.int64),
+        pi_k=np.full(K, 0.5) if kind.spec.gated else None,
+        b_jk=np.ones((J, K), dtype=np.int64) if kind.spec.gated else None,
         gamma0=1.0,
         alpha=1.0,
         l_jk=np.zeros((J, K), dtype=np.int64),
@@ -407,14 +404,18 @@ def _recount(state: ModelState) -> None:
     ).astype(np.int64)
 
 
-def _assign(state: ModelState, weights: np.ndarray, rng: RandomSource) -> None:
-    """Reassign every training token to a topic given current weights."""
+def sample_topic_assignments(state: ModelState, rng: RandomSource) -> ModelState:
+    """Resample z for every training token and refresh n_jk.
+
+    Probability of topic k for a token with term v is proportional to
+    omega[k, v] times the document's weight lam[j, k].
+    """
     gen = rng.generator
     omega_t = np.ascontiguousarray(state.omega.T)  # vocabulary x topics
     z = []
     for j, terms in enumerate(state.tokens):
         cum = omega_t[terms]  # tokens x topics
-        cum *= weights[j]
+        cum *= state.lam[j]
         np.cumsum(cum, axis=1, out=cum)
         totals = cum[:, -1]
         if not np.all(np.isfinite(totals)) or not np.all(totals > 0):
@@ -423,15 +424,6 @@ def _assign(state: ModelState, weights: np.ndarray, rng: RandomSource) -> None:
         z.append((cum < u[:, None]).sum(axis=1).astype(np.int64))
     state.z = z
     _recount(state)
-
-
-def sample_topic_assignments(state: ModelState, rng: RandomSource) -> ModelState:
-    """Resample z for every training token and refresh n_jk.
-
-    Probability of topic k for a token with term v is proportional to
-    omega[k, v] times the document's weight for k (lam or lam_tilde).
-    """
-    _assign(state, state.topic_weights(), rng)
     return state
 
 
@@ -459,8 +451,9 @@ def count_sweep(state, hyper, rng, fault=None):
     tables l_jk ~ CRT(n_jk, r b_jk); for a gamma0 prior, the mixed
     probability p', l' ~ CRT(tables, gamma0/K or gamma0) and the total
     mass gamma0; r given its tables; lam_jk ~ Gamma(r b_jk + n_jk, p), and
-    exactly 0 where both vanish.  ``fault="r-shape"`` adds 1 to r's shape,
-    a deliberate corruption for harness self-checks.
+    exactly 0 where both vanish; kinds without gates take b_jk = 1.
+    ``fault="r-shape"`` adds 1 to r's shape, a deliberate corruption for
+    harness self-checks.
     """
     spec = state.kind.spec
     gen = rng.generator
@@ -488,7 +481,7 @@ def count_sweep(state, hyper, rng, fault=None):
     else:
         # sum of log(1 - p) over the cells each entry of r covers
         log1mp = span * np.log1p(-p) if same_axis else float(np.log1p(-p).sum())
-    state.l_jk = sample_crt_array(state.n_jk, _along(spec.r_axis, r) * state.b_jk, rng)
+    state.l_jk = sample_crt_array(state.n_jk, _gated(state, _along(spec.r_axis, r)), rng)
     tables = _per(spec.r_axis, state.l_jk)
     if spec.samples_gamma0:
         share = _gamma0_share(spec, K)
@@ -512,7 +505,7 @@ def count_sweep(state, hyper, rng, fault=None):
         r_shape = r_shape + 1.0
     state.r = _gamma_clamped(gen, r_shape, 1.0 / r_rate)
     _check_finite("r", state.r)
-    lam_shape = _along(spec.r_axis, state.r) * state.b_jk + state.n_jk
+    lam_shape = _gated(state, _along(spec.r_axis, state.r)) + state.n_jk
     is_open = lam_shape > 0  # a closed gate with no tokens pins lam_jk to 0
     state.lam = np.where(is_open, _gamma_clamped(gen, np.where(is_open, lam_shape, 1.0), _along(spec.p_axis, p)), 0.0)
     _check_finite("lam", state.lam)
@@ -536,11 +529,10 @@ def crf_hdp_sweep(state, hyper, rng):
     )
     _check_finite("alpha", state.alpha)
     tilde_conc = state.gamma0 / K + state.l_jk.sum(axis=0)
-    state.r_tilde = np.maximum(gen.gamma(tilde_conc, 1.0), TINY)
-    state.r_tilde = state.r_tilde / state.r_tilde.sum()
+    state.r_tilde = _dirichlet_rows(gen, tilde_conc[None, :])[0]
     _check_finite("r_tilde", state.r_tilde)
-    state.lam_tilde = _dirichlet_rows(gen, state.alpha * state.r_tilde[None, :] + state.n_jk)
-    _check_finite("lam_tilde", state.lam_tilde)
+    state.lam = _dirichlet_rows(gen, state.alpha * state.r_tilde[None, :] + state.n_jk)
+    _check_finite("lam", state.lam)
 
 
 def crf_alpha_step(alpha: float, total_tables: int, doc_sizes: np.ndarray, a0: float, b0: float, gen) -> float:
@@ -563,8 +555,8 @@ def crf_alpha_step(alpha: float, total_tables: int, doc_sizes: np.ndarray, a0: f
 def lda_sweep(state, hyper, rng):
     """Parameter block of the normalized sweep with fixed smoothing; also serves dir-pfa."""
     smoothing = hyper.lda_alpha_total / state.num_topics
-    state.lam_tilde = _dirichlet_rows(rng.generator, smoothing + state.n_jk)
-    _check_finite("lam_tilde", state.lam_tilde)
+    state.lam = _dirichlet_rows(rng.generator, smoothing + state.n_jk)
+    _check_finite("lam", state.lam)
 
 
 def gibbs_sweep(state, hyper, rng, fault=None):
@@ -643,12 +635,12 @@ def initialize(kind: ModelKind, corpus, split, hyper: HyperParams, rng: RandomSo
     warm_r = hyper.lda_alpha_total / K
     state.lam = _gamma_clamped(gen, np.full((J, K), warm_r), 1.0)
     for _ in range(hyper.init_iters):
-        _assign(state, state.lam, rng)
+        sample_topic_assignments(state, rng)
         state.lam = _gamma_clamped(gen, warm_r + state.n_jk, 0.5)
         update_topics(state, rng)
     _draw_count_params(state, hyper, rng)
-    if kind.uses_normalized_weights:
-        state.lam_tilde = state.lam / state.lam.sum(axis=1, keepdims=True)
+    if not kind.models_counts:
+        state.lam /= state.lam.sum(axis=1, keepdims=True)
     return state
 
 
@@ -657,7 +649,7 @@ def simulate_data(state: ModelState, rng: RandomSource, doc_lengths=None) -> Mod
 
     Count models draw n_jk ~ Pois(lam_jk) and then n_jk terms from
     topic k; normalized models keep document lengths fixed (``doc_lengths``
-    or the current ones) and draw each token's topic from lam_tilde.
+    or the current ones) and draw each token's topic from lam's rows.
     Used by forward simulation and the Geweke harness.
     """
     gen = rng.generator
@@ -685,7 +677,7 @@ def simulate_data(state: ModelState, rng: RandomSource, doc_lengths=None) -> Mod
         lengths = state.train_counts if doc_lengths is None else np.asarray(doc_lengths, dtype=np.int64)
         for j in range(J):
             n = int(lengths[j])
-            cum = np.cumsum(state.lam_tilde[j])
+            cum = np.cumsum(state.lam[j])
             z = np.searchsorted(cum, gen.random(n) * cum[-1], side="right").astype(np.int64)
             z = np.minimum(z, K - 1)
             terms = np.zeros(n, dtype=np.int64)
@@ -727,13 +719,13 @@ def forward_draw(
     state.omega = _dirichlet_rows(gen, np.full((hyper.K, vocab_size), hyper.eta))
     J, K = num_docs, hyper.K
     if spec.normalized:
-        state.lam_tilde = _dirichlet_rows(gen, np.broadcast_to(state.alpha * state.r_tilde, (J, K)))
+        state.lam = _dirichlet_rows(gen, np.broadcast_to(state.alpha * state.r_tilde, (J, K)))
     else:
         if spec.gated:
             state.b_jk = (gen.random((J, K)) < state.pi_k[None, :]).astype(np.int64)
         shape = np.broadcast_to(_along(spec.r_axis, state.r), (J, K))
         scale = np.broadcast_to(_along(spec.p_axis, state.p / (1 - state.p)), (J, K))
-        state.lam = _gamma_clamped(gen, shape, scale) * state.b_jk  # ungated kinds keep every gate open
+        state.lam = _gated(state, _gamma_clamped(gen, shape, scale))
     simulate_data(state, rng, doc_lengths=doc_lengths)
     return state
 
@@ -750,18 +742,18 @@ def validate_state(state: ModelState, after_sweep: bool = True) -> None:
     if np.abs(state.omega.sum(axis=1) - 1.0).max() > 1e-10:
         raise ValueError("omega rows are not normalized")
     for name, arr in (("p", state.p), ("pi_k", state.pi_k)):
-        if np.any(arr <= 0) or np.any(arr >= 1):
+        if arr is not None and (np.any(arr <= 0) or np.any(arr >= 1)):
             raise ValueError(f"{name} has entries outside the open unit interval")
     if np.any(state.r_tilde <= 0) or abs(state.r_tilde.sum() - 1.0) > 1e-10:
         raise ValueError("r_tilde is not a positive probability vector")
-    if state.kind.uses_normalized_weights:
-        if np.abs(state.lam_tilde.sum(axis=1) - 1.0).max() > 1e-10:
-            raise ValueError("lam_tilde rows are not normalized")
+    if not state.kind.models_counts:
+        if np.abs(state.lam.sum(axis=1) - 1.0).max() > 1e-10:
+            raise ValueError("lam rows are not normalized")
     spec = state.kind.spec
     if after_sweep and spec.normalized != SMOOTHED:
         if np.any(state.l_jk > state.n_jk):
             raise ValueError("l_jk exceeds n_jk somewhere")
-        if not np.array_equal(state.l_jk == 0, state.n_jk * state.b_jk == 0):
+        if not np.array_equal(state.l_jk == 0, _gated(state, state.n_jk) == 0):
             raise ValueError("l_jk zero-pattern does not match gated counts")
     if np.any(state.r <= 0):
         raise ValueError("r has non-positive entries")

@@ -1,5 +1,7 @@
 import csv
 import hashlib
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -118,6 +120,23 @@ def test_run_missing_corpus_file_is_io_error(tmp_path, capsys):
     ]
     assert main(args) == EXIT_IO
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "docword_text, message",
+    [(None, "No such file"), ("2\n3\n2\n1 2 x\n2 3 1\n", "line 4")],
+    ids=["missing-docword", "bad-field-on-line-4"],
+)
+def test_run_with_unreadable_corpus_writes_nothing(tmp_path, capsys, docword_text, message):
+    docword, vocab = tmp_path / "d.txt", tmp_path / "v.txt"
+    if docword_text is not None:
+        docword.write_text(docword_text)
+    vocab.write_text("a\nb\nc\n")
+    out = tmp_path / "out"
+    args = ["run", "--model", "gamma-nb", "--docword", str(docword), "--vocab", str(vocab), "--out", str(out)]
+    assert main(args) == EXIT_IO
+    assert message in capsys.readouterr().err
+    assert not out.exists()  # the corpus is read before .incomplete or config.json is written
 
 
 def test_run_non_utf8_docword_is_io_error(tmp_path, capsys):
@@ -418,3 +437,16 @@ def test_min_doc_freq_filters_vocabulary(tmp_path):
     assert main(args) == EXIT_OK
     report = json.loads((out / "report.json").read_text())
     assert report["corpus"]["vocab_size"] == 1  # only the shared term survives
+
+
+def test_traced_benchmark_layers_resolve():
+    # perfbench/traced.py wraps these module attributes by name; each must
+    # still be a function of nbproc, or the traced benchmark run stops
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "traced.py"
+    spec = importlib.util.spec_from_file_location("perfbench_traced", path)
+    traced = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced)
+    assert traced.LAYERS
+    for module_name, attr, *_ in traced.LAYERS:
+        assert module_name.split(".")[0] == "nbproc", module_name
+        assert callable(getattr(importlib.import_module(module_name), attr, None)), f"{module_name}.{attr}"

@@ -31,10 +31,7 @@ def make_corpus(doc_tokens, vocab_size):
 def make_state(kind, J, K, V, omega, lam):
     state = blank_state(kind, [np.zeros(0, dtype=np.int64)] * J, V, K, 0.3)
     state.omega = np.asarray(omega, dtype=float)
-    if kind.uses_normalized_weights:
-        state.lam_tilde = np.asarray(lam, dtype=float)
-    else:
-        state.lam = np.asarray(lam, dtype=float)
+    state.lam = np.asarray(lam, dtype=float)
     return state
 
 
@@ -180,8 +177,8 @@ def test_perplexity_matches_dense_reference(kind):
     dense = np.zeros((J, V))
     for _ in range(3):
         omega = gen.gamma(0.7, 1.0, size=(K, V))  # rows need not sum to one
-        if kind.uses_normalized_weights:
-            weights = gen.dirichlet(np.full(K, 0.5), size=J)  # crf-hdp's lam_tilde
+        if not kind.models_counts:
+            weights = gen.dirichlet(np.full(K, 0.5), size=J)  # crf-hdp's normalized lam
         else:
             weights = gen.gamma(1.5, 2.0, size=(J, K))
         accumulate(acc, make_state(kind, J, K, V, omega, weights))
@@ -314,9 +311,9 @@ def test_geweke_fault_rejected_for_other_kernels():
 
 def test_accumulate_uses_normalized_weights_for_crf():
     omega = np.array([[0.7, 0.3], [0.2, 0.8]])
-    lam_tilde = np.array([[0.25, 0.75]])
-    state = make_state(ModelKind.CRF_HDP, 1, 2, 2, omega, lam_tilde)
+    lam = np.array([[0.25, 0.75]])
+    state = make_state(ModelKind.CRF_HDP, 1, 2, 2, omega, lam)
     split = held_out([0, 1])
     acc = accumulate(SampleAccumulator.empty(split, 2), state)
-    expected = lam_tilde @ omega
+    expected = lam @ omega
     assert np.allclose(predicted(acc)[0], expected[0] / expected.sum(), atol=1e-12)

@@ -22,7 +22,7 @@ from nbproc import (
     validate_state,
 )
 from nbproc.corpus import Corpus
-from nbproc.models import BLOCKED_CELLS, TINY, _assign, _dirichlet_rows, blank_state
+from nbproc.models import BLOCKED_CELLS, TINY, _dirichlet_rows, blank_state
 
 MICRO = HyperParams(c=1.0, eta=0.3, a0=3.0, b0=3.0, e0=1.0, f0=1.0, K=2, iters=2, burnin=0, init_iters=0)
 
@@ -108,7 +108,7 @@ def test_assign_matches_reference_expression():
     expected_gen = RandomSource(16).generator
     z, n_jk = replay_assign(state, state.lam, expected_gen)
     actual_gen = RandomSource(16)
-    _assign(state, state.lam, actual_gen)
+    sample_topic_assignments(state, actual_gen)
     assert all(np.array_equal(a, b) for a, b in zip(state.z, z))
     assert np.array_equal(state.n_jk, n_jk)
     assert actual_gen.generator.random() == expected_gen.random()  # same number of uniforms consumed
@@ -515,7 +515,7 @@ def test_crf_hdp_weights_normalized_every_sweep():
     source = RandomSource(32)
     for _ in range(30):
         gibbs_sweep(state, hyper, source)
-        assert np.abs(state.lam_tilde.sum(axis=1) - 1.0).max() < 1e-10
+        assert np.abs(state.lam.sum(axis=1) - 1.0).max() < 1e-10
         assert abs(state.r_tilde.sum() - 1.0) < 1e-10
         assert state.gamma0 == 1.0
 
@@ -525,7 +525,7 @@ def test_crf_hdp_single_topic_degenerates():
     state = state_with_tokens(ModelKind.CRF_HDP, [[0, 1, 1], [2, 0]], 3, 1, seed=33)
     gibbs_sweep(state, hyper, RandomSource(34))
     assert np.array_equal(state.r_tilde, [1.0])
-    assert np.array_equal(state.lam_tilde, np.ones((2, 1)))
+    assert np.array_equal(state.lam, np.ones((2, 1)))
 
 
 def test_nb_hdp_probability_pinned():
@@ -608,7 +608,7 @@ def test_nb_ftm_sparsity_prior_mean():
 def test_lda_prior_only_document():
     hyper = MICRO.replace(K=4)
     base = state_with_tokens(ModelKind.LDA, [np.zeros(0, dtype=np.int64), [0, 1]], 3, 4, seed=48)
-    rows = conditional_draws(base, hyper, 8000, 49, lambda s: s.lam_tilde[0].copy())
+    rows = conditional_draws(base, hyper, 8000, 49, lambda s: s.lam[0].copy())
     mean = np.mean(rows, axis=0)
     assert np.abs(mean - 0.25).max() < 0.02 * 0.25 + 0.005
 
@@ -617,18 +617,18 @@ def test_lda_single_topic():
     hyper = MICRO.replace(K=1)
     state = state_with_tokens(ModelKind.LDA, [[0, 1], [1]], 2, 1, seed=50)
     gibbs_sweep(state, hyper, RandomSource(51))
-    assert np.array_equal(state.lam_tilde, np.ones((2, 1)))
+    assert np.array_equal(state.lam, np.ones((2, 1)))
 
 
 def test_lda_collapsed_posterior_mean():
-    # E[lam_tilde_k] = E[(50/K + n_k) / (50 + N)] across transitions
+    # E[lam_k] = E[(50/K + n_k) / (50 + N)] across transitions
     hyper = MICRO.replace(K=2)
     gen = RandomSource(52).generator
     tokens = [gen.integers(0, 3, size=30).astype(np.int64)]
     base = state_with_tokens(ModelKind.LDA, tokens, 3, 2, seed=53)
     smoothing = hyper.lda_alpha_total / 2
     rows = conditional_draws(
-        base, hyper, 20_000, 54, lambda s: (s.lam_tilde[0, 0], (smoothing + s.n_jk[0, 0]) / (hyper.lda_alpha_total + 30))
+        base, hyper, 20_000, 54, lambda s: (s.lam[0, 0], (smoothing + s.n_jk[0, 0]) / (hyper.lda_alpha_total + 30))
     )
     assert abs(np.mean([r[0] for r in rows]) / np.mean([r[1] for r in rows]) - 1) < 0.02
 
@@ -639,7 +639,7 @@ def test_dir_pfa_uses_lda_kernel():
     b = state_with_tokens(ModelKind.LDA, [[0, 1, 2], [2, 2]], 3, 2, seed=55)
     gibbs_sweep(a, hyper, RandomSource(56))
     gibbs_sweep(b, hyper, RandomSource(56))
-    assert np.array_equal(a.lam_tilde, b.lam_tilde)
+    assert np.array_equal(a.lam, b.lam)
     assert np.array_equal(a.omega, b.omega)
 
 
@@ -666,7 +666,7 @@ def test_initialize_lda_normalized_weights():
     split = split_train_test(corpus, 0.8, RandomSource(59))
     hyper = MICRO.replace(K=3, init_iters=2)
     state = initialize(ModelKind.LDA, corpus, split, hyper, RandomSource(60))
-    assert np.abs(state.lam_tilde.sum(axis=1) - 1.0).max() < 1e-12
+    assert np.abs(state.lam.sum(axis=1) - 1.0).max() < 1e-12
     validate_state(state, after_sweep=False)
 
 
@@ -716,9 +716,9 @@ def test_invariants_hold_across_sweeps(kind):
 # which continuous fields every kernel must update, and which integer
 # fields it may touch; everything else has to stay bit-identical
 CONTINUOUS_CHANGED = {
-    ModelKind.LDA: {"omega", "lam_tilde"},
-    ModelKind.DIR_PFA: {"omega", "lam_tilde"},
-    ModelKind.CRF_HDP: {"omega", "lam_tilde", "alpha", "r_tilde"},
+    ModelKind.LDA: {"omega", "lam"},
+    ModelKind.DIR_PFA: {"omega", "lam"},
+    ModelKind.CRF_HDP: {"omega", "lam", "alpha", "r_tilde"},
     ModelKind.GAMMA_NB: {"omega", "lam", "p", "p_prime", "gamma0", "r"},
     ModelKind.NB_HDP: {"omega", "lam", "p_prime", "gamma0", "r"},
     ModelKind.NB_LDA: {"omega", "lam", "p", "gamma0", "r"},
@@ -744,7 +744,6 @@ STATE_FIELDS = (
     "n_jk",
     "omega",
     "lam",
-    "lam_tilde",
     "r",
     "p",
     "pi_k",
@@ -782,6 +781,32 @@ def test_sweep_touches_exactly_its_parameters(kind):
             assert not same, f"{kind.value}: expected {name} to be resampled"
         elif name not in INTEGER_MAY_CHANGE[kind]:
             assert same, f"{kind.value}: {name} must stay fixed but changed"
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+def test_state_holds_only_the_documents_by_topics_arrays_its_kind_reads(kind):
+    # one weight matrix for every kind, and gates only where the kind is gated
+    gen = RandomSource(89).generator
+    J, K, V = 5, 3, 7
+    docs = [gen.integers(0, V, size=12).astype(np.int64) for _ in range(J)]
+    corpus = make_corpus([list(d) for d in docs], V)
+    split = split_train_test(corpus, 0.7, RandomSource(90))
+    hyper = MICRO.replace(K=K, init_iters=2, c=6.0 if kind in (ModelKind.BETA_NB, ModelKind.MARKED_BETA_NB) else 1.0)
+    expected = {"n_jk", "lam", "l_jk"} | ({"b_jk"} if kind is ModelKind.NB_FTM else set())
+
+    def documents_by_topics(state):
+        return {
+            f.name
+            for f in dataclasses.fields(state)
+            if isinstance(getattr(state, f.name), np.ndarray) and getattr(state, f.name).shape == (J, K)
+        }
+
+    state = initialize(kind, corpus, split, hyper, RandomSource(91))
+    assert documents_by_topics(state) == expected
+    gibbs_sweep(state, hyper, RandomSource(92))
+    assert documents_by_topics(state) == expected
+    if kind is not ModelKind.NB_FTM:
+        assert state.b_jk is None and state.pi_k is None
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
@@ -882,7 +907,7 @@ def test_crf_hdp_sweep_survives_underflowing_table_rate():
     state = state_with_tokens(ModelKind.CRF_HDP, [[0, 1, 2, 0], [1, 1, 2]], 3, 2, seed=82)
     state.alpha = 1e-20
     state.r_tilde = np.array([TINY, 1.0])
-    state.lam_tilde = np.array([[1.0, TINY], [1.0, TINY]])  # every token goes to topic 0
+    state.lam = np.array([[1.0, TINY], [1.0, TINY]])  # every token goes to topic 0
     assert state.alpha * state.r_tilde[0] == 0.0
     gibbs_sweep(state, hyper, RandomSource(83))
     validate_state(state)
