@@ -59,6 +59,7 @@ from .models import (
     SMOOTHED,
     HyperParams,
     ModelKind,
+    _dirichlet_rows,
     check_number,
     count_active_topics,
     gibbs_sweep,
@@ -270,23 +271,16 @@ def _load_json(path: str):
 
 
 def cmd_run(args) -> int:
-    overrides = {name: getattr(args, name) for name in _HYPER_FIELDS if getattr(args, name, None) is not None}
+    overrides = {name: getattr(args, name) for name in _HYPER_FIELDS if getattr(args, name) is not None}
     config_data = {}
     if args.config:
         config_data = _load_json(args.config)
     hyper_data = dict(_json_object("hyper", config_data.pop("hyper", {})))
     hyper_data.update(overrides)
     config_data["hyper"] = hyper_data
-    for name, value in (
-        ("model", args.model),
-        ("output_dir", args.out),
-        ("docword", args.docword),
-        ("vocab", args.vocab),
-        ("train_frac", args.train_frac),
-        ("min_doc_freq", args.min_doc_freq),
-    ):
-        if value is not None:
-            config_data[name] = value
+    for name in ("model", "output_dir", "docword", "vocab", "train_frac", "min_doc_freq"):
+        if getattr(args, name) is not None:
+            config_data[name] = getattr(args, name)
     if args.synth:
         config_data["synth"] = _load_json(args.synth)
     config = RunConfig.from_dict(config_data)
@@ -317,18 +311,7 @@ def run(config: RunConfig) -> dict:
     sentinel = out_dir / ".incomplete"
     sentinel.write_text("run in progress or aborted\n")
     commit = _commit_identifier()
-    resolved = {
-        "model": config.model,
-        "docword": config.docword,
-        "vocab": config.vocab,
-        "synth": config.synth,
-        "train_frac": config.train_frac,
-        "min_doc_freq": config.min_doc_freq,
-        "output_dir": str(out_dir),
-        "hyper": dataclasses.asdict(config.hyper),
-        "config_hash": config_hash,
-        "commit": commit,
-    }
+    resolved = {**dataclasses.asdict(config), "output_dir": str(out_dir), "config_hash": config_hash, "commit": commit}
     with open(out_dir / "config.json", "w", encoding="utf-8") as fh:
         json.dump(resolved, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -421,7 +404,7 @@ def _check_crt_sampler(rng, quick, fault):
     detail = []
     for m, r in ((5, 1.0), (20, 0.5), (50, 10.0)):
         r_used = r + 1.0 if fault == "crt-shape" else r
-        sample = np.array([dist.sample_crt(m, r_used, rng) for _ in range(draws)])
+        sample = dist.sample_crt_array(np.full(draws, m), r_used, rng)
         tv = _tv_distance(_empirical_pmf(sample), dist.crt_pmf(m, r))
         worst = max(worst, tv)
         detail.append(f"TV(m={m},r={r})={tv:.4f}")
@@ -491,9 +474,7 @@ def _check_normalized_gamma_dirichlet(rng, quick, fault):
     draws = 20_000 if quick else 100_000
     tol = 0.04 if quick else 0.02
     conc = np.array([0.5, 1.0, 2.5])
-    gen = rng.generator
-    g = np.maximum(gen.gamma(conc, 1.0, size=(draws, 3)), dist.TINY)
-    x = g / g.sum(axis=1, keepdims=True)
+    x = _dirichlet_rows(rng.generator, np.tile(conc, (draws, 1)))
     mean_expected = conc / conc.sum()
     second_expected = conc * (conc + 1) / (conc.sum() * (conc.sum() + 1))
     err_mean = float(np.abs(x.mean(axis=0) / mean_expected - 1).max())
@@ -562,32 +543,19 @@ def cmd_validate(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    spec = SyntheticSpec(
-        k_true=args.k_true,
-        vocab_size=args.vocab_size,
-        num_docs=args.docs,
-        topic_sharpness=args.sharpness,
-        r=args.r,
-        p=args.p,
-    )
+    settings = {
+        name: getattr(args, name)
+        for name in ("k_true", "vocab_size", "num_docs", "seed", "topic_sharpness", "r", "p", "p_beta")
+    }
+    spec = SyntheticSpec(**{f.name: settings[f.name] for f in _SYNTH_FIELDS if f.name in settings})
     rng = RandomSource(args.seed)
     if args.p_beta is not None:
         a, b = args.p_beta
-        spec.p = np.asarray(dist.sample_beta(np.full(args.docs, a), np.full(args.docs, b), rng.child(1)))
+        spec.p = np.asarray(dist.sample_beta(np.full(args.num_docs, a), np.full(args.num_docs, b), rng.child(1)))
     corpus, truth = synthesize_corpus(HyperParams(), spec, rng.child(0))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_bag_of_words(corpus, out_dir / "docword.txt", out_dir / "vocab.txt")
-    settings = {
-        "k_true": args.k_true,
-        "vocab_size": args.vocab_size,
-        "num_docs": args.docs,
-        "seed": args.seed,
-        "topic_sharpness": args.sharpness,
-        "r": args.r,
-        "p": args.p,
-        "p_beta": args.p_beta,
-    }
     truth_record = {
         **settings,
         "config_hash": hashlib.sha256(json.dumps(settings, sort_keys=True).encode()).hexdigest(),
@@ -619,20 +587,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--config", help="JSON run configuration (flags override)")
     run.add_argument("--train-frac", dest="train_frac", type=float, default=None)
     run.add_argument("--min-doc-freq", dest="min_doc_freq", type=int, default=None)
-    run.add_argument("--out", required=True, help="output directory")
-    run.add_argument("--seed", dest="seed", type=int, default=None)
-    run.add_argument("--K", dest="K", type=int, default=None)
-    run.add_argument("--iters", dest="iters", type=int, default=None)
-    run.add_argument("--burnin", dest="burnin", type=int, default=None)
-    run.add_argument("--collect-every", dest="collect_every", type=int, default=None)
-    run.add_argument("--init-iters", dest="init_iters", type=int, default=None)
-    run.add_argument("--eta", dest="eta", type=float, default=None)
-    run.add_argument("--c", dest="c", type=float, default=None)
-    run.add_argument("--a0", dest="a0", type=float, default=None)
-    run.add_argument("--b0", dest="b0", type=float, default=None)
-    run.add_argument("--e0", dest="e0", type=float, default=None)
-    run.add_argument("--f0", dest="f0", type=float, default=None)
-    run.add_argument("--lda-alpha-total", dest="lda_alpha_total", type=float, default=None)
+    run.add_argument("--out", dest="output_dir", metavar="OUT", required=True, help="output directory")
+    for f in dataclasses.fields(HyperParams):
+        run.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=int if f.type == "int" else float)
     run.set_defaults(func=cmd_run)
 
     validate = sub.add_parser("validate", help="run the correctness self-checks")
@@ -649,7 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     synth = sub.add_parser("synth", help="write a synthetic corpus")
     synth.add_argument("--k-true", dest="k_true", type=int, required=True)
-    synth.add_argument("--docs", type=int, required=True)
+    synth.add_argument("--docs", dest="num_docs", type=int, required=True)
     synth.add_argument("--vocab-size", dest="vocab_size", type=int, required=True)
     synth.add_argument("--r", type=float, default=5.0)
     synth.add_argument("--p", type=float, default=0.5)
@@ -662,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="draw per-document p from Beta(A, B) instead of a constant",
     )
-    synth.add_argument("--sharpness", type=float, default=0.05)
+    synth.add_argument("--sharpness", dest="topic_sharpness", type=float, default=0.05)
     synth.add_argument("--seed", type=int, default=0)
     synth.add_argument("--out", required=True)
     synth.set_defaults(func=cmd_synth)
@@ -674,7 +631,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, FileNotFoundError, PermissionError, IsADirectoryError) as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ValueError, EmptyCorpusError) as exc:

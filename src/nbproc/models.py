@@ -659,34 +659,21 @@ def simulate_data(state: ModelState, rng: RandomSource, doc_lengths=None) -> Mod
     zs: list[np.ndarray] = []
     if state.kind.models_counts:
         n_jk = gen.poisson(state.lam)
-        for j in range(J):
-            parts_t, parts_z = [], []
-            for k in range(K):
-                n = int(n_jk[j, k])
-                if n == 0:
-                    continue
-                parts_t.append(gen.choice(V, size=n, p=state.omega[k]))
-                parts_z.append(np.full(n, k, dtype=np.int64))
-            if parts_t:
-                tokens.append(np.concatenate(parts_t).astype(np.int64))
-                zs.append(np.concatenate(parts_z))
-            else:
-                tokens.append(np.zeros(0, dtype=np.int64))
-                zs.append(np.zeros(0, dtype=np.int64))
     else:
         lengths = state.train_counts if doc_lengths is None else np.asarray(doc_lengths, dtype=np.int64)
-        for j in range(J):
-            n = int(lengths[j])
+    for j in range(J):
+        if state.kind.models_counts:
+            z = np.repeat(np.arange(K), n_jk[j])
+        else:
             cum = np.cumsum(state.lam[j])
-            z = np.searchsorted(cum, gen.random(n) * cum[-1], side="right").astype(np.int64)
+            z = np.searchsorted(cum, gen.random(int(lengths[j])) * cum[-1], side="right").astype(np.int64)
             z = np.minimum(z, K - 1)
-            terms = np.zeros(n, dtype=np.int64)
-            for k in range(K):
-                idx = np.nonzero(z == k)[0]
-                if len(idx):
-                    terms[idx] = gen.choice(V, size=len(idx), p=state.omega[k])
-            tokens.append(terms)
-            zs.append(z)
+        terms = np.zeros(len(z), dtype=np.int64)
+        for k in np.unique(z):  # ascending topics, the order of the draws
+            idx = np.nonzero(z == k)[0]
+            terms[idx] = gen.choice(V, size=len(idx), p=state.omega[k])
+        tokens.append(terms)
+        zs.append(z)
     state.tokens = tuple(tokens)
     state.z = zs
     _recount(state)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import importlib
 import importlib.util
@@ -13,7 +14,7 @@ import pytest
 
 from nbproc import RandomSource, load_bag_of_words
 from nbproc.cli import EXIT_CHECK_FAILED, EXIT_IO, EXIT_OK, RunConfig, _make_geweke_check, main
-from nbproc.models import ModelKind
+from nbproc.models import HyperParams, ModelKind
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -171,6 +172,46 @@ def test_run_non_json_file_is_io_error(tmp_path, capsys, flag):
     bad.write_text("notjson\n")
     assert main(["run", "--model", "gamma-nb", flag, str(bad), "--out", str(tmp_path / "x")]) == EXIT_IO
     assert f"{bad} is not valid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, out", [("run", "afile"), ("run", "afile/sub"), ("synth", "afile")])
+def test_out_through_a_regular_file_is_io_error(tmp_path, capsys, command, out):
+    (tmp_path / "afile").write_text("kept\n")
+    if command == "run":
+        args = run_args(tmp_path, out)
+    else:
+        args = ["synth", "--k-true", "2", "--docs", "5", "--vocab-size", "6", "--out", str(tmp_path / out)]
+    assert main(args) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert (tmp_path / "afile").read_text() == "kept\n"
+
+
+# small integer settings so a run takes well under a second; each test value differs from them
+TINY_RUN = {"K": 3, "iters": 3, "burnin": 1, "collect_every": 1, "init_iters": 1, "seed": 0}
+
+
+@pytest.mark.parametrize("hyper_field", dataclasses.fields(HyperParams), ids=lambda f: f.name)
+def test_every_hyperparameter_is_a_run_flag(tmp_path, hyper_field):
+    name = hyper_field.name
+    value = TINY_RUN[name] + 1 if name in TINY_RUN else getattr(HyperParams(), name) * 2
+    flags = [arg for key, v in TINY_RUN.items() for arg in ("--" + key.replace("_", "-"), str(v))]
+    args = ["run", "--model", "gamma-nb", "--synth", str(write_synth_spec(tmp_path)), "--out", str(tmp_path / "o"), *flags]
+    assert main([*args, "--" + name.replace("_", "-"), str(value)]) == EXIT_OK
+    hyper = json.loads((tmp_path / "o" / "config.json").read_text())["hyper"]
+    assert hyper[name] == value and type(hyper[name]) is type(value)
+    assert hyper == {**dataclasses.asdict(HyperParams()), **TINY_RUN, name: value}
+
+
+def test_config_echo_holds_every_run_setting_once(tmp_path):
+    args = run_args(tmp_path, "out")
+    args[args.index("--out") + 1] = str(tmp_path / "out") + "/"
+    assert main(args) == EXIT_OK
+    config = json.loads((tmp_path / "out" / "config.json").read_text())
+    run_keys = {f.name for f in dataclasses.fields(RunConfig)}
+    assert run_keys == {"model", "output_dir", "docword", "vocab", "synth", "train_frac", "min_doc_freq", "hyper"}
+    assert set(config) == run_keys | {"config_hash", "commit"}
+    assert config["output_dir"] == str(tmp_path / "out")
 
 
 def one_topic_args(tmp_path, model):
