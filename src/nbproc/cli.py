@@ -107,6 +107,10 @@ class RunConfig:
         unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        required = {f.name for f in dataclasses.fields(cls) if f.default is f.default_factory is dataclasses.MISSING}
+        missing = required - set(data)
+        if missing:
+            raise ValueError(f"missing config keys: {sorted(missing)}")
         unknown_hyper = set(hyper_data) - set(_HYPER_FIELDS)
         if unknown_hyper:
             raise ValueError(f"unknown hyper keys: {sorted(unknown_hyper)}")
@@ -580,14 +584,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run = sub.add_parser("run", help="fit one model and write artifacts")
-    run.add_argument("--model", required=True, help="model kind, e.g. gamma-nb, nb-hdp, lda")
+    run.add_argument("--model", help="model kind, e.g. gamma-nb, nb-hdp, lda")
     run.add_argument("--docword", help="UCI docword file")
     run.add_argument("--vocab", help="vocabulary file, one term per line")
     run.add_argument("--synth", help="JSON file with synthetic-corpus settings")
     run.add_argument("--config", help="JSON run configuration (flags override)")
     run.add_argument("--train-frac", dest="train_frac", type=float, default=None)
     run.add_argument("--min-doc-freq", dest="min_doc_freq", type=int, default=None)
-    run.add_argument("--out", dest="output_dir", metavar="OUT", required=True, help="output directory")
+    run.add_argument("--out", dest="output_dir", metavar="OUT", help="output directory")
     for f in dataclasses.fields(HyperParams):
         run.add_argument("--" + f.name.replace("_", "-"), dest=f.name, type=int if f.type == "int" else float)
     run.set_defaults(func=cmd_run)
@@ -629,6 +633,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "run" and not args.config:  # a --config file may set the model and output_dir keys
+        missing = [flag for flag, value in (("--model", args.model), ("--out", args.output_dir)) if value is None]
+        if missing:
+            parser.error(f"the following arguments are required without --config: {', '.join(missing)}")
     try:
         return args.func(args)
     except (ParseError, OSError) as exc:

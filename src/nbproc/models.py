@@ -40,12 +40,20 @@ same draws; the other kinds have no gates.
 from __future__ import annotations
 
 import copy
+import ctypes
+import functools
 import math
 import numbers
 import os
+import shlex
+import subprocess
+import sysconfig
+import tempfile
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from enum import Enum
+from pathlib import Path
 
 import numpy as np
 
@@ -63,6 +71,11 @@ from .rng import RandomSource
 # constant so that the output never depends on the core count.
 BLOCKED_CELLS = 2**20
 ROW_BLOCKS = 8
+
+# The topic-assignment kernel and the flags that keep its arithmetic that of
+# numpy (see the contract in _assign.c); it is compiled on first use.
+_ASSIGN_SOURCE = Path(__file__).with_name("_assign.c")
+_ASSIGN_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 
 class IterationError(RuntimeError):
@@ -404,37 +417,116 @@ def _recount(state: ModelState) -> None:
     ).astype(np.int64)
 
 
+def _assign_numpy(omega_t, lam, terms, offsets, u, z) -> int:
+    """Write each token's topic into ``z``; the reference for the compiled kernel.
+
+    Token i of document j with term v takes the number of topics k whose
+    running sum of omega_t[v, :k+1] * lam[j, :k+1] lies below u[i] times
+    the total.  Returns -1, or the first document whose totals are not all
+    positive and finite.
+    """
+    for j in range(len(lam)):
+        start, stop = offsets[j], offsets[j + 1]
+        cum = omega_t[terms[start:stop]]  # tokens x topics
+        cum *= lam[j]
+        np.cumsum(cum, axis=1, out=cum)
+        totals = cum[:, -1]
+        if not np.all(np.isfinite(totals)) or not np.all(totals > 0):
+            return j
+        z[start:stop] = (cum < (u[start:stop] * totals)[:, None]).sum(axis=1)
+    return -1
+
+
+def _build_assign_kernel():
+    """Compile ``_assign.c`` with the C compiler Python was built with and load it.
+
+    Returns a function with the signature and results of ``_assign_numpy``.
+    """
+    compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    with tempfile.TemporaryDirectory(ignore_cleanup_errors=True) as tmp:
+        library = os.path.join(tmp, "_assign.so")
+        command = [*compiler, *_ASSIGN_CFLAGS, str(_ASSIGN_SOURCE), "-o", library]
+        subprocess.run(command, check=True, capture_output=True)
+        kernel = ctypes.CDLL(library).assign_topics  # the loaded library outlives its file
+    doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    integers = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+    kernel.argtypes = [doubles, doubles, ctypes.c_int64, integers, integers, ctypes.c_int64, doubles, integers, doubles]
+    kernel.restype = ctypes.c_int64
+
+    def assign(omega_t, lam, terms, offsets, u, z) -> int:
+        K = omega_t.shape[1]
+        return kernel(omega_t, lam, K, terms, offsets, len(lam), u, z, np.empty(K))
+
+    return assign
+
+
+@functools.cache
+def _assign_kernel():
+    """The compiled assignment kernel, or None, after one warning, where it cannot be built or loaded."""
+    try:
+        return _build_assign_kernel()
+    except (OSError, subprocess.CalledProcessError) as exc:
+        reason = exc.stderr.decode(errors="replace").strip() if isinstance(exc, subprocess.CalledProcessError) else exc
+        warnings.warn(
+            f"nbproc: cannot build the topic-assignment kernel ({reason}); drawing the same z with numpy",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        return None
+
+
 def sample_topic_assignments(state: ModelState, rng: RandomSource) -> ModelState:
     """Resample z for every training token and refresh n_jk.
 
     Probability of topic k for a token with term v is proportional to
-    omega[k, v] times the document's weight lam[j, k].
+    omega[k, v] times the document's weight lam[j, k].  One uniform per
+    token is drawn, in document order; the compiled kernel and the numpy
+    path draw the same z from them.  ``state.z`` becomes views of one array.
     """
-    gen = rng.generator
-    omega_t = np.ascontiguousarray(state.omega.T)  # vocabulary x topics
-    z = []
-    for j, terms in enumerate(state.tokens):
-        cum = omega_t[terms]  # tokens x topics
-        cum *= state.lam[j]
-        np.cumsum(cum, axis=1, out=cum)
-        totals = cum[:, -1]
-        if not np.all(np.isfinite(totals)) or not np.all(totals > 0):
-            raise IterationError("z-weights", f"document {j} has no admissible topic")
-        u = gen.random(len(terms)) * totals
-        z.append((cum < u[:, None]).sum(axis=1).astype(np.int64))
-    state.z = z
+    omega_t = np.ascontiguousarray(state.omega.T, dtype=np.float64)  # vocabulary x topics
+    V, K = omega_t.shape
+    lam = np.ascontiguousarray(state.lam, dtype=np.float64)
+    J = state.num_docs
+    if lam.shape != (J, K):
+        raise ValueError(f"lam has shape {lam.shape}, expected (documents, topics) = {(J, K)}")
+    offsets = np.zeros(J + 1, dtype=np.int64)
+    np.cumsum([len(t) for t in state.tokens], out=offsets[1:])
+    terms = np.concatenate(state.tokens, dtype=np.int64) if J else np.zeros(0, dtype=np.int64)
+    if terms.size and (terms.min() < 0 or terms.max() >= V):
+        first = int(np.flatnonzero((terms < 0) | (terms >= V))[0])
+        doc = int(np.searchsorted(offsets, first, side="right")) - 1
+        raise ValueError(f"document {doc} holds term id {terms[first]}, outside the vocabulary [0, {V})")
+    for name, weights in (("omega", omega_t), ("lam", lam)):
+        if weights.min(initial=0.0) < 0:  # the compiled kernel bisects nondecreasing running sums
+            raise ValueError(f"{name} has a negative entry; topic weights must be non-negative")
+    u = rng.generator.random(len(terms))
+    z = np.empty(len(terms), dtype=np.int64)
+    bad = (_assign_kernel() or _assign_numpy)(omega_t, lam, terms, offsets, u, z)
+    if bad >= 0:
+        raise IterationError("z-weights", f"document {bad} has no admissible topic")
+    bounds = offsets.tolist()
+    state.z = [z[start:stop] for start, stop in zip(bounds, bounds[1:])]
     _recount(state)
     return state
 
 
 def update_topics(state: ModelState, rng: RandomSource) -> ModelState:
-    """Resample every topic row from its Dirichlet posterior."""
+    """Resample every topic row from its Dirichlet posterior, in place.
+
+    ``state.omega`` is overwritten when it is a writable C-contiguous
+    float64 array, so no other K x V array is made; otherwise a new one
+    replaces it.
+    """
     K, V = state.omega.shape
     all_z = np.concatenate(state.z) if state.z else np.zeros(0, dtype=np.int64)
     all_terms = np.concatenate(state.tokens) if state.tokens else np.zeros(0, dtype=np.int64)
-    # the int64 counts are freed before the gammas overwrite the K x V concentration
-    concentration = state.eta + np.bincount(all_z * V + all_terms, minlength=K * V).reshape(K, V)
-    state.omega = _dirichlet_rows(rng.generator, concentration)
+    omega = np.require(state.omega, np.float64, ["C", "W"])
+    flat = omega.reshape(-1)  # a view
+    # eta plus the exact float counts: the same bits as eta + np.bincount(...)
+    flat.fill(0.0)
+    np.add.at(flat, all_z * V + all_terms, 1.0)
+    flat += state.eta
+    state.omega = _dirichlet_rows(rng.generator, omega)
     return state
 
 

@@ -160,10 +160,14 @@ def test_corpus_fingerprint_hashes_both_files_whole(tmp_path):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    code = "import sys, nbproc, nbproc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    # and builds no topic-assignment kernel: that happens on the first draw
+    code = (
+        "import sys, nbproc, nbproc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'));"
+        "print(nbproc.models._assign_kernel.cache_info().misses)"
+    )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.split() == ["[]", "0"]
 
 
 @pytest.mark.parametrize("flag", ["--synth", "--config"])
@@ -256,6 +260,32 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["run", "--model", "gamma-nb"])  # missing --out
     assert exc.value.code == 2
+
+
+def test_config_file_sets_model_and_output_dir(tmp_path):
+    out = tmp_path / "from-config"
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"model": "gamma-nb", "output_dir": str(out)}))
+    args = run_args(tmp_path, "unused")
+    args = args[:1] + args[3:-2] + ["--config", str(config)]  # without --model and --out
+    assert main(args) == EXIT_OK
+    assert json.loads((out / "config.json").read_text())["model"] == "gamma-nb"
+    assert not (tmp_path / "unused").exists()
+
+
+@pytest.mark.parametrize(
+    "data, missing",
+    [({}, "['model', 'output_dir']"), ({"model": "gamma-nb"}, "['output_dir']")],
+    ids=["no-keys", "no-output-dir"],
+)
+def test_config_file_missing_required_keys_fails_named(tmp_path, capsys, data, missing):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(data))
+    args = run_args(tmp_path, "unused")
+    assert main(args[:1] + args[3:-2] + ["--config", str(config)]) == EXIT_CHECK_FAILED
+    assert f"missing config keys: {missing}" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="missing config keys"):
+        RunConfig.from_dict({"output_dir": "x", "synth": {"k_true": 2, "vocab_size": 5, "num_docs": 3}})
 
 
 def test_config_file_unknown_keys_rejected(tmp_path, capsys):

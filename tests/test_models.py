@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from nbproc import (
     update_topics,
     validate_state,
 )
+from nbproc import models
 from nbproc.corpus import Corpus
 from nbproc.models import BLOCKED_CELLS, TINY, _dirichlet_rows, blank_state
 
@@ -96,22 +98,82 @@ def test_assignments_counts_always_match_lengths():
     assert np.array_equal(state.n_jk.sum(axis=1), state.train_counts)
 
 
-def test_assign_matches_reference_expression():
-    # uneven lengths, an empty document in the middle, the longest neither first nor last
-    K, V = 7, 30
+@pytest.fixture(params=["compiled", "numpy"])
+def assign_path(request, monkeypatch):
+    """Draw topic assignments with the compiled kernel, or with numpy as on a platform where it cannot be built."""
+    if request.param == "compiled":
+        try:
+            kernel = models._build_assign_kernel()
+        except FileNotFoundError:
+            pytest.skip("no C compiler")
+        monkeypatch.setattr(models, "_build_assign_kernel", lambda: kernel)
+        models._assign_kernel.cache_clear()
+    else:
+        monkeypatch.setattr(models, "_build_assign_kernel", _no_compiler)
+        models._assign_kernel.cache_clear()
+        with pytest.warns(RuntimeWarning, match="drawing the same z with numpy"):
+            assert models._assign_kernel() is None
+    yield
+    models._assign_kernel.cache_clear()
+
+
+def _no_compiler():
+    raise FileNotFoundError("cc")
+
+
+@pytest.mark.parametrize("K", [1, 7, 400])
+def test_assign_matches_reference_expression(assign_path, K):
+    # uneven lengths, empty documents first, in the middle and last, the longest neither first nor last
+    V = 30
     gen = RandomSource(14).generator
-    tokens = [gen.integers(0, V, size=n) for n in (5, 40, 0, 173, 12, 1)]
-    state = state_with_tokens(ModelKind.GAMMA_NB, tokens, V, K, seed=15)
+    tokens = [gen.integers(0, V, size=n) for n in (0, 5, 40, 0, 173, 12, 1, 0)]
+    state = state_with_tokens(ModelKind.NB_FTM, tokens, V, K, seed=15)
     state.omega = gen.dirichlet(np.full(V, 0.3), size=K)
     state.lam = gen.gamma(0.5, 2.0, size=(len(tokens), K))
+    # exact zeros past topic 0, which keeps every total positive: topic-term cells and closed gates
+    state.omega[1:][gen.random((K - 1, V)) < 0.3] = 0.0
+    state.lam[:, 1:][gen.random((len(tokens), K - 1)) < 0.3] = 0.0
 
     expected_gen = RandomSource(16).generator
     z, n_jk = replay_assign(state, state.lam, expected_gen)
     actual_gen = RandomSource(16)
-    sample_topic_assignments(state, actual_gen)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the path was chosen, and warned about, once
+        sample_topic_assignments(state, actual_gen)
     assert all(np.array_equal(a, b) for a, b in zip(state.z, z))
     assert np.array_equal(state.n_jk, n_jk)
     assert actual_gen.generator.random() == expected_gen.random()  # same number of uniforms consumed
+
+
+def test_assign_names_the_first_document_without_admissible_topic(assign_path):
+    state = state_with_tokens(ModelKind.GAMMA_NB, [[0, 1], [1, 2], [0]], 3, 2)
+    state.lam = np.array([[1.0, 2.0], [0.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(IterationError, match="document 1 has no admissible topic"):
+        sample_topic_assignments(state, RandomSource(3))
+
+
+@pytest.mark.parametrize("term", [-1, 3])
+def test_assign_rejects_term_outside_vocabulary(assign_path, term):
+    state = state_with_tokens(ModelKind.GAMMA_NB, [[0, 1], [2, term]], 3, 2)
+    z_before = [z.copy() for z in state.z]
+    rng = RandomSource(4)
+    with pytest.raises(ValueError, match=f"document 1 holds term id {term}, outside the vocabulary"):
+        sample_topic_assignments(state, rng)
+    # raised before any uniform was drawn, so before either path ran
+    assert rng.generator.random() == RandomSource(4).generator.random()
+    assert all(np.array_equal(a, b) for a, b in zip(state.z, z_before))
+
+
+@pytest.mark.parametrize("name", ["omega", "lam"])
+def test_assign_rejects_negative_weights(assign_path, name):
+    state = state_with_tokens(ModelKind.GAMMA_NB, [[0, 1], [2]], 3, 2)
+    state.omega = np.full((2, 3), 1.0 / 3)
+    state.lam = np.ones((2, 2))
+    getattr(state, name)[1, 0] = -0.5  # every total stays positive
+    rng = RandomSource(5)
+    with pytest.raises(ValueError, match=f"{name} has a negative entry"):
+        sample_topic_assignments(state, rng)
+    assert rng.generator.random() == RandomSource(5).generator.random()
 
 
 # ---------------------------------------------------------------------------
@@ -175,6 +237,18 @@ def test_blocked_dirichlet_accepts_read_only_input():
         assert np.allclose(draw.sum(axis=1), 1.0)
     assert np.array_equal(row, np.linspace(0.05, 2.0, BLOCKED[1])) and np.all(frozen == 0.5)
 
+
+
+def test_update_topics_draws_into_omega_and_copies_a_read_only_one():
+    state = state_with_tokens(ModelKind.GAMMA_NB, [[0, 1, 1]], 3, 2)
+    omega = state.omega
+    update_topics(state, RandomSource(10))
+    assert state.omega is omega
+    frozen = omega.copy()
+    frozen.flags.writeable = False
+    state.omega = frozen
+    update_topics(state, RandomSource(11))
+    assert state.omega is not frozen and np.allclose(state.omega.sum(axis=1), 1.0)
 
 
 def test_update_topics_prior_only():
