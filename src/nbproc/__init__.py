@@ -16,7 +16,9 @@ from .corpus import (
     ParseError,
     SyntheticGroundTruth,
     SyntheticSpec,
+    document_views,
     filter_vocabulary,
+    flatten_documents,
     load_bag_of_words,
     split_train_test,
     synthesize_corpus,
@@ -63,6 +65,7 @@ from .models import (
     gibbs_sweep,
     initialize,
     sample_topic_assignments,
+    set_topics,
     simulate_data,
     update_topics,
     validate_state,

@@ -18,6 +18,7 @@ bad line and the ``ParseError`` names it.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 import re
@@ -254,41 +255,73 @@ def filter_vocabulary(corpus: Corpus, min_doc_freq: int) -> Corpus:
     return Corpus(vocab=vocab, doc_tokens=tuple(docs))
 
 
+def offsets_from_lengths(lengths) -> np.ndarray:
+    """Document offsets of a flat layout: 0, then the running sum of ``lengths``."""
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return offsets
+
+
+def flatten_documents(docs) -> tuple[np.ndarray, np.ndarray]:
+    """One flat, document-major int64 array of per-document arrays, and its offsets."""
+    docs = [np.asarray(d, dtype=np.int64) for d in docs]
+    return np.concatenate([np.zeros(0, dtype=np.int64), *docs]), offsets_from_lengths([len(d) for d in docs])
+
+
+def document_views(flat: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each document's slice of a flat array, as views: document j is ``flat[offsets[j]:offsets[j + 1]]``."""
+    bounds = offsets.tolist()
+    return tuple(flat[start:stop] for start, stop in zip(bounds, bounds[1:]))
+
+
 @dataclass(frozen=True)
 class HeldOutSplit:
     """Per-document partition of token instances into train and test.
 
-    ``train_positions[j]`` / ``test_positions[j]`` index into
-    ``corpus.doc_tokens[j]``; together they recover every token exactly
-    once.  ``train_tokens`` / ``test_tokens`` carry the corresponding
-    term ids for convenience.
+    The term ids are kept flat and document-major, with document offsets:
+    document j's training terms are
+    ``train_terms[train_offsets[j]:train_offsets[j + 1]]``, and its test
+    terms likewise.  ``train_tokens`` / ``test_tokens`` give the same terms
+    as one view per document, not a copy.  ``train_positions[j]`` /
+    ``test_positions[j]`` index into ``corpus.doc_tokens[j]``; together
+    they recover every token exactly once.
     """
 
     train_fraction: float
     train_positions: tuple[np.ndarray, ...]
     test_positions: tuple[np.ndarray, ...]
-    train_tokens: tuple[np.ndarray, ...]
-    test_tokens: tuple[np.ndarray, ...]
+    train_terms: np.ndarray
+    train_offsets: np.ndarray
+    test_terms: np.ndarray
+    test_offsets: np.ndarray
+
+    @functools.cached_property
+    def train_tokens(self) -> tuple[np.ndarray, ...]:
+        return document_views(self.train_terms, self.train_offsets)
+
+    @functools.cached_property
+    def test_tokens(self) -> tuple[np.ndarray, ...]:
+        return document_views(self.test_terms, self.test_offsets)
 
     @property
     def num_docs(self) -> int:
-        return len(self.train_tokens)
+        return len(self.train_offsets) - 1
 
     @property
     def train_counts(self) -> np.ndarray:
-        return np.array([len(t) for t in self.train_tokens], dtype=np.int64)
+        return np.diff(self.train_offsets)
 
     @property
     def test_counts(self) -> np.ndarray:
-        return np.array([len(t) for t in self.test_tokens], dtype=np.int64)
+        return np.diff(self.test_offsets)
 
     @property
     def total_train(self) -> int:
-        return int(self.train_counts.sum())
+        return len(self.train_terms)
 
     @property
     def total_test(self) -> int:
-        return int(self.test_counts.sum())
+        return len(self.test_terms)
 
 
 def split_train_test(corpus: Corpus, frac: float, rng: RandomSource) -> HeldOutSplit:
@@ -300,25 +333,32 @@ def split_train_test(corpus: Corpus, frac: float, rng: RandomSource) -> HeldOutS
     """
     if not 0.0 < frac < 1.0:
         raise ValueError(f"frac must lie in the open unit interval, got {frac}")
-    train_pos, test_pos, train_tok, test_tok = [], [], [], []
-    for tokens in corpus.doc_tokens:
-        n = len(tokens)
-        if n < 1:
-            raise EmptyCorpusError("cannot split a document with no tokens; filter the corpus first")
-        n_train = max(1, int(math.floor(frac * n + 0.5)))
-        perm = rng.generator.permutation(n)
+    lengths = corpus.doc_lengths.tolist()
+    if min(lengths, default=1) < 1:
+        raise EmptyCorpusError("cannot split a document with no tokens; filter the corpus first")
+    train_lengths = [max(1, int(math.floor(frac * n + 0.5))) for n in lengths]
+    train_offsets = offsets_from_lengths(train_lengths)
+    test_offsets = offsets_from_lengths([n - n_train for n, n_train in zip(lengths, train_lengths)])
+    train_terms = np.empty(train_offsets[-1], dtype=np.int64)
+    test_terms = np.empty(test_offsets[-1], dtype=np.int64)
+    train_pos, test_pos = [], []
+    starts = zip(train_offsets.tolist(), test_offsets.tolist())
+    for tokens, n_train, (train_start, test_start) in zip(corpus.doc_tokens, train_lengths, starts):
+        perm = rng.generator.permutation(len(tokens))
         tr = np.sort(perm[:n_train])
         te = np.sort(perm[n_train:])
         train_pos.append(tr)
         test_pos.append(te)
-        train_tok.append(tokens[tr])
-        test_tok.append(tokens[te])
+        train_terms[train_start : train_start + len(tr)] = tokens[tr]
+        test_terms[test_start : test_start + len(te)] = tokens[te]
     return HeldOutSplit(
         train_fraction=float(frac),
         train_positions=tuple(train_pos),
         test_positions=tuple(test_pos),
-        train_tokens=tuple(train_tok),
-        test_tokens=tuple(test_tok),
+        train_terms=train_terms,
+        train_offsets=train_offsets,
+        test_terms=test_terms,
+        test_offsets=test_offsets,
     )
 
 

@@ -260,10 +260,16 @@ def sample_crt_array(m, r, rng: RandomSource) -> np.ndarray:
         raise ParameterError("r must be positive and finite wherever m > 0")
     total = int(mv.sum())
     cell = np.repeat(np.arange(mv.size), mv)
-    starts = np.concatenate(([0], np.cumsum(mv)[:-1]))
-    pos = np.arange(total) - np.repeat(starts, mv)  # 0..m_i-1 within each cell
-    r_rep = np.repeat(rv, mv)
-    hits = rng.generator.random(total) < r_rep / (pos + r_rep)
+    pos = np.arange(total)
+    pos -= np.repeat(np.cumsum(mv) - mv, mv)  # 0..m_i-1 within each cell
+    r_rep = rv[cell]
+    # r / (pos + r), computed in place: every per-trial array is as long as the
+    # token count, so each temporary alive at once adds to the sweep's peak memory
+    prob = pos + r_rep
+    del pos
+    np.divide(r_rep, prob, out=prob)
+    del r_rep
+    hits = rng.generator.random(total) < prob
     out[mask] = np.bincount(cell, weights=hits, minlength=mv.size).astype(np.int64)
     return out
 

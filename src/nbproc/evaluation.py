@@ -11,7 +11,10 @@ cancels in the ratio anyway).  Per-word perplexity is exp of the
 negative mean log f over held-out tokens, so the accumulator keeps the
 numerator only at the held-out (j, v) cells and the denominator once per
 document: its memory grows with the held-out tokens, never with
-documents x vocabulary.
+documents x vocabulary.  The held-out terms and their mass are flat,
+document-major arrays that share the split's document offsets, and the
+mass is gathered from the state's vocabulary-major ``omega_t``, so
+evaluation makes no transpose of its own.
 """
 
 from __future__ import annotations
@@ -48,11 +51,17 @@ class HarnessError(RuntimeError):
 
 @dataclass
 class SampleAccumulator:
-    """Running sums of omega-weight products at the held-out tokens across collected samples."""
+    """Running sums of omega-weight products at the held-out tokens across collected samples.
+
+    Document j's held-out terms and their mass are
+    ``test_terms[test_offsets[j]:test_offsets[j + 1]]`` and the same slice
+    of ``test_mass``; the terms and offsets are the split's own arrays.
+    """
 
     num_samples: int
-    test_terms: tuple[np.ndarray, ...]  # the split's held-out term ids, per document
-    test_mass: list[np.ndarray]  # per document, aligned with test_terms
+    test_terms: np.ndarray  # the split's held-out term ids, flat
+    test_offsets: np.ndarray  # the split's documents + 1 offsets into test_terms
+    test_mass: np.ndarray  # aligned with test_terms
     doc_totals: np.ndarray  # per-document denominators
     vocab_size: int
 
@@ -60,8 +69,9 @@ class SampleAccumulator:
     def empty(cls, split: HeldOutSplit, vocab_size: int) -> "SampleAccumulator":
         return cls(
             num_samples=0,
-            test_terms=split.test_tokens,
-            test_mass=[np.zeros(len(terms)) for terms in split.test_tokens],
+            test_terms=split.test_terms,
+            test_offsets=split.test_offsets,
+            test_mass=np.zeros(len(split.test_terms)),
             doc_totals=np.zeros(split.num_docs),
             vocab_size=vocab_size,
         )
@@ -75,9 +85,10 @@ def accumulate(acc: SampleAccumulator, state: ModelState) -> SampleAccumulator:
             f"accumulator shape ({acc.doc_totals.shape[0]}, {acc.vocab_size}) does not match "
             f"state ({weights.shape[0]}, {state.vocab_size})"
         )
-    omega_t = np.ascontiguousarray(state.omega.T)
-    for mass, terms, w in zip(acc.test_mass, acc.test_terms, weights):
-        mass += omega_t[terms] @ w
+    omega_t = state.omega_t
+    bounds = acc.test_offsets.tolist()
+    for start, stop, w in zip(bounds, bounds[1:], weights):
+        acc.test_mass[start:stop] += omega_t[acc.test_terms[start:stop]] @ w
     acc.doc_totals += weights @ state.omega.sum(axis=1)
     acc.num_samples += 1
     return acc
@@ -87,21 +98,26 @@ def heldout_perplexity(acc: SampleAccumulator) -> float:
     """Per-word perplexity of the held-out tokens under the accumulator.
 
     Documents without test tokens contribute nothing.  Uniform f gives
-    exactly the vocabulary size; a perfect predictor approaches 1.
+    exactly the vocabulary size; a perfect predictor approaches 1.  Each
+    document's log predictive mass is summed on its own and the sums are
+    added in document order, which fixes the rounding.
     """
     if acc.num_samples < 1:
         raise EvaluationError("no samples collected yet")
-    total_test = sum(len(terms) for terms in acc.test_terms)
+    total_test = len(acc.test_terms)
     if total_test < 1:
         raise EvaluationError("the split holds out no tokens")
+    offsets = acc.test_offsets
+    probs = acc.test_mass / np.repeat(acc.doc_totals, np.diff(offsets))
+    if np.any(probs <= 0.0):
+        j = int(np.searchsorted(offsets, np.argmax(probs <= 0.0), side="right")) - 1
+        raise EvaluationError(f"zero predictive mass for a held-out token of document {j}")
+    logs = np.log(probs)
     log_total = 0.0
-    for j, (mass, total) in enumerate(zip(acc.test_mass, acc.doc_totals)):
-        if len(mass) == 0:
-            continue
-        probs = mass / total
-        if np.any(probs <= 0.0):
-            raise EvaluationError(f"zero predictive mass for a held-out token of document {j}")
-        log_total += float(np.log(probs).sum())
+    bounds = offsets.tolist()
+    for start, stop in zip(bounds, bounds[1:]):
+        if stop > start:
+            log_total += float(logs[start:stop].sum())
     return float(math.exp(-log_total / total_test))
 
 

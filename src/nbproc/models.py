@@ -35,6 +35,14 @@ table-count augmentation makes every conditional a gamma, beta, or
 Dirichlet draw.  One block, ``count_sweep``, serves all seven count
 kinds: nb-ftm is the gamma-NB process with beta-Bernoulli gates on the
 same draws; the other kinds have no gates.
+
+A state keeps its tokens and their topics as flat, document-major arrays
+with document offsets, so a sweep never joins per-document pieces.  The
+topic update is the only place that transposes omega: it writes the draw's
+transpose into the state's vocabulary-major ``omega_t``, which the
+assignment kernel and held-out evaluation read.  Given omega and lam every
+token's topic is independent of the others', so a large assignment is
+drawn in token-balanced parts on all cores with the same z.
 """
 
 from __future__ import annotations
@@ -57,6 +65,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import flatten_documents, offsets_from_lengths
 from .distributions import (
     PROB_CEIL,
     PROB_FLOOR,
@@ -71,6 +80,11 @@ from .rng import RandomSource
 # constant so that the output never depends on the core count.
 BLOCKED_CELLS = 2**20
 ROW_BLOCKS = 8
+# Topic assignment of at least this many token x topic cells runs in one
+# token-balanced part per available core (see sample_topic_assignments);
+# each token's z depends only on its own uniform, so the parts never
+# change it.  Smaller sweeps, Geweke-sized ones included, start no thread.
+THREADED_CELLS = 2**20
 
 # The topic-assignment kernel and the flags that keep its arithmetic that of
 # numpy (see the contract in _assign.c); it is compiled on first use.
@@ -239,17 +253,24 @@ class ModelState:
 
     Fields a given kind never updates stay at their initial values; the
     training tokens travel with the state so a kernel sweep is
-    self-contained.  ``lam`` holds the topic weights: rows that sum to
-    one for lda/dir-pfa/crf-hdp.  ``pi_k`` and ``b_jk`` are None except
-    for the gated kind, nb-ftm.
+    self-contained.  Tokens and their topics are flat and document-major:
+    document j's terms are ``tokens[offsets[j]:offsets[j + 1]]`` and ``z``
+    is aligned with ``tokens``.  ``omega_t`` is ``omega.T`` in its own
+    vocabulary-major buffer, the layout the assignment kernel and held-out
+    evaluation read; set topics with ``set_topics`` so that the two agree.
+    ``lam`` holds the topic weights: rows that sum to one for
+    lda/dir-pfa/crf-hdp.  ``pi_k`` and ``b_jk`` are None except for the
+    gated kind, nb-ftm.
     """
 
     kind: ModelKind
     eta: float
-    tokens: tuple[np.ndarray, ...]  # per-document training term ids
-    z: list[np.ndarray]  # per-token topic assignments, aligned with tokens
+    tokens: np.ndarray  # training term ids, flat
+    offsets: np.ndarray  # documents + 1 offsets into tokens and z
+    z: np.ndarray  # topic of each token, aligned with tokens
     n_jk: np.ndarray  # documents x topics counts derived from z
     omega: np.ndarray  # topics x vocabulary distributions
+    omega_t: np.ndarray  # vocabulary x topics: omega.T, refreshed with omega
     lam: np.ndarray  # documents x topics weights
     r: np.ndarray  # NB dispersion, one entry per spec.r_axis (none for normalized kinds)
     p: np.ndarray  # NB probability, one entry per spec.p_axis (likewise)
@@ -264,7 +285,7 @@ class ModelState:
 
     @property
     def num_docs(self) -> int:
-        return len(self.tokens)
+        return len(self.offsets) - 1
 
     @property
     def num_topics(self) -> int:
@@ -276,7 +297,7 @@ class ModelState:
 
     @property
     def train_counts(self) -> np.ndarray:
-        return np.array([len(t) for t in self.tokens], dtype=np.int64)
+        return np.diff(self.offsets)
 
     def clone(self) -> "ModelState":
         return copy.deepcopy(self)
@@ -384,18 +405,27 @@ def _gated(state: ModelState, values: np.ndarray) -> np.ndarray:
     return values if state.b_jk is None else values * state.b_jk
 
 
-def blank_state(kind: ModelKind, tokens, vocab_size: int, num_topics: int, eta: float) -> ModelState:
-    """A structurally valid state with neutral parameter values."""
-    tokens = tuple(np.asarray(t, dtype=np.int64) for t in tokens)
-    J, K, V = len(tokens), num_topics, vocab_size
+def blank_state(kind: ModelKind, tokens, vocab_size: int, num_topics: int, eta: float, offsets=None) -> ModelState:
+    """A structurally valid state with neutral parameter values.
+
+    ``tokens`` is a sequence of per-document term arrays, or, with
+    ``offsets``, the flat term array those offsets index (kept, not copied,
+    when it is int64).
+    """
+    if offsets is None:
+        tokens, offsets = flatten_documents(tokens)
+    tokens, offsets = np.asarray(tokens, dtype=np.int64), np.asarray(offsets, dtype=np.int64)
+    J, K, V = len(offsets) - 1, num_topics, vocab_size
     size = {DOC: J, TOPIC: K, None: 0}
-    return ModelState(
+    state = ModelState(
         kind=kind,
         eta=float(eta),
         tokens=tokens,
-        z=[np.zeros(len(t), dtype=np.int64) for t in tokens],
+        offsets=offsets,
+        z=np.zeros(len(tokens), dtype=np.int64),
         n_jk=np.zeros((J, K), dtype=np.int64),
-        omega=np.full((K, V), 1.0 / V),
+        omega=np.empty((K, V)),
+        omega_t=np.empty((V, K)),
         lam=np.full((J, K), 1.0 if kind.models_counts else 1.0 / K),
         r=np.ones(size[kind.spec.r_axis]),
         p=np.full(size[kind.spec.p_axis], 0.5),
@@ -408,13 +438,28 @@ def blank_state(kind: ModelKind, tokens, vocab_size: int, num_topics: int, eta: 
         p_prime=0.5,
         r_tilde=np.full(K, 1.0 / K),
     )
+    set_topics(state, np.full((K, V), 1.0 / V))
+    return state
+
+
+def set_topics(state: ModelState, omega: np.ndarray) -> None:
+    """Make ``omega`` the state's topics and write its transpose into ``state.omega_t``.
+
+    The vocabulary x topics buffer is reused when it has the shape, so a
+    sweep keeps one of each layout; this is the only transpose of omega.
+    """
+    K, V = omega.shape
+    if state.omega_t.shape != (V, K) or not state.omega_t.flags.writeable:
+        state.omega_t = np.empty((V, K))
+    np.copyto(state.omega_t, omega.T)
+    state.omega = omega
 
 
 def _recount(state: ModelState) -> None:
-    K = state.num_topics
-    state.n_jk = np.vstack(
-        [np.bincount(z, minlength=K) if len(z) else np.zeros(K, dtype=np.int64) for z in state.z]
-    ).astype(np.int64)
+    J, K = state.num_docs, state.num_topics
+    cells = np.repeat(np.arange(0, J * K, K, dtype=np.int64), state.train_counts)  # each token's row start
+    cells += state.z
+    state.n_jk = np.bincount(cells, minlength=J * K).reshape(J, K)
 
 
 def _assign_numpy(omega_t, lam, terms, offsets, u, z) -> int:
@@ -422,8 +467,10 @@ def _assign_numpy(omega_t, lam, terms, offsets, u, z) -> int:
 
     Token i of document j with term v takes the number of topics k whose
     running sum of omega_t[v, :k+1] * lam[j, :k+1] lies below u[i] times
-    the total.  Returns -1, or the first document whose totals are not all
-    positive and finite.
+    the total.  ``lam`` may be a run of documents' rows: ``offsets`` then
+    holds that run's len(lam) + 1 entries, which index the whole ``terms``,
+    ``u`` and ``z``.  Returns -1, or the first document of the run whose
+    totals are not all positive and finite.
     """
     for j in range(len(lam)):
         start, stop = offsets[j], offsets[j + 1]
@@ -475,23 +522,49 @@ def _assign_kernel():
         return None
 
 
+def _document_parts(offsets: np.ndarray, num_topics: int) -> list[tuple[int, int]]:
+    """Runs of documents [start, stop) holding about equal token counts, one per core.
+
+    A single run covers every document below ``THREADED_CELLS`` token x
+    topic cells or on one core.
+    """
+    J, N = len(offsets) - 1, int(offsets[-1])
+    parts = _available_cores() if N * num_topics >= THREADED_CELLS else 1
+    if parts < 2:
+        return [(0, J)]
+    shares = N * np.arange(1, parts) / parts
+    after = np.searchsorted(offsets, shares)  # the document boundaries on either side of each share
+    cuts = np.where(offsets[after] - shares <= shares - offsets[after - 1], after, after - 1)
+    bounds = np.unique(np.concatenate(([0], cuts, [J]))).tolist()
+    return list(zip(bounds, bounds[1:]))
+
+
 def sample_topic_assignments(state: ModelState, rng: RandomSource) -> ModelState:
-    """Resample z for every training token and refresh n_jk.
+    """Resample z for every training token and refresh n_jk; see ``_draw_topics``."""
+    state.z = _draw_topics(state, rng)  # its uniforms are freed before the recount
+    _recount(state)
+    return state
+
+
+def _draw_topics(state: ModelState, rng: RandomSource) -> np.ndarray:
+    """A new topic for every training token.
 
     Probability of topic k for a token with term v is proportional to
     omega[k, v] times the document's weight lam[j, k].  One uniform per
     token is drawn, in document order; the compiled kernel and the numpy
-    path draw the same z from them.  ``state.z`` becomes views of one array.
+    path draw the same z from them.  Above ``THREADED_CELLS`` the documents
+    are split into token-balanced parts drawn on one thread each; a token's
+    z depends only on its own uniform, so z never depends on the number of
+    parts, and a document with no admissible topic is named as the lowest
+    such one.
     """
-    omega_t = np.ascontiguousarray(state.omega.T, dtype=np.float64)  # vocabulary x topics
+    omega_t = np.ascontiguousarray(state.omega_t, dtype=np.float64)  # vocabulary x topics
     V, K = omega_t.shape
     lam = np.ascontiguousarray(state.lam, dtype=np.float64)
     J = state.num_docs
     if lam.shape != (J, K):
         raise ValueError(f"lam has shape {lam.shape}, expected (documents, topics) = {(J, K)}")
-    offsets = np.zeros(J + 1, dtype=np.int64)
-    np.cumsum([len(t) for t in state.tokens], out=offsets[1:])
-    terms = np.concatenate(state.tokens, dtype=np.int64) if J else np.zeros(0, dtype=np.int64)
+    terms, offsets = state.tokens, state.offsets
     if terms.size and (terms.min() < 0 or terms.max() >= V):
         first = int(np.flatnonzero((terms < 0) | (terms >= V))[0])
         doc = int(np.searchsorted(offsets, first, side="right")) - 1
@@ -501,13 +574,24 @@ def sample_topic_assignments(state: ModelState, rng: RandomSource) -> ModelState
             raise ValueError(f"{name} has a negative entry; topic weights must be non-negative")
     u = rng.generator.random(len(terms))
     z = np.empty(len(terms), dtype=np.int64)
-    bad = (_assign_kernel() or _assign_numpy)(omega_t, lam, terms, offsets, u, z)
+    assign = _assign_kernel() or _assign_numpy
+
+    def assign_part(part: tuple[int, int]) -> int:
+        start, stop = part
+        bad = assign(omega_t, lam[start:stop], terms, offsets[start : stop + 1], u, z)
+        return bad if bad < 0 else start + bad
+
+    first, *rest = _document_parts(offsets, K)
+    if rest:  # the other parts run on their own threads meanwhile: ctypes releases the GIL
+        with ThreadPoolExecutor(len(rest)) as pool:
+            others = pool.map(assign_part, rest)
+            found = [assign_part(first), *others]
+    else:
+        found = [assign_part(first)]
+    bad = min((j for j in found if j >= 0), default=-1)
     if bad >= 0:
         raise IterationError("z-weights", f"document {bad} has no admissible topic")
-    bounds = offsets.tolist()
-    state.z = [z[start:stop] for start, stop in zip(bounds, bounds[1:])]
-    _recount(state)
-    return state
+    return z
 
 
 def update_topics(state: ModelState, rng: RandomSource) -> ModelState:
@@ -515,18 +599,16 @@ def update_topics(state: ModelState, rng: RandomSource) -> ModelState:
 
     ``state.omega`` is overwritten when it is a writable C-contiguous
     float64 array, so no other K x V array is made; otherwise a new one
-    replaces it.
+    replaces it.  The draw is then transposed into ``state.omega_t``.
     """
     K, V = state.omega.shape
-    all_z = np.concatenate(state.z) if state.z else np.zeros(0, dtype=np.int64)
-    all_terms = np.concatenate(state.tokens) if state.tokens else np.zeros(0, dtype=np.int64)
     omega = np.require(state.omega, np.float64, ["C", "W"])
     flat = omega.reshape(-1)  # a view
     # eta plus the exact float counts: the same bits as eta + np.bincount(...)
     flat.fill(0.0)
-    np.add.at(flat, all_z * V + all_terms, 1.0)
+    np.add.at(flat, state.z * V + state.tokens, 1.0)
     flat += state.eta
-    state.omega = _dirichlet_rows(rng.generator, omega)
+    set_topics(state, _dirichlet_rows(rng.generator, omega))
     return state
 
 
@@ -718,12 +800,14 @@ def initialize(kind: ModelKind, corpus, split, hyper: HyperParams, rng: RandomSo
     priors; gates start fully open.
     """
     _check_beta_process(kind, hyper)
-    state = blank_state(kind, split.train_tokens, corpus.vocab_size, hyper.K, hyper.eta)
+    state = blank_state(kind, split.train_terms, corpus.vocab_size, hyper.K, hyper.eta, offsets=split.train_offsets)
     gen = rng.generator
     J, K = state.num_docs, state.num_topics
-    state.z = [gen.integers(0, K, size=len(t)).astype(np.int64) for t in state.tokens]
+    # one draw per document: how integers() splits its 64-bit words depends on the draw sizes
+    draws = [gen.integers(0, K, size=n) for n in state.train_counts.tolist()]
+    state.z = np.concatenate([np.zeros(0, dtype=np.int64), *draws])
     _recount(state)
-    state.omega = _dirichlet_rows(gen, np.full((K, corpus.vocab_size), hyper.eta))
+    set_topics(state, _dirichlet_rows(gen, np.full((K, corpus.vocab_size), hyper.eta)))
     warm_r = hyper.lda_alpha_total / K
     state.lam = _gamma_clamped(gen, np.full((J, K), warm_r), 1.0)
     for _ in range(hyper.init_iters):
@@ -747,27 +831,25 @@ def simulate_data(state: ModelState, rng: RandomSource, doc_lengths=None) -> Mod
     gen = rng.generator
     J, K = state.num_docs, state.num_topics
     V = state.vocab_size
-    tokens: list[np.ndarray] = []
-    zs: list[np.ndarray] = []
     if state.kind.models_counts:
         n_jk = gen.poisson(state.lam)
+        lengths = n_jk.sum(axis=1)
     else:
         lengths = state.train_counts if doc_lengths is None else np.asarray(doc_lengths, dtype=np.int64)
-    for j in range(J):
+    offsets = offsets_from_lengths(lengths)
+    tokens = np.empty(offsets[-1], dtype=np.int64)
+    z = np.empty(offsets[-1], dtype=np.int64)
+    for j, (start, stop) in enumerate(zip(offsets[:-1].tolist(), offsets[1:].tolist())):
+        doc_z, doc_terms = z[start:stop], tokens[start:stop]
         if state.kind.models_counts:
-            z = np.repeat(np.arange(K), n_jk[j])
-        else:
+            doc_z[:] = np.repeat(np.arange(K), n_jk[j])
+        else:  # the document's uniforms come before its terms
             cum = np.cumsum(state.lam[j])
-            z = np.searchsorted(cum, gen.random(int(lengths[j])) * cum[-1], side="right").astype(np.int64)
-            z = np.minimum(z, K - 1)
-        terms = np.zeros(len(z), dtype=np.int64)
-        for k in np.unique(z):  # ascending topics, the order of the draws
-            idx = np.nonzero(z == k)[0]
-            terms[idx] = gen.choice(V, size=len(idx), p=state.omega[k])
-        tokens.append(terms)
-        zs.append(z)
-    state.tokens = tuple(tokens)
-    state.z = zs
+            doc_z[:] = np.minimum(np.searchsorted(cum, gen.random(stop - start) * cum[-1], side="right"), K - 1)
+        for k in np.unique(doc_z):  # ascending topics, the order of the draws
+            idx = np.nonzero(doc_z == k)[0]
+            doc_terms[idx] = gen.choice(V, size=len(idx), p=state.omega[k])
+    state.tokens, state.offsets, state.z = tokens, offsets, z
     _recount(state)
     return state
 
@@ -792,10 +874,11 @@ def forward_draw(
     if spec.normalized and doc_lengths is None:
         raise ValueError(f"{kind.value} needs explicit doc_lengths for forward simulation")
     _check_beta_process(kind, hyper)
-    state = blank_state(kind, [np.zeros(0, dtype=np.int64)] * num_docs, vocab_size, hyper.K, hyper.eta)
+    no_tokens = np.zeros(0, dtype=np.int64)
+    state = blank_state(kind, no_tokens, vocab_size, hyper.K, hyper.eta, offsets=np.zeros(num_docs + 1, dtype=np.int64))
     gen = rng.generator
     _draw_count_params(state, hyper, rng)
-    state.omega = _dirichlet_rows(gen, np.full((hyper.K, vocab_size), hyper.eta))
+    set_topics(state, _dirichlet_rows(gen, np.full((hyper.K, vocab_size), hyper.eta)))
     J, K = num_docs, hyper.K
     if spec.normalized:
         state.lam = _dirichlet_rows(gen, np.broadcast_to(state.alpha * state.r_tilde, (J, K)))
@@ -815,6 +898,18 @@ def validate_state(state: ModelState, after_sweep: bool = True) -> None:
     The table-count zero-pattern check only holds once a sweep has run,
     so pass ``after_sweep=False`` for freshly initialized states.
     """
+    offsets = state.offsets
+    if len(offsets) < 1 or offsets[0] != 0 or np.any(np.diff(offsets) < 0):
+        raise ValueError("offsets must start at 0 and never decrease")
+    if not offsets[-1] == len(state.tokens) == len(state.z):
+        raise ValueError(
+            f"offsets end at {offsets[-1]}, but there are {len(state.tokens)} tokens and {len(state.z)} topics in z"
+        )
+    if state.z.size and (state.z.min() < 0 or state.z.max() >= state.num_topics):
+        raise ValueError(f"z holds a topic outside [0, {state.num_topics})")
+    transposed = np.ascontiguousarray(state.omega.T, np.float64)
+    if state.omega_t.shape != transposed.shape or state.omega_t.tobytes() != transposed.tobytes():
+        raise ValueError("omega_t is not omega.T bit for bit; set topics with set_topics")
     train_n = state.train_counts
     if not np.array_equal(state.n_jk.sum(axis=1), train_n):
         raise ValueError("n_jk rows do not sum to the document training counts")

@@ -308,6 +308,21 @@ def test_split_recovers_tokens_exactly():
     assert split.total_train + split.total_test == corpus.total_tokens
 
 
+def test_split_keeps_flat_terms_and_per_document_views():
+    corpus = make_corpus([[0, 0, 1, 2, 2, 2], [4], [1, 1, 1, 3], [2, 2]], 5)
+    split = split_train_test(corpus, 0.55, RandomSource(11))
+    assert list(split.train_offsets) == [0, 3, 4, 6, 7] and list(split.test_offsets) == [0, 3, 3, 5, 6]
+    for flat, offsets, docs in (
+        (split.train_terms, split.train_offsets, split.train_tokens),
+        (split.test_terms, split.test_offsets, split.test_tokens),
+    ):
+        assert flat.dtype == np.int64 and len(docs) == split.num_docs
+        for j, doc in enumerate(docs):
+            assert doc.base is flat  # a view, not a second copy
+            assert np.array_equal(doc, flat[offsets[j] : offsets[j + 1]])
+    assert list(split.train_counts) == [3, 1, 2, 1] and list(split.test_counts) == [3, 0, 2, 1]
+
+
 def test_split_deterministic():
     corpus = make_corpus([[0, 1, 2, 0, 1, 2, 0], [1, 1, 2, 2]], 3)
     a = split_train_test(corpus, 0.6, RandomSource(9))

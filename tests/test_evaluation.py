@@ -17,8 +17,10 @@ from nbproc import (
     split_train_test,
     summarize_parameters,
 )
-from nbproc.corpus import Corpus
-from nbproc.models import blank_state
+from nbproc.cli import _GEWEKE_KINDS
+from nbproc.corpus import Corpus, document_views, flatten_documents
+from nbproc.evaluation import _monitored_stats
+from nbproc.models import BETA_PROCESS, E0F0, GAMMA0, GAMMA0_K, blank_state, forward_draw, set_topics
 
 MICRO = HyperParams(c=1.0, eta=0.3, a0=3.0, b0=3.0, e0=1.0, f0=1.0, K=2, iters=2, burnin=0, init_iters=0)
 
@@ -30,7 +32,7 @@ def make_corpus(doc_tokens, vocab_size):
 
 def make_state(kind, J, K, V, omega, lam):
     state = blank_state(kind, [np.zeros(0, dtype=np.int64)] * J, V, K, 0.3)
-    state.omega = np.asarray(omega, dtype=float)
+    set_topics(state, np.asarray(omega, dtype=float))
     state.lam = np.asarray(lam, dtype=float)
     return state
 
@@ -44,12 +46,18 @@ def held_out(*test_tokens):
     """A split whose held-out term ids are given per document (no training tokens)."""
     tests = tuple(np.asarray(t, dtype=np.int64) for t in test_tokens)
     none = tuple(np.zeros(0, dtype=np.int64) for _ in tests)
-    return HeldOutSplit(0.5, none, tuple(np.arange(len(t)) for t in tests), none, tests)
+    positions = tuple(np.arange(len(t)) for t in tests)
+    return HeldOutSplit(0.5, none, positions, *flatten_documents(none), *flatten_documents(tests))
+
+
+def doc_mass(acc):
+    """Each document's held-out mass, as views of the accumulator's flat array."""
+    return document_views(acc.test_mass, acc.test_offsets)
 
 
 def predicted(acc):
     """f[j, v] at each document's held-out terms, read off the accumulator."""
-    return [mass / total for mass, total in zip(acc.test_mass, acc.doc_totals)]
+    return [mass / total for mass, total in zip(doc_mass(acc), acc.doc_totals)]
 
 
 def test_single_topic_weight_cancels():
@@ -97,7 +105,7 @@ def test_accumulator_totals_consistent():
         lam = gen.gamma(1.0, 1.0, size=(4, 3))
         accumulate(acc, make_state(ModelKind.GAMMA_NB, 4, 3, 6, omega, lam))
     assert acc.num_samples == 5
-    assert np.allclose(acc.doc_totals, [mass.sum() for mass in acc.test_mass], rtol=1e-8)
+    assert np.allclose(acc.doc_totals, [mass.sum() for mass in doc_mass(acc)], rtol=1e-8)
 
 
 def test_accumulate_shape_mismatch():
@@ -115,12 +123,9 @@ def test_accumulator_footprint_scales_with_held_out_tokens():
     split = split_train_test(corpus, 0.5, RandomSource(15))
     acc = SampleAccumulator.empty(split, V)
     accumulate(acc, make_state(ModelKind.GAMMA_NB, J, 2, V, gen.dirichlet(np.ones(V), size=2), np.ones((J, 2))))
-    assert acc.test_terms is split.test_tokens  # shared with the split, not copied
-    held = []
-    for f in dataclasses.fields(acc):
-        if f.name != "test_terms":
-            value = getattr(acc, f.name)
-            held += value if isinstance(value, list) else [value]
+    # shared with the split, not copied
+    assert acc.test_terms is split.test_terms and acc.test_offsets is split.test_offsets
+    held = [getattr(acc, f.name) for f in dataclasses.fields(acc) if f.name not in ("test_terms", "test_offsets")]
     assert sum(a.nbytes for a in held if isinstance(a, np.ndarray)) <= 8 * (split.total_test + J) + 64
 
 
@@ -187,8 +192,8 @@ def test_perplexity_matches_dense_reference(kind):
     log_total = sum(float(np.log(f[j, terms]).sum()) for j, terms in enumerate(split.test_tokens))
     expected = np.exp(-log_total / split.total_test)
     assert heldout_perplexity(acc) == pytest.approx(expected, rel=1e-12)
-    for j, terms in enumerate(split.test_tokens):
-        assert np.allclose(acc.test_mass[j], dense[j, terms], rtol=1e-12, atol=0.0)
+    for j, (mass, terms) in enumerate(zip(doc_mass(acc), split.test_tokens)):
+        assert np.allclose(mass, dense[j, terms], rtol=1e-12, atol=0.0)
 
 
 def test_perfect_predictor_approaches_one():
@@ -307,6 +312,45 @@ def test_geweke_fault_rejected_for_other_kernels():
     settings = default_geweke_settings(ModelKind.CRF_HDP)
     with pytest.raises(ValueError):
         geweke_check(ModelKind.CRF_HDP, settings, 10, 10, RandomSource(13), fault="r-shape")
+
+
+def prior_means(kind, hyper, num_docs):
+    """Closed-form prior means of the forward draws' monitored statistics."""
+    spec = kind.spec
+    if spec.normalized:  # crf-hdp: alpha ~ Gamma(a0, 1/b0), gamma0 fixed at 1
+        return {"alpha": hyper.a0 / hyper.b0}
+    K = hyper.K
+    gamma0 = hyper.e0 / hyper.f0
+    r = {GAMMA0_K: gamma0 / (K * hyper.c), GAMMA0: gamma0 / hyper.c, E0F0: hyper.e0 / hyper.f0}[spec.r_prior]
+    means = {"r_mean": r}
+    if spec.samples_gamma0:
+        means["gamma0"] = gamma0
+    odds = 1.0  # p/(1-p) at the fixed p = 0.5
+    if spec.learns_p:
+        a, b = (hyper.c / K, hyper.c * (1 - 1 / K)) if spec.p_prior == BETA_PROCESS else (hyper.a0, hyper.b0)
+        means["p_mean"] = a / (a + b)
+        odds = a / (b - 1)  # E[p/(1-p)] under Beta(a, b)
+    gate = 1 / K if spec.gated else 1.0  # E[b_jk] = E[pi_k] under Beta(c/K, c(1-1/K))
+    # n_jk ~ Pois(lam_jk), lam_jk ~ Gamma(r b_jk, p/(1-p)), with r, b and p independent a priori
+    means["n_total"] = num_docs * K * r * gate * odds
+    return means
+
+
+@pytest.mark.parametrize("kind", _GEWEKE_KINDS, ids=lambda k: k.value)
+def test_forward_draws_match_closed_form_prior_means(kind):
+    settings = default_geweke_settings(kind)
+    J = settings.num_docs
+    doc_lengths = None if kind.models_counts else np.full(J, settings.doc_length)
+    rng = RandomSource(18)
+    draws = [
+        _monitored_stats(forward_draw(kind, settings.hyper, J, settings.vocab_size, rng, doc_lengths=doc_lengths))
+        for _ in range(4000)
+    ]
+    expected = prior_means(kind, settings.hyper, J)
+    for name, mean in expected.items():
+        values = np.array([draw[name] for draw in draws])
+        z = (values.mean() - mean) / (values.std(ddof=1) / np.sqrt(len(values)))
+        assert abs(z) < 4, f"{kind.value} {name}: forward mean {values.mean():.4f}, prior mean {mean:.4f}, z = {z:.2f}"
 
 
 def test_accumulate_uses_normalized_weights_for_crf():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -18,12 +19,14 @@ from nbproc import (
     initialize,
     sample_topic_assignments,
     simulate_data,
+    set_topics,
     split_train_test,
     update_topics,
     validate_state,
 )
 from nbproc import models
-from nbproc.corpus import Corpus
+from nbproc.cli import run_experiment
+from nbproc.corpus import Corpus, SyntheticSpec, document_views, synthesize_corpus
 from nbproc.models import BLOCKED_CELLS, TINY, _dirichlet_rows, blank_state
 
 MICRO = HyperParams(c=1.0, eta=0.3, a0=3.0, b0=3.0, e0=1.0, f0=1.0, K=2, iters=2, burnin=0, init_iters=0)
@@ -38,9 +41,9 @@ def state_with_tokens(kind, tokens, vocab_size, num_topics, eta=0.3, seed=0):
     """A structurally valid state with given tokens and random z."""
     state = blank_state(kind, tokens, vocab_size, num_topics, eta)
     gen = RandomSource(seed).generator
-    state.z = [gen.integers(0, num_topics, size=len(t)).astype(np.int64) for t in state.tokens]
+    state.z = np.concatenate([gen.integers(0, num_topics, size=len(t)).astype(np.int64) for t in tokens])
     K = num_topics
-    state.n_jk = np.vstack([np.bincount(z, minlength=K) for z in state.z]).astype(np.int64)
+    state.n_jk = np.vstack([np.bincount(z, minlength=K) for z in document_views(state.z, state.offsets)])
     return state
 
 
@@ -69,16 +72,16 @@ def test_assignments_single_topic():
 def test_assignments_follow_likelihood_zeros():
     # omega rows are point masses; a document of only term 0 must land on topic 0
     state = state_with_tokens(ModelKind.GAMMA_NB, [[0, 0, 0, 0]], 2, 2)
-    state.omega = np.array([[1.0, 0.0], [0.0, 1.0]])
+    set_topics(state, np.array([[1.0, 0.0], [0.0, 1.0]]))
     state.lam = np.array([[0.01, 100.0]])  # weights cannot rescue a zero likelihood
     sample_topic_assignments(state, RandomSource(1))
-    assert np.array_equal(state.z[0], np.zeros(4, dtype=np.int64))
+    assert np.array_equal(state.z, np.zeros(4, dtype=np.int64))
 
 
 def test_assignments_symmetric_topics_split_evenly():
     tokens = [np.zeros(20_000, dtype=np.int64)]
     state = state_with_tokens(ModelKind.GAMMA_NB, tokens, 1, 2)
-    state.omega = np.ones((2, 1))
+    set_topics(state, np.ones((2, 1)))
     state.lam = np.array([[2.5, 2.5]])
     sample_topic_assignments(state, RandomSource(2))
     share = state.n_jk[0, 0] / 20_000
@@ -128,10 +131,11 @@ def test_assign_matches_reference_expression(assign_path, K):
     gen = RandomSource(14).generator
     tokens = [gen.integers(0, V, size=n) for n in (0, 5, 40, 0, 173, 12, 1, 0)]
     state = state_with_tokens(ModelKind.NB_FTM, tokens, V, K, seed=15)
-    state.omega = gen.dirichlet(np.full(V, 0.3), size=K)
+    omega = gen.dirichlet(np.full(V, 0.3), size=K)
     state.lam = gen.gamma(0.5, 2.0, size=(len(tokens), K))
     # exact zeros past topic 0, which keeps every total positive: topic-term cells and closed gates
-    state.omega[1:][gen.random((K - 1, V)) < 0.3] = 0.0
+    omega[1:][gen.random((K - 1, V)) < 0.3] = 0.0
+    set_topics(state, omega)
     state.lam[:, 1:][gen.random((len(tokens), K - 1)) < 0.3] = 0.0
 
     expected_gen = RandomSource(16).generator
@@ -140,7 +144,7 @@ def test_assign_matches_reference_expression(assign_path, K):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the path was chosen, and warned about, once
         sample_topic_assignments(state, actual_gen)
-    assert all(np.array_equal(a, b) for a, b in zip(state.z, z))
+    assert np.array_equal(state.z, np.concatenate(z))
     assert np.array_equal(state.n_jk, n_jk)
     assert actual_gen.generator.random() == expected_gen.random()  # same number of uniforms consumed
 
@@ -155,25 +159,112 @@ def test_assign_names_the_first_document_without_admissible_topic(assign_path):
 @pytest.mark.parametrize("term", [-1, 3])
 def test_assign_rejects_term_outside_vocabulary(assign_path, term):
     state = state_with_tokens(ModelKind.GAMMA_NB, [[0, 1], [2, term]], 3, 2)
-    z_before = [z.copy() for z in state.z]
+    z_before = state.z.copy()
     rng = RandomSource(4)
     with pytest.raises(ValueError, match=f"document 1 holds term id {term}, outside the vocabulary"):
         sample_topic_assignments(state, rng)
     # raised before any uniform was drawn, so before either path ran
     assert rng.generator.random() == RandomSource(4).generator.random()
-    assert all(np.array_equal(a, b) for a, b in zip(state.z, z_before))
+    assert np.array_equal(state.z, z_before)
 
 
 @pytest.mark.parametrize("name", ["omega", "lam"])
 def test_assign_rejects_negative_weights(assign_path, name):
     state = state_with_tokens(ModelKind.GAMMA_NB, [[0, 1], [2]], 3, 2)
-    state.omega = np.full((2, 3), 1.0 / 3)
-    state.lam = np.ones((2, 2))
-    getattr(state, name)[1, 0] = -0.5  # every total stays positive
+    weights = {"omega": np.full((2, 3), 1.0 / 3), "lam": np.ones((2, 2))}
+    weights[name][1, 0] = -0.5  # every total stays positive
+    set_topics(state, weights["omega"])
+    state.lam = weights["lam"]
     rng = RandomSource(5)
     with pytest.raises(ValueError, match=f"{name} has a negative entry"):
         sample_topic_assignments(state, rng)
     assert rng.generator.random() == RandomSource(5).generator.random()
+
+
+# Above THREADED_CELLS the documents are drawn in token-balanced parts, one per core.
+THREADED_K = 64
+THREADED_SHAPES = {
+    # at 3 cores the parts are documents [0, 3), [3, 6) and [6, 9): empty documents end and start them
+    "empty-documents-at-split-points": [5000, 0, 0, 5000, 0, 5000, 0, 0, 5000],
+    "one-document-holds-most-tokens": [40, 14000, 300, 0, 3000],
+    "one-document": [17000],
+}
+
+
+def threaded_state(lengths, seed=93):
+    V = 50
+    gen = RandomSource(seed).generator
+    state = state_with_tokens(ModelKind.GAMMA_NB, [gen.integers(0, V, size=n) for n in lengths], V, THREADED_K)
+    set_topics(state, gen.dirichlet(np.full(V, 0.3), size=THREADED_K))
+    state.lam = gen.gamma(0.5, 2.0, size=(len(lengths), THREADED_K))
+    assert state.tokens.size * THREADED_K >= models.THREADED_CELLS
+    return state
+
+
+def test_threaded_parts_split_at_the_documents_the_cases_name(monkeypatch):
+    monkeypatch.setattr(models, "_available_cores", lambda: 3)
+    parts = {name: models._document_parts(threaded_state(n).offsets, THREADED_K) for name, n in THREADED_SHAPES.items()}
+    assert parts == {
+        "empty-documents-at-split-points": [(0, 3), (3, 6), (6, 9)],
+        "one-document-holds-most-tokens": [(0, 1), (1, 2), (2, 5)],
+        "one-document": [(0, 1)],
+    }
+    below = np.array([0, 8000, 16000])  # 16 000 tokens x 64 topics lie below the threshold
+    assert models._document_parts(below, THREADED_K) == [(0, 2)]
+
+
+@pytest.mark.parametrize("shape", sorted(THREADED_SHAPES))
+def test_threaded_assignment_matches_numpy_reference_at_any_core_count(assign_path, monkeypatch, shape):
+    state = threaded_state(THREADED_SHAPES[shape])
+    u = RandomSource(94).generator.random(len(state.tokens))
+    expected = np.empty(len(state.tokens), dtype=np.int64)
+    assert models._assign_numpy(state.omega_t, state.lam, state.tokens, state.offsets, u, expected) == -1
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(models, "_available_cores", lambda: cores)
+        drawn = sample_topic_assignments(state.clone(), RandomSource(94))
+        assert np.array_equal(drawn.z, expected), f"{cores} cores"
+
+
+def test_threaded_assignment_names_the_lowest_bad_document(assign_path, monkeypatch):
+    monkeypatch.setattr(models, "_available_cores", lambda: 3)
+    state = threaded_state([3000] * 6)
+    assert models._document_parts(state.offsets, THREADED_K) == [(0, 2), (2, 4), (4, 6)]
+    state.lam[[1, 2, 5]] = 0.0  # one bad document in each part, the first part's last
+    with pytest.raises(IterationError, match="document 1 has no admissible topic"):
+        sample_topic_assignments(state, RandomSource(95))
+
+
+def test_small_sweeps_start_no_thread(monkeypatch):
+    def no_thread(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(models, "_available_cores", lambda: 2)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    hyper = MICRO.replace(K=2)
+    for kind in (ModelKind.GAMMA_NB, ModelKind.NB_FTM):  # a Geweke-sized sweep
+        gibbs_sweep(forward_draw(kind, hyper, 3, 5, RandomSource(96)), hyper, RandomSource(97))
+    gen = RandomSource(98).generator
+    tokens = [gen.integers(0, 15, size=n) for n in (30, 0, 25, 12)]  # the golden traces' shape at K = 5
+    sample_topic_assignments(state_with_tokens(ModelKind.GAMMA_NB, tokens, 15, 5), RandomSource(99))
+    with pytest.raises(AssertionError, match="a thread was started"):  # the same check sees a threaded draw
+        sample_topic_assignments(threaded_state([8000, 9000]), RandomSource(99))
+
+
+@pytest.mark.parametrize("kind", [ModelKind.GAMMA_NB, ModelKind.CRF_HDP], ids=lambda k: k.value)
+def test_threaded_run_traces_match_at_one_and_two_cores(monkeypatch, kind):
+    spec = SyntheticSpec(k_true=5, vocab_size=200, num_docs=150, r=5.0, p=0.9)
+    corpus, _ = synthesize_corpus(MICRO, spec, RandomSource(100))
+    split = split_train_test(corpus, 0.6, RandomSource(101))
+    assert split.total_train * THREADED_K >= models.THREADED_CELLS
+    hyper = MICRO.replace(K=THREADED_K, iters=3, burnin=1, init_iters=1, seed=102)
+    runs = []
+    for cores in (1, 2):
+        monkeypatch.setattr(models, "_available_cores", lambda: cores)
+        assert len(models._document_parts(split.train_offsets, THREADED_K)) == cores
+        state, _, trace = run_experiment(kind, corpus, split, hyper)
+        runs.append((repr(trace.records), state.z))
+    assert runs[0][0] == runs[1][0]
+    assert np.array_equal(runs[0][1], runs[1][1])
 
 
 # ---------------------------------------------------------------------------
@@ -246,14 +337,14 @@ def test_update_topics_draws_into_omega_and_copies_a_read_only_one():
     assert state.omega is omega
     frozen = omega.copy()
     frozen.flags.writeable = False
-    state.omega = frozen
+    set_topics(state, frozen)
     update_topics(state, RandomSource(11))
     assert state.omega is not frozen and np.allclose(state.omega.sum(axis=1), 1.0)
 
 
 def test_update_topics_prior_only():
     state = state_with_tokens(ModelKind.GAMMA_NB, [[0]], 5, 2, eta=0.3)
-    state.z = [np.zeros(1, dtype=np.int64)]
+    state.z = np.zeros(1, dtype=np.int64)
     state.n_jk = np.array([[1, 0]])
     draws = []
     source = RandomSource(6)
@@ -268,7 +359,7 @@ def test_update_topics_prior_only():
 def test_update_topics_concentration():
     tokens = [np.full(1000, 7, dtype=np.int64)]
     state = state_with_tokens(ModelKind.GAMMA_NB, tokens, 10, 1, eta=0.05)
-    state.z = [np.zeros(1000, dtype=np.int64)]
+    state.z = np.zeros(1000, dtype=np.int64)
     state.n_jk = np.array([[1000]])
     source = RandomSource(7)
     draws = []
@@ -283,7 +374,7 @@ def test_update_topics_posterior_mean_formula():
     gen = RandomSource(8).generator
     tokens = [gen.integers(0, 6, size=300).astype(np.int64)]
     state = state_with_tokens(ModelKind.GAMMA_NB, tokens, 6, 1, eta=0.4)
-    state.z = [np.zeros(300, dtype=np.int64)]
+    state.z = np.zeros(300, dtype=np.int64)
     state.n_jk = np.array([[300]])
     counts = np.bincount(tokens[0], minlength=6)
     expected = (0.4 + counts) / (6 * 0.4 + 300)
@@ -324,7 +415,7 @@ def replay_crt(m, r, gen):
 
 def replay_assign(state, weights, gen):
     z = []
-    for j, terms in enumerate(state.tokens):
+    for j, terms in enumerate(document_views(state.tokens, state.offsets)):
         n = len(terms)
         if n == 0:
             z.append(np.zeros(0, dtype=np.int64))
@@ -340,8 +431,7 @@ def replay_assign(state, weights, gen):
 
 def replay_topics(z, tokens, eta, K, V, gen):
     all_z = np.concatenate(z)
-    all_terms = np.concatenate(tokens)
-    counts = np.bincount(all_z * V + all_terms, minlength=K * V).reshape(K, V)
+    counts = np.bincount(all_z * V + tokens, minlength=K * V).reshape(K, V)
     g = np.maximum(gen.gamma(eta + counts, 1.0), TINY)
     return g / g.sum(axis=1, keepdims=True)
 
@@ -358,7 +448,7 @@ def test_gamma_nb_sweep_exact_replay():
     gen = RandomSource(11).generator
     K, V = 2, 4
     z, n_jk = replay_assign(state, state.lam, gen)
-    N = np.array([len(t) for t in state.tokens])
+    N = np.diff(state.offsets)
     p_j = np.clip(gen.beta(hyper.a0 + N, hyper.b0 + state.r.sum()), 1e-12, 1 - 1e-12)
     S = float(np.log1p(-p_j).sum())
     p_prime = -S / (hyper.c - S)
@@ -370,7 +460,7 @@ def test_gamma_nb_sweep_exact_replay():
     lam = np.maximum(gen.gamma(r_k[None, :] + n_jk, p_j[:, None]), TINY)
     omega = replay_topics(z, state.tokens, hyper.eta, K, V, gen)
 
-    assert all(np.array_equal(a, b) for a, b in zip(swept.z, z))
+    assert np.array_equal(swept.z, np.concatenate(z))
     assert np.array_equal(swept.n_jk, n_jk)
     assert np.array_equal(swept.p, p_j)
     assert swept.p_prime == p_prime
@@ -394,7 +484,7 @@ def test_nb_lda_sweep_exact_replay():
     gen = RandomSource(13).generator
     K, V = 2, 4
     z, n_jk = replay_assign(state, state.lam, gen)
-    N = np.array([len(t) for t in state.tokens])
+    N = np.diff(state.offsets)
     p_j = np.clip(gen.beta(hyper.a0 + N, hyper.b0 + K * state.r), 1e-12, 1 - 1e-12)
     log1mp = np.log1p(-p_j)
     p_prime_j = (-K * log1mp) / (hyper.c - K * log1mp)
@@ -430,8 +520,8 @@ def test_gamma_nb_unused_topic_prior_shrinkage():
     hyper = MICRO.replace(K=2)
     base = state_with_tokens(ModelKind.GAMMA_NB, [[0, 0, 1], [1, 0]], 3, 2, seed=14)
     # topic 1 lives on term 2, which the documents never use
-    base.omega = np.array([[0.5, 0.5 - 1e-9, 1e-9], [1e-9, 1e-9, 1.0 - 2e-9]])
-    base.omega /= base.omega.sum(axis=1, keepdims=True)
+    omega = np.array([[0.5, 0.5 - 1e-9, 1e-9], [1e-9, 1e-9, 1.0 - 2e-9]])
+    set_topics(base, omega / omega.sum(axis=1, keepdims=True))
     base.lam = np.array([[5.0, 1e-9], [5.0, 1e-9]])
     rows = conditional_draws(
         base,
@@ -457,7 +547,7 @@ def test_gamma_nb_lambda_conjugacy_single_doc():
     # E[lam] must equal E[(r + n) p] across one-sweep transitions
     hyper = MICRO.replace(K=1)
     base = state_with_tokens(ModelKind.GAMMA_NB, [np.zeros(12, dtype=np.int64)], 1, 1, seed=17)
-    base.omega = np.ones((1, 1))
+    set_topics(base, np.ones((1, 1)))
     rows = conditional_draws(base, hyper, 20_000, 18, lambda s: (s.lam[0, 0], (s.r[0] + 12) * s.p[0]))
     lam_mean = np.mean([r[0] for r in rows])
     paired_mean = np.mean([r[1] for r in rows])
@@ -503,8 +593,8 @@ def test_beta_nb_unused_topic_probability_mean():
     # its conditional mean is (c/K) / (c + sum r_j)
     hyper = HyperParams(c=6.0, eta=0.3, a0=3.0, b0=3.0, e0=1.0, f0=1.0, K=2, iters=2, burnin=0, init_iters=0)
     base = state_with_tokens(ModelKind.BETA_NB, [[0, 0], [0, 1]], 3, 2, seed=23)
-    base.omega = np.array([[0.6, 0.4 - 1e-9, 1e-9], [1e-9, 1e-9, 1.0 - 2e-9]])
-    base.omega /= base.omega.sum(axis=1, keepdims=True)
+    omega = np.array([[0.6, 0.4 - 1e-9, 1e-9], [1e-9, 1e-9, 1.0 - 2e-9]])
+    set_topics(base, omega / omega.sum(axis=1, keepdims=True))
     base.lam = np.array([[3.0, 1e-8], [3.0, 1e-8]])
     base.r = np.array([1.5, 2.5])
     rows = conditional_draws(base, hyper, 20_000, 24, lambda s: (s.p[1], s.n_jk[:, 1].sum()))
@@ -534,7 +624,7 @@ def test_marked_beta_nb_degenerate_grid_posterior():
     hyper = HyperParams(c=1.0, eta=0.3, a0=3.0, b0=3.0, e0=1.0, f0=1.0, K=1, iters=2, burnin=0, init_iters=0)
     n_tokens = 7
     base = state_with_tokens(ModelKind.MARKED_BETA_NB, [np.zeros(n_tokens, dtype=np.int64)], 1, 1, seed=26)
-    base.omega = np.ones((1, 1))
+    set_topics(base, np.ones((1, 1)))
     base.r = np.array([2.3])
     rows = conditional_draws(base, hyper, 20_000, 27, lambda s: s.p[0])
     grid = np.linspace(1e-6, 1 - 1e-6, 200_001)
@@ -547,7 +637,7 @@ def test_marked_beta_nb_degenerate_grid_posterior():
 def test_marked_beta_nb_unused_topic_reverts_to_prior():
     hyper = HyperParams(c=6.0, eta=0.3, a0=3.0, b0=3.0, e0=1.0, f0=1.0, K=2, iters=2, burnin=0, init_iters=0)
     base = state_with_tokens(ModelKind.MARKED_BETA_NB, [[0], [0, 0]], 2, 2, seed=28)
-    base.omega = np.array([[1.0 - 1e-9, 1e-9], [1e-9, 1.0 - 1e-9]])
+    set_topics(base, np.array([[1.0 - 1e-9, 1e-9], [1e-9, 1.0 - 1e-9]]))
     base.lam = np.array([[2.0, 1e-9], [2.0, 1e-9]])
     rows = conditional_draws(
         base, hyper, 20_000, 29, lambda s: (s.l_jk[:, 1].sum(), s.r[1], 1.0 / (hyper.f0 - 2 * math.log1p(-s.p[1])))
@@ -727,7 +817,7 @@ def test_initialize_single_topic():
     split = split_train_test(corpus, 0.9, RandomSource(57))
     hyper = HyperParams(K=1, eta=0.05, iters=2, burnin=0, init_iters=3)
     state = initialize(ModelKind.GAMMA_NB, corpus, split, hyper, RandomSource(58))
-    assert all(np.all(z == 0) for z in state.z)
+    assert np.all(state.z == 0)
     counts = np.zeros(7)
     for t in split.train_tokens:
         counts += np.bincount(t, minlength=7)
@@ -752,7 +842,7 @@ def test_initialize_deterministic():
         a = initialize(kind, corpus, split, hyper, RandomSource(62))
         b = initialize(kind, corpus, split, hyper, RandomSource(62))
         assert np.array_equal(a.lam, b.lam) and np.array_equal(a.omega, b.omega)
-        assert all(np.array_equal(x, y) for x, y in zip(a.z, b.z))
+        assert np.array_equal(a.z, b.z)
 
 
 # ---------------------------------------------------------------------------
@@ -762,7 +852,7 @@ def test_initialize_deterministic():
 
 def test_count_active_topics():
     state = state_with_tokens(ModelKind.GAMMA_NB, [[0, 0], [0]], 1, 3, seed=63)
-    state.z = [np.zeros(2, dtype=np.int64), np.zeros(1, dtype=np.int64)]
+    state.z = np.zeros(3, dtype=np.int64)
     state.n_jk = np.array([[2, 0, 0], [1, 0, 0]])
     assert count_active_topics(state) == 1
     empty = state_with_tokens(ModelKind.GAMMA_NB, [np.zeros(0, dtype=np.int64)], 1, 3)
@@ -785,6 +875,52 @@ def test_invariants_hold_across_sweeps(kind):
         gibbs_sweep(state, hyper, source)
         validate_state(state)
         assert np.array_equal(state.n_jk.sum(axis=1), split.train_counts)
+
+
+def _set(name, index, value):
+    def corrupt(state):
+        getattr(state, name)[index] = value
+
+    return corrupt
+
+
+def _shorten_z(state):
+    state.z = state.z[:-1]
+
+
+def _stale_topics(state):
+    state.omega = state.omega.copy()
+    state.omega[0, 0] = np.nextafter(state.omega[0, 0], 1.0)  # one bit, set without set_topics
+
+
+def _misshapen_topics(state):
+    state.omega_t = np.ascontiguousarray(state.omega_t[:-1])
+
+
+BROKEN_LAYOUTS = {
+    "offsets-start-past-0": (_set("offsets", 0, 1), "offsets must start at 0"),
+    "offsets-decrease": (_set("offsets", 1, 4), "never decrease"),
+    "offsets-end-short": (_set("offsets", -1, 4), "offsets end at 4, but there are 5 tokens"),
+    "z-shorter-than-tokens": (_shorten_z, "5 tokens and 4 topics in z"),
+    "z-negative": (_set("z", 0, -1), r"z holds a topic outside \[0, 3\)"),
+    "z-past-last-topic": (_set("z", 4, 3), r"z holds a topic outside \[0, 3\)"),
+    "omega-t-stale": (_stale_topics, "omega_t is not omega.T bit for bit"),
+    "omega-t-misshapen": (_misshapen_topics, "omega_t is not omega.T bit for bit"),
+}
+
+
+@pytest.mark.parametrize("broken", sorted(BROKEN_LAYOUTS))
+def test_validate_state_rejects_a_broken_flat_layout(broken):
+    corpus = make_corpus([[0, 1, 2], [3, 3], [1, 4, 2, 0]], 5)
+    split = split_train_test(corpus, 0.6, RandomSource(103))
+    state = initialize(ModelKind.GAMMA_NB, corpus, split, MICRO.replace(K=3, init_iters=1), RandomSource(104))
+    state.offsets = state.offsets.copy()  # the split's own offsets stay intact
+    validate_state(state, after_sweep=False)
+    assert list(state.offsets) == [0, 2, 3, 5]
+    corrupt, message = BROKEN_LAYOUTS[broken]
+    corrupt(state)
+    with pytest.raises(ValueError, match=message):
+        validate_state(state, after_sweep=False)
 
 
 # which continuous fields every kernel must update, and which integer
@@ -832,8 +968,6 @@ STATE_FIELDS = (
 
 
 def _field_equal(a, b):
-    if isinstance(a, list):
-        return all(np.array_equal(x, y) for x, y in zip(a, b))
     if isinstance(a, np.ndarray):
         return np.array_equal(a, b)
     return a == b
