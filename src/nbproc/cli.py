@@ -46,6 +46,7 @@ from .corpus import (
     write_bag_of_words,
 )
 from .evaluation import (
+    EvaluationError,
     SampleAccumulator,
     TraceReport,
     accumulate,
@@ -302,13 +303,15 @@ def run(config: RunConfig) -> dict:
     Writes trace.csv, params.csv, report.json and a resolved-config echo
     into the output directory and returns the report.  A `.incomplete`
     sentinel flags partial output until the run finishes.  The corpus is
-    read and split before anything is written, so a bad corpus leaves no
-    output behind.
+    read and split before anything is written, so a bad corpus, or a split
+    that holds out no tokens, leaves no output behind.
     """
     config_hash = config.config_hash()
     kind = ModelKind.from_name(config.model)
     corpus = _load_run_corpus(config)
     split = split_train_test(corpus, config.train_frac, RandomSource(config.hyper.seed).child(2))
+    if split.total_test < 1:
+        raise EvaluationError("the split holds out no tokens")
 
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -6,14 +6,19 @@ NNZ (number of nonzero doc/term cells), followed by NNZ lines of
 ``docID wordID count`` with 1-based ids, plus a vocabulary file with one
 term per line.  Both files are UTF-8; a line ends at LF, CRLF or CR.
 
+A corpus and a held-out split keep their term ids flat and document-major,
+each document's terms ascending, with document offsets: document j is
+``terms[offsets[j]:offsets[j + 1]]``.  Loading, writing, filtering and
+splitting work on those arrays; ``doc_tokens`` and the like are views.
+
 The data lines are read in one pass by ``np.loadtxt`` into an NNZ x 3
-integer array, checked with array operations, and expanded into every
-document's sorted tokens with one ``np.repeat``, so loading takes memory
-in proportion to NNZ and the token count.  Blank lines are skipped, fields
-are separated by any whitespace, and a (doc, term) cell given on several
-lines gets the sum of their counts.  A field is an ASCII integer with an
-optional sign.  When a check fails, a line-by-line walk finds the first
-bad line and the ``ParseError`` names it.
+integer array, checked with array operations, and expanded into the flat
+terms with one ``np.repeat``, so loading takes memory in proportion to NNZ
+and the token count.  Blank lines are skipped, fields are separated by any
+whitespace, and a (doc, term) cell given on several lines gets the sum of
+their counts.  A field is an ASCII integer with an optional sign.  When a
+check fails, a line-by-line walk finds the first bad line and the
+``ParseError`` names it.
 """
 
 from __future__ import annotations
@@ -35,6 +40,8 @@ logger = logging.getLogger(__name__)
 _INT64_MAX = int(np.iinfo(np.int64).max)
 _MAX_TOKENS = _INT64_MAX // 8  # the most int64 entries one numpy array can hold
 _INTEGER = re.compile(r"[+-]?[0-9]+")  # the integers np.loadtxt reads as int64; int() takes more
+# docword lines formatted per write, so the text of a whole corpus never exists at once
+_WRITE_CELLS = 1 << 14
 
 
 class ParseError(ValueError):
@@ -49,16 +56,23 @@ class EmptyCorpusError(ValueError):
 class Corpus:
     """An immutable document collection over a fixed vocabulary.
 
-    ``doc_tokens[j]`` holds the term index of every token instance in
-    document j (sorted by term, since token order carries no meaning).
+    ``terms`` holds the term index of every token instance, flat and
+    document-major, each document's terms sorted (token order carries no
+    meaning); document j is ``terms[offsets[j]:offsets[j + 1]]``, and
+    ``doc_tokens[j]`` is that slice as a view.
     """
 
     vocab: tuple[str, ...]
-    doc_tokens: tuple[np.ndarray, ...]
+    terms: np.ndarray
+    offsets: np.ndarray
+
+    @functools.cached_property
+    def doc_tokens(self) -> tuple[np.ndarray, ...]:
+        return document_views(self.terms, self.offsets)
 
     @property
     def num_docs(self) -> int:
-        return len(self.doc_tokens)
+        return len(self.offsets) - 1
 
     @property
     def vocab_size(self) -> int:
@@ -66,25 +80,25 @@ class Corpus:
 
     @property
     def total_tokens(self) -> int:
-        return int(sum(len(t) for t in self.doc_tokens))
+        return len(self.terms)
 
     @property
     def doc_lengths(self) -> np.ndarray:
-        return np.array([len(t) for t in self.doc_tokens], dtype=np.int64)
+        return np.diff(self.offsets)
 
     def same_as(self, other: "Corpus") -> bool:
         """Content equality: identical vocabulary and token counts."""
         return (
             self.vocab == other.vocab
-            and self.num_docs == other.num_docs
-            and all(np.array_equal(np.sort(a), np.sort(b)) for a, b in zip(self.doc_tokens, other.doc_tokens))
+            and np.array_equal(self.offsets, other.offsets)
+            and np.array_equal(self.terms, other.terms)
         )
 
 
 def _header(fh, path) -> tuple[int, int, int]:
     """Read the D, W and NNZ header lines."""
     values = []
-    for lineno, name in enumerate(("D", "W", "NNZ"), 1):
+    for lineno, (name, least) in enumerate((("D", 1), ("W", 1), ("NNZ", 0)), 1):
         line = fh.readline()
         if not line:
             raise ParseError(f"{path}: line {lineno}: missing {name} header line")
@@ -92,11 +106,11 @@ def _header(fh, path) -> tuple[int, int, int]:
         if not _INTEGER.fullmatch(line.strip()):
             raise ParseError(f"{path}: line {lineno}: {name} header is not an integer: {line!r}")
         value = int(line)
-        if value < 0:
-            raise ParseError(f"{path}: line {lineno}: {name} must be non-negative, got {value}")
+        if value < least:
+            raise ParseError(f"{path}: line {lineno}: {name} must be {'positive' if least else 'non-negative'}, got {value}")
         values.append(value)
     num_docs, vocab_size, nnz = values
-    if max(num_docs, 1) * max(vocab_size, 1) > _INT64_MAX:
+    if num_docs * vocab_size > _INT64_MAX:
         raise ParseError(f"{path}: line 2: D x W = {num_docs * vocab_size} cells do not fit a 64-bit index")
     return num_docs, vocab_size, nnz
 
@@ -169,17 +183,15 @@ def _not_utf8(path) -> ParseError:
     return ParseError(f"{path}: not UTF-8 text")
 
 
-def _doc_tokens(rows: np.ndarray, num_docs: int, vocab_size: int) -> tuple[np.ndarray, ...]:
-    """Each document's tokens, sorted by term, from checked docword rows."""
+def _flat_terms(rows: np.ndarray, num_docs: int, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flat, per-document sorted terms and the offsets of checked docword rows."""
     doc, term, count = rows.T
     # document-major, terms ascending: the lines of a repeated (doc, term)
     # cell end up adjacent, so the repeat adds up their counts
     order = np.argsort((doc - 1) * vocab_size + term, kind="stable")
-    tokens = np.repeat(term[order] - 1, count[order])
     lengths = np.zeros(num_docs, dtype=np.int64)
     np.add.at(lengths, doc - 1, count)
-    ends = np.cumsum(lengths).tolist()
-    return tuple(tokens[end - n : end] for end, n in zip(ends, lengths.tolist()))
+    return np.repeat(term[order] - 1, count[order]), offsets_from_lengths(lengths)
 
 
 def load_bag_of_words(docword_path, vocab_path) -> Corpus:
@@ -205,18 +217,27 @@ def load_bag_of_words(docword_path, vocab_path) -> Corpus:
             f"{vocab_path}: expected {vocab_size} vocabulary lines to match the docword header, "
             f"found {len(vocab)}"
         )
-    return Corpus(vocab=vocab, doc_tokens=_doc_tokens(rows, num_docs, vocab_size))
+    return Corpus(vocab, *_flat_terms(rows, num_docs, vocab_size))
+
+
+def _cells(corpus: Corpus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero (document, term) cells in docword order, with their counts: the runs of a term in a document."""
+    terms, offsets = corpus.terms, corpus.offsets
+    new_cell = np.zeros(len(terms), dtype=bool)
+    new_cell[1:] = terms[1:] != terms[:-1]
+    new_cell[offsets[:-1][corpus.doc_lengths > 0]] = True  # each document's first token
+    first = np.flatnonzero(new_cell)
+    return np.searchsorted(offsets, first, side="right") - 1, terms[first], np.diff(first, append=len(terms))
 
 
 def write_bag_of_words(corpus: Corpus, docword_path, vocab_path) -> None:
     """Write a corpus in the UCI docword/vocabulary format."""
-    cells = []  # document-major, terms ascending within a document
-    for j, tokens in enumerate(corpus.doc_tokens):
-        terms, counts = np.unique(tokens, return_counts=True)
-        cells.extend(f"{j + 1} {v + 1} {n}" for v, n in zip(terms, counts))
-    lines = [str(corpus.num_docs), str(corpus.vocab_size), str(len(cells)), *cells]
+    doc, term, count = _cells(corpus)
     with open(docword_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(f"{corpus.num_docs}\n{corpus.vocab_size}\n{len(count)}\n")
+        for start in range(0, len(count), _WRITE_CELLS):
+            rows = (a[start : start + _WRITE_CELLS].tolist() for a in (doc + 1, term + 1, count))
+            fh.write("".join(f"{d} {v} {n}\n" for d, v, n in zip(*rows)))
     with open(vocab_path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(corpus.vocab) + "\n")
 
@@ -229,30 +250,20 @@ def filter_vocabulary(corpus: Corpus, min_doc_freq: int) -> Corpus:
     """
     if min_doc_freq < 1:
         raise ValueError(f"min_doc_freq must be >= 1, got {min_doc_freq}")
-    doc_freq = np.zeros(corpus.vocab_size, dtype=np.int64)
-    for tokens in corpus.doc_tokens:
-        doc_freq[np.unique(tokens)] += 1
+    doc_freq = np.bincount(_cells(corpus)[1], minlength=corpus.vocab_size)
     keep = doc_freq >= min_doc_freq
     if not keep.any():
         raise EmptyCorpusError(
             f"no term appears in at least {min_doc_freq} documents; nothing left after filtering"
         )
-    remap = -np.ones(corpus.vocab_size, dtype=np.int64)
-    remap[keep] = np.arange(int(keep.sum()))
+    remap = np.cumsum(keep) - 1  # dense and ascending, so each document's terms stay sorted
     vocab = tuple(t for t, k in zip(corpus.vocab, keep) if k)
-    docs = []
-    dropped = 0
-    for j, tokens in enumerate(corpus.doc_tokens):
-        kept = tokens[keep[tokens]]
-        if len(kept) == 0:
-            dropped += 1
-            continue
-        docs.append(np.sort(remap[kept]))
+    kept = keep[corpus.terms]
+    lengths = np.diff(offsets_from_lengths(kept)[corpus.offsets])  # kept tokens per document
+    dropped = int(np.count_nonzero(lengths == 0))
     if dropped:
         logger.warning("filter_vocabulary(min_doc_freq=%d) dropped %d empty document(s)", min_doc_freq, dropped)
-    if not docs:
-        raise EmptyCorpusError("all documents became empty after vocabulary filtering")
-    return Corpus(vocab=vocab, doc_tokens=tuple(docs))
+    return Corpus(vocab, remap[corpus.terms[kept]], offsets_from_lengths(lengths[lengths > 0]))
 
 
 def offsets_from_lengths(lengths) -> np.ndarray:
@@ -282,14 +293,10 @@ class HeldOutSplit:
     document j's training terms are
     ``train_terms[train_offsets[j]:train_offsets[j + 1]]``, and its test
     terms likewise.  ``train_tokens`` / ``test_tokens`` give the same terms
-    as one view per document, not a copy.  ``train_positions[j]`` /
-    ``test_positions[j]`` index into ``corpus.doc_tokens[j]``; together
-    they recover every token exactly once.
+    as one view per document, not a copy.
     """
 
     train_fraction: float
-    train_positions: tuple[np.ndarray, ...]
-    test_positions: tuple[np.ndarray, ...]
     train_terms: np.ndarray
     train_offsets: np.ndarray
     test_terms: np.ndarray
@@ -335,26 +342,19 @@ def split_train_test(corpus: Corpus, frac: float, rng: RandomSource) -> HeldOutS
         raise ValueError(f"frac must lie in the open unit interval, got {frac}")
     lengths = corpus.doc_lengths.tolist()
     if min(lengths, default=1) < 1:
-        raise EmptyCorpusError("cannot split a document with no tokens; filter the corpus first")
+        raise EmptyCorpusError(f"cannot split a document with no tokens (docID {lengths.index(0) + 1}); filter the corpus first")
     train_lengths = [max(1, int(math.floor(frac * n + 0.5))) for n in lengths]
     train_offsets = offsets_from_lengths(train_lengths)
     test_offsets = offsets_from_lengths([n - n_train for n, n_train in zip(lengths, train_lengths)])
     train_terms = np.empty(train_offsets[-1], dtype=np.int64)
     test_terms = np.empty(test_offsets[-1], dtype=np.int64)
-    train_pos, test_pos = [], []
     starts = zip(train_offsets.tolist(), test_offsets.tolist())
     for tokens, n_train, (train_start, test_start) in zip(corpus.doc_tokens, train_lengths, starts):
         perm = rng.generator.permutation(len(tokens))
-        tr = np.sort(perm[:n_train])
-        te = np.sort(perm[n_train:])
-        train_pos.append(tr)
-        test_pos.append(te)
-        train_terms[train_start : train_start + len(tr)] = tokens[tr]
-        test_terms[test_start : test_start + len(te)] = tokens[te]
+        train_terms[train_start : train_start + n_train] = tokens[np.sort(perm[:n_train])]
+        test_terms[test_start : test_start + len(tokens) - n_train] = tokens[np.sort(perm[n_train:])]
     return HeldOutSplit(
         train_fraction=float(frac),
-        train_positions=tuple(train_pos),
-        test_positions=tuple(test_pos),
         train_terms=train_terms,
         train_offsets=train_offsets,
         test_terms=test_terms,
@@ -444,5 +444,5 @@ def synthesize_corpus(hyper, truth: SyntheticSpec, rng: RandomSource) -> tuple[C
         docs.append(np.sort(np.concatenate(tokens).astype(np.int64)))
         topic_counts[j] = n_jk
     vocab = tuple(f"w{v:04d}" for v in range(V))
-    corpus = Corpus(vocab=vocab, doc_tokens=tuple(docs))
+    corpus = Corpus(vocab, *flatten_documents(docs))
     return corpus, SyntheticGroundTruth(omega=omega, r_k=r_k, p_j=p_j, topic_counts=topic_counts)

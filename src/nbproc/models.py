@@ -65,7 +65,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import flatten_documents, offsets_from_lengths
+from .corpus import offsets_from_lengths
 from .distributions import (
     PROB_CEIL,
     PROB_FLOOR,
@@ -405,15 +405,12 @@ def _gated(state: ModelState, values: np.ndarray) -> np.ndarray:
     return values if state.b_jk is None else values * state.b_jk
 
 
-def blank_state(kind: ModelKind, tokens, vocab_size: int, num_topics: int, eta: float, offsets=None) -> ModelState:
+def blank_state(kind: ModelKind, tokens, offsets, vocab_size: int, num_topics: int, eta: float) -> ModelState:
     """A structurally valid state with neutral parameter values.
 
-    ``tokens`` is a sequence of per-document term arrays, or, with
-    ``offsets``, the flat term array those offsets index (kept, not copied,
-    when it is int64).
+    ``tokens`` is the flat, document-major term array that ``offsets``
+    index; it is kept, not copied, when it is int64.
     """
-    if offsets is None:
-        tokens, offsets = flatten_documents(tokens)
     tokens, offsets = np.asarray(tokens, dtype=np.int64), np.asarray(offsets, dtype=np.int64)
     J, K, V = len(offsets) - 1, num_topics, vocab_size
     size = {DOC: J, TOPIC: K, None: 0}
@@ -800,7 +797,7 @@ def initialize(kind: ModelKind, corpus, split, hyper: HyperParams, rng: RandomSo
     priors; gates start fully open.
     """
     _check_beta_process(kind, hyper)
-    state = blank_state(kind, split.train_terms, corpus.vocab_size, hyper.K, hyper.eta, offsets=split.train_offsets)
+    state = blank_state(kind, split.train_terms, split.train_offsets, corpus.vocab_size, hyper.K, hyper.eta)
     gen = rng.generator
     J, K = state.num_docs, state.num_topics
     # one draw per document: how integers() splits its 64-bit words depends on the draw sizes
@@ -874,8 +871,8 @@ def forward_draw(
     if spec.normalized and doc_lengths is None:
         raise ValueError(f"{kind.value} needs explicit doc_lengths for forward simulation")
     _check_beta_process(kind, hyper)
-    no_tokens = np.zeros(0, dtype=np.int64)
-    state = blank_state(kind, no_tokens, vocab_size, hyper.K, hyper.eta, offsets=np.zeros(num_docs + 1, dtype=np.int64))
+    no_tokens, offsets = np.zeros(0, dtype=np.int64), np.zeros(num_docs + 1, dtype=np.int64)
+    state = blank_state(kind, no_tokens, offsets, vocab_size, hyper.K, hyper.eta)
     gen = rng.generator
     _draw_count_params(state, hyper, rng)
     set_topics(state, _dirichlet_rows(gen, np.full((hyper.K, vocab_size), hyper.eta)))

@@ -12,9 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nbproc import RandomSource, load_bag_of_words
+from nbproc import RandomSource, SyntheticSpec, cli, load_bag_of_words, split_train_test, synthesize_corpus
 from nbproc.cli import EXIT_CHECK_FAILED, EXIT_IO, EXIT_OK, RunConfig, _make_geweke_check, main
-from nbproc.models import HyperParams, ModelKind
+from nbproc.models import HyperParams, IterationError, ModelKind, gibbs_sweep
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -441,38 +441,38 @@ def test_validate_r_shape_fault_fails_nb_ftm_check():
     assert not ok, detail
 
 
-def test_failed_run_leaves_sentinel(tmp_path, capsys):
-    # a corpus of single-token documents yields no held-out tokens, so
-    # the run fails validation and must flag the partial output
+def test_failed_run_leaves_sentinel(tmp_path, monkeypatch):
+    # a sweep that fails mid-run must leave the partial output flagged
+    calls = []
+
+    def failing_sweep(state, hyper, rng):
+        calls.append(None)
+        if len(calls) == 3:
+            raise IterationError("z-weights", "injected failure at iteration 2")
+        return gibbs_sweep(state, hyper, rng)
+
+    monkeypatch.setattr(cli, "gibbs_sweep", failing_sweep)
+    out = tmp_path / "broken"
+    with pytest.raises(IterationError, match="injected failure"):
+        main(run_args(tmp_path, "broken"))
+    assert len(calls) == 3
+    assert (out / ".incomplete").exists() and (out / "config.json").exists()
+    assert not (out / "trace.csv").exists()
+
+
+def test_split_without_held_out_tokens_writes_nothing(tmp_path, capsys):
+    # a corpus of single-token documents yields no held-out tokens: the run
+    # fails before it writes anything or runs a sweep
     docword = tmp_path / "d.txt"
     vocab = tmp_path / "v.txt"
     docword.write_text("2\n2\n2\n1 1 1\n2 2 1\n")
     vocab.write_text("a\nb\n")
     out = tmp_path / "broken"
-    args = [
-        "run",
-        "--model",
-        "gamma-nb",
-        "--docword",
-        str(docword),
-        "--vocab",
-        str(vocab),
-        "--train-frac",
-        "0.6",
-        "--iters",
-        "5",
-        "--burnin",
-        "1",
-        "--init-iters",
-        "1",
-        "--K",
-        "2",
-        "--out",
-        str(out),
-    ]
+    args = ["run", "--model", "gamma-nb", "--docword", str(docword), "--vocab", str(vocab), "--train-frac", "0.6"]
+    args += ["--iters", "5", "--burnin", "1", "--init-iters", "1", "--K", "2", "--out", str(out)]
     assert main(args) == EXIT_CHECK_FAILED
-    assert (out / ".incomplete").exists()
-    assert "error" in capsys.readouterr().err
+    assert "error: the split holds out no tokens" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_min_doc_freq_filters_vocabulary(tmp_path):
@@ -521,3 +521,27 @@ def test_traced_benchmark_layers_resolve():
     for module_name, attr, *_ in traced.LAYERS:
         assert module_name.split(".")[0] == "nbproc", module_name
         assert callable(getattr(importlib.import_module(module_name), attr, None)), f"{module_name}.{attr}"
+
+
+def test_benchmark_inputs_build_from_the_corpus_api(tmp_path, monkeypatch):
+    # perfbench/run.py make_inputs writes each benchmark corpus with
+    # synthesize_corpus and write_bag_of_words and describes it with
+    # split_train_test and Corpus.total_tokens; a tiny workload runs it whole
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    bench = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, bench)  # the module's dataclasses look themselves up there
+    spec.loader.exec_module(bench)
+    synth = dict(k_true=2, vocab_size=20, num_docs=6, topic_sharpness=0.1, r=5.0, p=0.6)
+    tiny = bench.Workload("tiny", model="gamma-nb", K=3, iters=2, burnin=1, init_iters=1, spec=synth)
+    inputs = tmp_path / "inputs"
+    props = bench.make_inputs(tiny, 4, inputs)
+    corpus = load_bag_of_words(inputs / "docword.txt", inputs / "vocab.txt")
+    expected, _ = synthesize_corpus(HyperParams(), SyntheticSpec(**synth), RandomSource(4))
+    assert corpus.same_as(expected)
+    split = split_train_test(corpus, bench.TRAIN_FRAC, RandomSource(4).child(2))
+    cells = sum(len(np.unique(t)) for t in corpus.doc_tokens)
+    assert (props["J"], props["V"], props["tokens"]) == (6, 20, corpus.total_tokens)
+    assert props["docword_lines"] == 3 + cells
+    assert props["train_tokens"] == split.total_train > 0
+    assert props["train_cells"] == sum(len(np.unique(t)) for t in split.train_tokens)

@@ -11,6 +11,7 @@ from nbproc import (
     RandomSource,
     SyntheticSpec,
     filter_vocabulary,
+    flatten_documents,
     load_bag_of_words,
     split_train_test,
     synthesize_corpus,
@@ -28,7 +29,7 @@ def write_files(tmp_path, docword, vocab):
 
 def make_corpus(doc_tokens, vocab_size):
     vocab = tuple(f"w{v}" for v in range(vocab_size))
-    return Corpus(vocab=vocab, doc_tokens=tuple(np.sort(np.asarray(t, dtype=np.int64)) for t in doc_tokens))
+    return Corpus(vocab, *flatten_documents(np.sort(np.asarray(t, dtype=np.int64)) for t in doc_tokens))
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +193,18 @@ def test_load_vocab_lines_end_at_line_breaks_only(tmp_path):
     assert load_bag_of_words(dw, vf).vocab == ("a\x85b", "c\u2028d")
 
 
+@pytest.mark.parametrize(
+    "header, line, message",
+    [("0\n3\n0\n", 1, "D must be positive, got 0"), ("1\n0\n0\n", 2, "W must be positive, got 0")],
+    ids=["no-documents", "no-terms"],
+)
+def test_load_zero_header_names_the_header_line(tmp_path, header, line, message):
+    dw, vf = write_files(tmp_path, header, "a\nb\nc\n")
+    with pytest.raises(ParseError) as exc:
+        load_bag_of_words(dw, vf)
+    assert str(exc.value) == f"{dw}: line {line}: {message}"
+
+
 def test_load_header_too_large_for_an_index(tmp_path):
     dw, vf = write_files(tmp_path, "4000000000\n4000000000\n0\n", "a\n")
     with pytest.raises(ParseError, match="line 2: D x W"):
@@ -301,8 +314,6 @@ def test_split_recovers_tokens_exactly():
     corpus = make_corpus([[0, 0, 1, 2, 2, 2], [1, 1, 1]], 3)
     split = split_train_test(corpus, 0.55, RandomSource(4))
     for j in range(corpus.num_docs):
-        positions = np.concatenate([split.train_positions[j], split.test_positions[j]])
-        assert sorted(positions) == list(range(len(corpus.doc_tokens[j])))
         combined = np.sort(np.concatenate([split.train_tokens[j], split.test_tokens[j]]))
         assert np.array_equal(combined, corpus.doc_tokens[j])
     assert split.total_train + split.total_test == corpus.total_tokens
@@ -327,9 +338,9 @@ def test_split_deterministic():
     corpus = make_corpus([[0, 1, 2, 0, 1, 2, 0], [1, 1, 2, 2]], 3)
     a = split_train_test(corpus, 0.6, RandomSource(9))
     b = split_train_test(corpus, 0.6, RandomSource(9))
-    assert all(np.array_equal(x, y) for x, y in zip(a.train_positions, b.train_positions))
+    assert np.array_equal(a.train_terms, b.train_terms) and np.array_equal(a.test_terms, b.test_terms)
     c = split_train_test(corpus, 0.6, RandomSource(10))
-    assert any(not np.array_equal(x, y) for x, y in zip(a.train_positions, c.train_positions))
+    assert not np.array_equal(a.train_terms, c.train_terms)
 
 
 def test_split_domain_errors():
@@ -341,7 +352,11 @@ def test_split_domain_errors():
 
 def test_split_rejects_empty_document():
     corpus = make_corpus([[0], []], 1)
-    with pytest.raises(EmptyCorpusError):
+    with pytest.raises(EmptyCorpusError, match=re.escape("(docID 2)")):
+        split_train_test(corpus, 0.5, RandomSource(0))
+    # the first empty document is named, by its 1-based docID
+    corpus = make_corpus([[0], [0, 0], [], [0], []], 1)
+    with pytest.raises(EmptyCorpusError, match=re.escape("cannot split a document with no tokens (docID 3)")):
         split_train_test(corpus, 0.5, RandomSource(0))
 
 
@@ -437,3 +452,75 @@ def test_write_bag_of_words_matches_dense_counts(tmp_path):
     lines = [str(corpus.num_docs), str(corpus.vocab_size), str(len(docs))]
     lines += [f"{j + 1} {v + 1} {counts[j, v]}" for j, v in zip(docs, terms)]
     assert (tmp_path / "docword.txt").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+
+def reference_docword(corpus):
+    """The per-document writer the flat one replaced, kept as an oracle: the docword text."""
+    cells = []
+    for j, tokens in enumerate(corpus.doc_tokens):
+        terms, counts = np.unique(tokens, return_counts=True)
+        cells.extend(f"{j + 1} {v + 1} {n}" for v, n in zip(terms, counts))
+    return "\n".join([str(corpus.num_docs), str(corpus.vocab_size), str(len(cells)), *cells]) + "\n"
+
+
+def reference_filter(corpus, min_doc_freq):
+    """The per-document filter the flat one replaced, kept as an oracle.
+
+    Returns the surviving vocabulary, the surviving documents' terms and
+    the number of documents dropped; raises EmptyCorpusError as it did.
+    """
+    doc_freq = np.zeros(corpus.vocab_size, dtype=np.int64)
+    for tokens in corpus.doc_tokens:
+        doc_freq[np.unique(tokens)] += 1
+    keep = doc_freq >= min_doc_freq
+    if not keep.any():
+        raise EmptyCorpusError("nothing left after filtering")
+    remap = -np.ones(corpus.vocab_size, dtype=np.int64)
+    remap[keep] = np.arange(int(keep.sum()))
+    vocab = tuple(t for t, k in zip(corpus.vocab, keep) if k)
+    docs = [np.sort(remap[tokens[keep[tokens]]]) for tokens in corpus.doc_tokens]
+    return vocab, [d for d in docs if len(d)], sum(1 for d in docs if not len(d))
+
+
+def random_corpus(gen):
+    """A corpus with repeated terms, rare terms and, at times, empty documents."""
+    num_docs, vocab_size = int(gen.integers(1, 9)), int(gen.integers(1, 16))
+    weights = gen.dirichlet(np.full(vocab_size, 0.3))  # a few common terms, many rare ones
+    lengths = gen.integers(0, 9, size=num_docs) * (gen.random(num_docs) > 0.1)
+    return make_corpus([gen.choice(vocab_size, size=n, p=weights) for n in lengths], vocab_size)
+
+
+@pytest.mark.parametrize("min_doc_freq", [1, 2])
+def test_flat_writer_and_filter_match_per_document_loops(tmp_path, caplog, min_doc_freq):
+    gen = np.random.default_rng(404 + min_doc_freq)
+    dw, vf = tmp_path / "docword.txt", tmp_path / "vocab.txt"
+    saw_repeat = saw_dropped = saw_emptied = saw_empty_result = False
+    for _ in range(300):
+        corpus = random_corpus(gen)
+        write_bag_of_words(corpus, dw, vf)
+        assert dw.read_bytes() == reference_docword(corpus).encode()
+        saw_repeat |= any(len(np.unique(t)) < len(t) for t in corpus.doc_tokens)
+        try:
+            vocab, docs, dropped = reference_filter(corpus, min_doc_freq)
+        except EmptyCorpusError:
+            saw_empty_result = True
+            with pytest.raises(EmptyCorpusError):
+                filter_vocabulary(corpus, min_doc_freq)
+            continue
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            filtered = filter_vocabulary(corpus, min_doc_freq)
+        assert filtered.vocab == vocab and filtered.num_docs == len(docs)
+        assert filtered.terms.dtype == np.int64 and filtered.offsets.dtype == np.int64
+        for got, want in zip(filtered.doc_tokens, docs):
+            assert np.array_equal(got, want)
+        warnings = [r.getMessage() for r in caplog.records if "dropped" in r.getMessage()]
+        expected = [f"filter_vocabulary(min_doc_freq={min_doc_freq}) dropped {dropped} empty document(s)"]
+        assert warnings == (expected if dropped else [])
+        saw_dropped |= dropped > 0
+        saw_emptied |= dropped > sum(len(t) == 0 for t in corpus.doc_tokens)  # not only empty before
+        write_bag_of_words(filtered, dw, vf)
+        assert dw.read_bytes() == reference_docword(filtered).encode()
+    assert saw_repeat and saw_dropped
+    if min_doc_freq > 1:  # documents emptied by the filter, and corpora it empties
+        assert saw_emptied and saw_empty_result

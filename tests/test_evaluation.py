@@ -27,11 +27,11 @@ MICRO = HyperParams(c=1.0, eta=0.3, a0=3.0, b0=3.0, e0=1.0, f0=1.0, K=2, iters=2
 
 def make_corpus(doc_tokens, vocab_size):
     vocab = tuple(f"w{v}" for v in range(vocab_size))
-    return Corpus(vocab=vocab, doc_tokens=tuple(np.sort(np.asarray(t, dtype=np.int64)) for t in doc_tokens))
+    return Corpus(vocab, *flatten_documents(np.sort(np.asarray(t, dtype=np.int64)) for t in doc_tokens))
 
 
 def make_state(kind, J, K, V, omega, lam):
-    state = blank_state(kind, [np.zeros(0, dtype=np.int64)] * J, V, K, 0.3)
+    state = blank_state(kind, np.zeros(0, dtype=np.int64), np.zeros(J + 1, dtype=np.int64), V, K, 0.3)
     set_topics(state, np.asarray(omega, dtype=float))
     state.lam = np.asarray(lam, dtype=float)
     return state
@@ -44,10 +44,8 @@ def make_state(kind, J, K, V, omega, lam):
 
 def held_out(*test_tokens):
     """A split whose held-out term ids are given per document (no training tokens)."""
-    tests = tuple(np.asarray(t, dtype=np.int64) for t in test_tokens)
-    none = tuple(np.zeros(0, dtype=np.int64) for _ in tests)
-    positions = tuple(np.arange(len(t)) for t in tests)
-    return HeldOutSplit(0.5, none, positions, *flatten_documents(none), *flatten_documents(tests))
+    none = [()] * len(test_tokens)
+    return HeldOutSplit(0.5, *flatten_documents(none), *flatten_documents(test_tokens))
 
 
 def doc_mass(acc):

@@ -12,12 +12,12 @@ from nbproc import (
     initialize,
     split_train_test,
 )
-from nbproc.corpus import Corpus
+from nbproc.corpus import Corpus, flatten_documents
 
 
 def make_corpus(doc_tokens, vocab_size):
     vocab = tuple(f"w{v}" for v in range(vocab_size))
-    return Corpus(vocab=vocab, doc_tokens=tuple(np.sort(np.asarray(t, dtype=np.int64)) for t in doc_tokens))
+    return Corpus(vocab, *flatten_documents(np.sort(np.asarray(t, dtype=np.int64)) for t in doc_tokens))
 
 
 def run_chain(kind, corpus, hyper, seed, sweeps, warmup, collect, frac=0.8, thin=1):

@@ -26,7 +26,7 @@ from nbproc import (
 )
 from nbproc import models
 from nbproc.cli import run_experiment
-from nbproc.corpus import Corpus, SyntheticSpec, document_views, synthesize_corpus
+from nbproc.corpus import Corpus, SyntheticSpec, document_views, flatten_documents, synthesize_corpus
 from nbproc.models import BLOCKED_CELLS, TINY, _dirichlet_rows, blank_state
 
 MICRO = HyperParams(c=1.0, eta=0.3, a0=3.0, b0=3.0, e0=1.0, f0=1.0, K=2, iters=2, burnin=0, init_iters=0)
@@ -34,12 +34,12 @@ MICRO = HyperParams(c=1.0, eta=0.3, a0=3.0, b0=3.0, e0=1.0, f0=1.0, K=2, iters=2
 
 def make_corpus(doc_tokens, vocab_size):
     vocab = tuple(f"w{v}" for v in range(vocab_size))
-    return Corpus(vocab=vocab, doc_tokens=tuple(np.sort(np.asarray(t, dtype=np.int64)) for t in doc_tokens))
+    return Corpus(vocab, *flatten_documents(np.sort(np.asarray(t, dtype=np.int64)) for t in doc_tokens))
 
 
 def state_with_tokens(kind, tokens, vocab_size, num_topics, eta=0.3, seed=0):
     """A structurally valid state with given tokens and random z."""
-    state = blank_state(kind, tokens, vocab_size, num_topics, eta)
+    state = blank_state(kind, *flatten_documents(tokens), vocab_size, num_topics, eta)
     gen = RandomSource(seed).generator
     state.z = np.concatenate([gen.integers(0, num_topics, size=len(t)).astype(np.int64) for t in tokens])
     K = num_topics
