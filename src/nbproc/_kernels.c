@@ -1,0 +1,131 @@
+/* The package's per-token loops, compiled: topic assignment, CRT table
+ * counts and held-out evaluation.  Each is the compiled form of a numpy loop
+ * in nbproc._kernels and gives its results bit for bit.
+ *
+ * Build contract: compile without FMA contraction (-ffp-contract=off),
+ * without -march=native and without -ffast-math.  Each of them lets the
+ * compiler fuse, reorder or vectorize the sums below, which changes their
+ * rounding and so the drawn topics and the held-out mass.
+ */
+#include <math.h>
+#include <stdint.h>
+
+/* For token i of document j with term v, the weights omega_t[v, k] *
+ * lam[j, k] are summed in order k = 0..K-1 (the IEEE operations of numpy's
+ * multiply and cumsum), and z[i] is the number of k whose running sum lies
+ * below u[i] * total.  The caller checks that omega_t and lam hold no
+ * negative entry, so the running sums never decrease and that number is
+ * found by bisection.  Returns -1, or the first document whose total is
+ * not positive and finite; z is then partly written.
+ */
+int64_t assign_topics(const double *omega_t, const double *lam, int64_t K, const int64_t *terms,
+                      const int64_t *offsets, int64_t J, const double *u, int64_t *z, double *cum)
+{
+    for (int64_t j = 0; j < J; j++) {
+        const double *weights = lam + j * K;
+        for (int64_t i = offsets[j]; i < offsets[j + 1]; i++) {
+            const double *row = omega_t + terms[i] * K;
+            double total = 0.0;
+            for (int64_t k = 0; k < K; k++) {
+                total += row[k] * weights[k];
+                cum[k] = total;
+            }
+            if (!(isfinite(total) && total > 0.0))
+                return j;
+            const double threshold = u[i] * total;
+            int64_t below = 0, above = K; /* the answer lies in [below, above] */
+            while (below < above) {
+                const int64_t mid = below + (above - below) / 2;
+                if (cum[mid] < threshold)
+                    below = mid + 1;
+                else
+                    above = mid;
+            }
+            z[i] = below;
+        }
+    }
+    return -1;
+}
+
+/* CRT(m, r) table counts of a rows x cols array of counts m, in C order.
+ * Cell (a, b) reads its rate at r[a * r_row + b * r_col] (strides in
+ * doubles, 0 along a broadcast axis) and takes the next m uniforms of u:
+ * its count is the number of k = 0..m-1 with u < r / (k + r).  Returns -1,
+ * or the first cell with m > 0 whose rate is not positive and finite;
+ * tables is then partly written.
+ */
+int64_t crt_tables(const int64_t *m, int64_t rows, int64_t cols, const double *r, int64_t r_row,
+                   int64_t r_col, const double *u, int64_t *tables)
+{
+    for (int64_t a = 0; a < rows; a++) {
+        for (int64_t b = 0; b < cols; b++) {
+            const int64_t cell = a * cols + b, n = m[cell];
+            int64_t count = 0;
+            if (n > 0) {
+                const double rate = r[a * r_row + b * r_col];
+                if (!(isfinite(rate) && rate > 0.0))
+                    return cell;
+                for (int64_t k = 0; k < n; k++)
+                    count += u[k] < rate / ((double)k + rate);
+                u += n;
+            }
+            tables[cell] = count;
+        }
+    }
+    return -1;
+}
+
+/* sum_k a[k] * b[k] in four lanes: lane l adds the k = l (mod 4) in
+ * increasing k, and the lanes are added as (l0 + l1) + (l2 + l3). */
+static double lane_dot(const double *a, const double *b, int64_t K)
+{
+    double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
+    int64_t k = 0;
+    for (; k + 4 <= K; k += 4) {
+        l0 += a[k] * b[k];
+        l1 += a[k + 1] * b[k + 1];
+        l2 += a[k + 2] * b[k + 2];
+        l3 += a[k + 3] * b[k + 3];
+    }
+    if (k < K)
+        l0 += a[k] * b[k];
+    if (k + 1 < K)
+        l1 += a[k + 1] * b[k + 1];
+    if (k + 2 < K)
+        l2 += a[k + 2] * b[k + 2];
+    return (l0 + l1) + (l2 + l3);
+}
+
+/* Adds to mass[i], for held-out token i of document j with term v, the
+ * lane sum of omega_t[v, k] * lam[j, k], and to totals[j] the lane sum of
+ * lam[j, k] * topic_mass[k]. */
+void heldout_mass(const double *omega_t, const double *lam, int64_t K, const int64_t *terms,
+                  const int64_t *offsets, int64_t J, const double *topic_mass, double *mass, double *totals)
+{
+    for (int64_t j = 0; j < J; j++) {
+        const double *weights = lam + j * K;
+        for (int64_t i = offsets[j]; i < offsets[j + 1]; i++)
+            mass[i] += lane_dot(omega_t + terms[i] * K, weights, K);
+        totals[j] += lane_dot(weights, topic_mass, K);
+    }
+}
+
+/* sums[j] = the sum, in token order, of log(mass[i] / totals[j]) over
+ * document j's held-out tokens, or 0 for a document with none.  Returns -1,
+ * or the first document holding a ratio <= 0; sums is then partly written.
+ */
+int64_t heldout_log_sums(const double *mass, const double *totals, const int64_t *offsets, int64_t J,
+                         double *sums)
+{
+    for (int64_t j = 0; j < J; j++) {
+        double sum = 0.0;
+        for (int64_t i = offsets[j]; i < offsets[j + 1]; i++) {
+            const double ratio = mass[i] / totals[j];
+            if (ratio <= 0.0)
+                return j;
+            sum += log(ratio);
+        }
+        sums[j] = sum;
+    }
+    return -1;
+}

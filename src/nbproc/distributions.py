@@ -19,6 +19,7 @@ import math
 
 import numpy as np
 
+from . import _kernels
 from .rng import RandomSource
 
 # Smallest positive normal double; gamma draws never fall below this.
@@ -242,7 +243,9 @@ def sample_crt_array(m, r, rng: RandomSource) -> np.ndarray:
 
     ``r`` is broadcast against ``m``; it must be positive wherever
     m > 0 (cells with m = 0 yield 0 regardless of r, which lets gated
-    models pass r = 0 for switched-off cells).
+    models pass r = 0 for switched-off cells).  One uniform is drawn per
+    Bernoulli trial, m.sum() in all, and the compiled loop (or its numpy
+    form) counts each cell's successes.
     """
     m = np.asarray(m)
     if not np.issubdtype(m.dtype, np.integer):
@@ -250,27 +253,14 @@ def sample_crt_array(m, r, rng: RandomSource) -> np.ndarray:
     if np.any(m < 0):
         raise ParameterError("m entries must be non-negative")
     r = np.broadcast_to(np.asarray(r, dtype=np.float64), m.shape)
+    m = np.ascontiguousarray(m, dtype=np.int64)
     out = np.zeros(m.shape, dtype=np.int64)
-    mask = m > 0
-    if not mask.any():
+    total = int(m.sum())
+    if total == 0:
         return out
-    mv = m[mask].astype(np.int64)
-    rv = r[mask]
-    if not np.all(np.isfinite(rv)) or np.any(rv <= 0):
+    u = rng.generator.random(total)
+    if _kernels.loops().crt_tables(m, r, u, out) >= 0:
         raise ParameterError("r must be positive and finite wherever m > 0")
-    total = int(mv.sum())
-    cell = np.repeat(np.arange(mv.size), mv)
-    pos = np.arange(total)
-    pos -= np.repeat(np.cumsum(mv) - mv, mv)  # 0..m_i-1 within each cell
-    r_rep = rv[cell]
-    # r / (pos + r), computed in place: every per-trial array is as long as the
-    # token count, so each temporary alive at once adds to the sweep's peak memory
-    prob = pos + r_rep
-    del pos
-    np.divide(r_rep, prob, out=prob)
-    del r_rep
-    hits = rng.generator.random(total) < prob
-    out[mask] = np.bincount(cell, weights=hits, minlength=mv.size).astype(np.int64)
     return out
 
 

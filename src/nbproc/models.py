@@ -48,23 +48,16 @@ drawn in token-balanced parts on all cores with the same z.
 from __future__ import annotations
 
 import copy
-import ctypes
-import functools
 import math
 import numbers
 import os
-import shlex
-import subprocess
-import sysconfig
-import tempfile
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from enum import Enum
-from pathlib import Path
 
 import numpy as np
 
+from . import _kernels
 from .corpus import offsets_from_lengths
 from .distributions import (
     PROB_CEIL,
@@ -85,11 +78,6 @@ ROW_BLOCKS = 8
 # each token's z depends only on its own uniform, so the parts never
 # change it.  Smaller sweeps, Geweke-sized ones included, start no thread.
 THREADED_CELLS = 2**20
-
-# The topic-assignment kernel and the flags that keep its arithmetic that of
-# numpy (see the contract in _assign.c); it is compiled on first use.
-_ASSIGN_SOURCE = Path(__file__).with_name("_assign.c")
-_ASSIGN_CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 
 class IterationError(RuntimeError):
@@ -459,66 +447,6 @@ def _recount(state: ModelState) -> None:
     state.n_jk = np.bincount(cells, minlength=J * K).reshape(J, K)
 
 
-def _assign_numpy(omega_t, lam, terms, offsets, u, z) -> int:
-    """Write each token's topic into ``z``; the reference for the compiled kernel.
-
-    Token i of document j with term v takes the number of topics k whose
-    running sum of omega_t[v, :k+1] * lam[j, :k+1] lies below u[i] times
-    the total.  ``lam`` may be a run of documents' rows: ``offsets`` then
-    holds that run's len(lam) + 1 entries, which index the whole ``terms``,
-    ``u`` and ``z``.  Returns -1, or the first document of the run whose
-    totals are not all positive and finite.
-    """
-    for j in range(len(lam)):
-        start, stop = offsets[j], offsets[j + 1]
-        cum = omega_t[terms[start:stop]]  # tokens x topics
-        cum *= lam[j]
-        np.cumsum(cum, axis=1, out=cum)
-        totals = cum[:, -1]
-        if not np.all(np.isfinite(totals)) or not np.all(totals > 0):
-            return j
-        z[start:stop] = (cum < (u[start:stop] * totals)[:, None]).sum(axis=1)
-    return -1
-
-
-def _build_assign_kernel():
-    """Compile ``_assign.c`` with the C compiler Python was built with and load it.
-
-    Returns a function with the signature and results of ``_assign_numpy``.
-    """
-    compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")
-    with tempfile.TemporaryDirectory(ignore_cleanup_errors=True) as tmp:
-        library = os.path.join(tmp, "_assign.so")
-        command = [*compiler, *_ASSIGN_CFLAGS, str(_ASSIGN_SOURCE), "-o", library]
-        subprocess.run(command, check=True, capture_output=True)
-        kernel = ctypes.CDLL(library).assign_topics  # the loaded library outlives its file
-    doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    integers = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-    kernel.argtypes = [doubles, doubles, ctypes.c_int64, integers, integers, ctypes.c_int64, doubles, integers, doubles]
-    kernel.restype = ctypes.c_int64
-
-    def assign(omega_t, lam, terms, offsets, u, z) -> int:
-        K = omega_t.shape[1]
-        return kernel(omega_t, lam, K, terms, offsets, len(lam), u, z, np.empty(K))
-
-    return assign
-
-
-@functools.cache
-def _assign_kernel():
-    """The compiled assignment kernel, or None, after one warning, where it cannot be built or loaded."""
-    try:
-        return _build_assign_kernel()
-    except (OSError, subprocess.CalledProcessError) as exc:
-        reason = exc.stderr.decode(errors="replace").strip() if isinstance(exc, subprocess.CalledProcessError) else exc
-        warnings.warn(
-            f"nbproc: cannot build the topic-assignment kernel ({reason}); drawing the same z with numpy",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return None
-
-
 def _document_parts(offsets: np.ndarray, num_topics: int) -> list[tuple[int, int]]:
     """Runs of documents [start, stop) holding about equal token counts, one per core.
 
@@ -534,6 +462,20 @@ def _document_parts(offsets: np.ndarray, num_topics: int) -> list[tuple[int, int
     cuts = np.where(offsets[after] - shares <= shares - offsets[after - 1], after, after - 1)
     bounds = np.unique(np.concatenate(([0], cuts, [J]))).tolist()
     return list(zip(bounds, bounds[1:]))
+
+
+def _run_parts(work, parts: list[tuple[int, int]]) -> list:
+    """``work(start, stop)`` for every part, in part order.
+
+    The first part runs on this thread and the others on threads of their
+    own meanwhile: the compiled loops release the GIL.
+    """
+    first, *rest = parts
+    if not rest:
+        return [work(*first)]
+    with ThreadPoolExecutor(len(rest)) as pool:
+        others = pool.map(work, *zip(*rest))
+        return [work(*first), *others]
 
 
 def sample_topic_assignments(state: ModelState, rng: RandomSource) -> ModelState:
@@ -571,21 +513,14 @@ def _draw_topics(state: ModelState, rng: RandomSource) -> np.ndarray:
             raise ValueError(f"{name} has a negative entry; topic weights must be non-negative")
     u = rng.generator.random(len(terms))
     z = np.empty(len(terms), dtype=np.int64)
-    assign = _assign_kernel() or _assign_numpy
+    assign = _kernels.loops().assign_topics
 
-    def assign_part(part: tuple[int, int]) -> int:
-        start, stop = part
+    def assign_part(start: int, stop: int) -> int:
         bad = assign(omega_t, lam[start:stop], terms, offsets[start : stop + 1], u, z)
         return bad if bad < 0 else start + bad
 
-    first, *rest = _document_parts(offsets, K)
-    if rest:  # the other parts run on their own threads meanwhile: ctypes releases the GIL
-        with ThreadPoolExecutor(len(rest)) as pool:
-            others = pool.map(assign_part, rest)
-            found = [assign_part(first), *others]
-    else:
-        found = [assign_part(first)]
-    bad = min((j for j in found if j >= 0), default=-1)
+    found = _run_parts(assign_part, _document_parts(offsets, K))
+    bad = next((j for j in found if j >= 0), -1)  # parts are in document order
     if bad >= 0:
         raise IterationError("z-weights", f"document {bad} has no admissible topic")
     return z

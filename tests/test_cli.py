@@ -160,10 +160,10 @@ def test_corpus_fingerprint_hashes_both_files_whole(tmp_path):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # and builds no topic-assignment kernel: that happens on the first draw
+    # and builds no compiled library: that happens on the first draw
     code = (
         "import sys, nbproc, nbproc.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'));"
-        "print(nbproc.models._assign_kernel.cache_info().misses)"
+        "print(nbproc._kernels.library.cache_info().misses)"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)

@@ -5,6 +5,7 @@ import pytest
 from scipy.special import gammaln, logsumexp
 from scipy.stats import nbinom
 
+from nbproc import _kernels
 from nbproc import (
     CapacityError,
     ParameterError,
@@ -330,6 +331,69 @@ def test_sample_crt_array_gated_zero_rate():
     assert np.array_equal(out, [0, 0])
     with pytest.raises(ParameterError):
         sample_crt_array(np.array([1]), np.array([0.0]), rng(23))
+
+
+def _crt_cases():
+    """Counts m, some zero, and a rate array broadcast against them, per case name."""
+    gen = np.random.default_rng(24)
+    m = gen.poisson(3.0, size=(6, 7))
+    m[gen.random(m.shape) < 0.3] = 0
+    rates = gen.gamma(0.7, 2.0, size=(6, 7))
+    return {
+        "r-along-documents": (m, rates[:, :1]),
+        "r-along-topics": (m, rates[:1, :]),
+        "r-zero-where-m-zero": (m, np.where(m > 0, rates, 0.0)),
+        "r-reversed-view": (m, rates[::-1, ::-1]),
+        "scalar-r-vector-m": (m[0], 1.5),
+        "m-all-zero": (np.zeros((3, 4), dtype=np.int64), 0.0),
+        "three-axes": (m.reshape(3, 2, 7), rates[:1, :]),
+        "int32-counts": (m.astype(np.int32), rates[:, :1]),
+    }
+
+
+CRT_CASES = _crt_cases()
+
+
+@pytest.mark.parametrize("case", sorted(CRT_CASES))
+def test_crt_tables_compiled_match_numpy_reference(compiled_library, case):
+    m, r = CRT_CASES[case]
+    m = np.ascontiguousarray(m, dtype=np.int64)
+    r = np.broadcast_to(np.asarray(r, dtype=np.float64), m.shape)
+    u = np.random.default_rng(25).random(int(m.sum()))
+    expected, actual = np.full(m.shape, -1), np.full(m.shape, -1)
+    assert _kernels.crt_tables(m, r, u, expected) == -1
+    assert compiled_library.crt_tables(m, r, u, actual) == -1
+    assert np.array_equal(actual, expected)
+    assert np.all(expected[m == 0] == 0) and np.all((expected >= 1) == (m >= 1)) and np.all(expected <= m)
+
+
+@pytest.mark.parametrize("case", sorted(CRT_CASES))
+def test_sample_crt_array_counts_one_uniform_per_trial(library_path, case):
+    m, r = CRT_CASES[case]
+    source = rng(26)
+    drawn = sample_crt_array(m, r, source)
+    # the reference: r / (k + r) against the stream's next m.sum() uniforms, cell after cell in C order
+    gen = rng(26).generator
+    expected = np.zeros(m.shape, dtype=np.int64)
+    rates = np.broadcast_to(np.asarray(r, dtype=np.float64), m.shape)
+    for cell in np.ndindex(m.shape):
+        n = int(m[cell])
+        if n:
+            expected[cell] = np.count_nonzero(gen.random(n) < rates[cell] / (np.arange(n) + rates[cell]))
+    assert drawn.shape == m.shape and drawn.dtype == np.int64
+    assert np.array_equal(drawn, expected)
+    assert source.generator.random() == gen.random()  # the same number of uniforms consumed
+
+
+@pytest.mark.parametrize("rate", [0.0, -1.0, np.nan, np.inf])
+def test_crt_tables_name_the_first_bad_cell_on_both_paths(compiled_library, rate):
+    m = np.array([[2, 0, 1], [0, 3, 1]])
+    r = np.array([[1.0, rate, 1.0], [1.0, rate, rate]])  # cell (0, 1) has m = 0; (1, 1) is the first bad one
+    u = np.random.default_rng(27).random(int(m.sum()))
+    for loops in (_kernels.NUMPY, compiled_library):
+        assert loops.crt_tables(m, r, u, np.empty_like(m)) == 4
+    with pytest.raises(ParameterError, match="r must be positive and finite wherever m > 0"):
+        sample_crt_array(m, r, rng(28))
 
 
 # ---------------------------------------------------------------------------

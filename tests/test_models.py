@@ -24,7 +24,7 @@ from nbproc import (
     update_topics,
     validate_state,
 )
-from nbproc import models
+from nbproc import _kernels, models
 from nbproc.cli import run_experiment
 from nbproc.corpus import Corpus, SyntheticSpec, document_views, flatten_documents, synthesize_corpus
 from nbproc.models import BLOCKED_CELLS, TINY, _dirichlet_rows, blank_state
@@ -101,31 +101,8 @@ def test_assignments_counts_always_match_lengths():
     assert np.array_equal(state.n_jk.sum(axis=1), state.train_counts)
 
 
-@pytest.fixture(params=["compiled", "numpy"])
-def assign_path(request, monkeypatch):
-    """Draw topic assignments with the compiled kernel, or with numpy as on a platform where it cannot be built."""
-    if request.param == "compiled":
-        try:
-            kernel = models._build_assign_kernel()
-        except FileNotFoundError:
-            pytest.skip("no C compiler")
-        monkeypatch.setattr(models, "_build_assign_kernel", lambda: kernel)
-        models._assign_kernel.cache_clear()
-    else:
-        monkeypatch.setattr(models, "_build_assign_kernel", _no_compiler)
-        models._assign_kernel.cache_clear()
-        with pytest.warns(RuntimeWarning, match="drawing the same z with numpy"):
-            assert models._assign_kernel() is None
-    yield
-    models._assign_kernel.cache_clear()
-
-
-def _no_compiler():
-    raise FileNotFoundError("cc")
-
-
 @pytest.mark.parametrize("K", [1, 7, 400])
-def test_assign_matches_reference_expression(assign_path, K):
+def test_assign_matches_reference_expression(library_path, K):
     # uneven lengths, empty documents first, in the middle and last, the longest neither first nor last
     V = 30
     gen = RandomSource(14).generator
@@ -149,7 +126,7 @@ def test_assign_matches_reference_expression(assign_path, K):
     assert actual_gen.generator.random() == expected_gen.random()  # same number of uniforms consumed
 
 
-def test_assign_names_the_first_document_without_admissible_topic(assign_path):
+def test_assign_names_the_first_document_without_admissible_topic(library_path):
     state = state_with_tokens(ModelKind.GAMMA_NB, [[0, 1], [1, 2], [0]], 3, 2)
     state.lam = np.array([[1.0, 2.0], [0.0, 0.0], [0.0, 0.0]])
     with pytest.raises(IterationError, match="document 1 has no admissible topic"):
@@ -157,7 +134,7 @@ def test_assign_names_the_first_document_without_admissible_topic(assign_path):
 
 
 @pytest.mark.parametrize("term", [-1, 3])
-def test_assign_rejects_term_outside_vocabulary(assign_path, term):
+def test_assign_rejects_term_outside_vocabulary(library_path, term):
     state = state_with_tokens(ModelKind.GAMMA_NB, [[0, 1], [2, term]], 3, 2)
     z_before = state.z.copy()
     rng = RandomSource(4)
@@ -169,7 +146,7 @@ def test_assign_rejects_term_outside_vocabulary(assign_path, term):
 
 
 @pytest.mark.parametrize("name", ["omega", "lam"])
-def test_assign_rejects_negative_weights(assign_path, name):
+def test_assign_rejects_negative_weights(library_path, name):
     state = state_with_tokens(ModelKind.GAMMA_NB, [[0, 1], [2]], 3, 2)
     weights = {"omega": np.full((2, 3), 1.0 / 3), "lam": np.ones((2, 2))}
     weights[name][1, 0] = -0.5  # every total stays positive
@@ -214,18 +191,18 @@ def test_threaded_parts_split_at_the_documents_the_cases_name(monkeypatch):
 
 
 @pytest.mark.parametrize("shape", sorted(THREADED_SHAPES))
-def test_threaded_assignment_matches_numpy_reference_at_any_core_count(assign_path, monkeypatch, shape):
+def test_threaded_assignment_matches_numpy_reference_at_any_core_count(library_path, monkeypatch, shape):
     state = threaded_state(THREADED_SHAPES[shape])
     u = RandomSource(94).generator.random(len(state.tokens))
     expected = np.empty(len(state.tokens), dtype=np.int64)
-    assert models._assign_numpy(state.omega_t, state.lam, state.tokens, state.offsets, u, expected) == -1
+    assert _kernels.assign_topics(state.omega_t, state.lam, state.tokens, state.offsets, u, expected) == -1
     for cores in (1, 2, 3):
         monkeypatch.setattr(models, "_available_cores", lambda: cores)
         drawn = sample_topic_assignments(state.clone(), RandomSource(94))
         assert np.array_equal(drawn.z, expected), f"{cores} cores"
 
 
-def test_threaded_assignment_names_the_lowest_bad_document(assign_path, monkeypatch):
+def test_threaded_assignment_names_the_lowest_bad_document(library_path, monkeypatch):
     monkeypatch.setattr(models, "_available_cores", lambda: 3)
     state = threaded_state([3000] * 6)
     assert models._document_parts(state.offsets, THREADED_K) == [(0, 2), (2, 4), (4, 6)]
