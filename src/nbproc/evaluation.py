@@ -13,8 +13,16 @@ numerator only at the held-out (j, v) cells and the denominator once per
 document: its memory grows with the held-out tokens, never with
 documents x vocabulary.  The held-out terms and their mass are flat,
 document-major arrays that share the split's document offsets, and the
-mass is gathered from the state's vocabulary-major ``omega_t``, so
+mass is read from the state's vocabulary-major ``omega_t``, so
 evaluation makes no transpose of its own.
+
+Both sums run in the package's compiled library (``nbproc._kernels``):
+each token's mass and each document's total is a sum over topics in four
+fixed lanes, made in the token-balanced document parts of the topic
+assignment, and the perplexity's logs come from the C library's ``log``,
+summed in token order and then in document order.  No step calls BLAS
+or numpy's SIMD ``log``, so the perplexity has the same bits on any
+x86-64 CPU and with or without a C compiler.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernels
 from .corpus import HeldOutSplit
 from .models import (
     BETA_PROCESS,
@@ -33,6 +42,8 @@ from .models import (
     HyperParams,
     ModelKind,
     ModelState,
+    _document_parts,
+    _run_parts,
     count_active_topics,
     forward_draw,
     gibbs_sweep,
@@ -78,18 +89,31 @@ class SampleAccumulator:
 
 
 def accumulate(acc: SampleAccumulator, state: ModelState) -> SampleAccumulator:
-    """Fold one collected sample's omega-weight products into the sums."""
-    weights = state.lam
-    if weights.shape[0] != acc.doc_totals.shape[0] or state.vocab_size != acc.vocab_size:
+    """Fold one collected sample's omega-weight products into the sums.
+
+    Each held-out token's mass and each document's total is a sum over
+    topics in four fixed lanes (``_kernels.lane_sums``), computed by the
+    compiled library in the token-balanced document parts of the topic
+    assignment; the results never depend on the number of parts.
+    """
+    lam = np.ascontiguousarray(state.lam, dtype=np.float64)
+    if lam.shape[0] != acc.doc_totals.shape[0] or state.vocab_size != acc.vocab_size:
         raise ValueError(
             f"accumulator shape ({acc.doc_totals.shape[0]}, {acc.vocab_size}) does not match "
-            f"state ({weights.shape[0]}, {state.vocab_size})"
+            f"state ({lam.shape[0]}, {state.vocab_size})"
         )
-    omega_t = state.omega_t
-    bounds = acc.test_offsets.tolist()
-    for start, stop, w in zip(bounds, bounds[1:], weights):
-        acc.test_mass[start:stop] += omega_t[acc.test_terms[start:stop]] @ w
-    acc.doc_totals += weights @ state.omega.sum(axis=1)
+    terms, offsets = acc.test_terms, acc.test_offsets
+    if terms.size and (terms.min() < 0 or terms.max() >= acc.vocab_size):
+        raise ValueError(f"held-out term ids must lie in [0, {acc.vocab_size})")
+    omega_t = np.ascontiguousarray(state.omega_t, dtype=np.float64)
+    topic_mass = state.omega.sum(axis=1)
+    heldout_mass = _kernels.loops().heldout_mass
+
+    def mass_part(start: int, stop: int) -> None:
+        bounds = offsets[start : stop + 1]
+        heldout_mass(omega_t, lam[start:stop], terms, bounds, topic_mass, acc.test_mass, acc.doc_totals[start:stop])
+
+    _run_parts(mass_part, _document_parts(offsets, lam.shape[1]))
     acc.num_samples += 1
     return acc
 
@@ -99,25 +123,22 @@ def heldout_perplexity(acc: SampleAccumulator) -> float:
 
     Documents without test tokens contribute nothing.  Uniform f gives
     exactly the vocabulary size; a perfect predictor approaches 1.  Each
-    document's log predictive mass is summed on its own and the sums are
-    added in document order, which fixes the rounding.
+    document's log predictive mass is summed in token order with the C
+    library's ``log``, and the sums are added in document order, which
+    fixes the rounding.
     """
     if acc.num_samples < 1:
         raise EvaluationError("no samples collected yet")
     total_test = len(acc.test_terms)
     if total_test < 1:
         raise EvaluationError("the split holds out no tokens")
-    offsets = acc.test_offsets
-    probs = acc.test_mass / np.repeat(acc.doc_totals, np.diff(offsets))
-    if np.any(probs <= 0.0):
-        j = int(np.searchsorted(offsets, np.argmax(probs <= 0.0), side="right")) - 1
-        raise EvaluationError(f"zero predictive mass for a held-out token of document {j}")
-    logs = np.log(probs)
+    log_sums = np.empty(len(acc.doc_totals))
+    bad = _kernels.loops().heldout_log_sums(acc.test_mass, acc.doc_totals, acc.test_offsets, log_sums)
+    if bad >= 0:
+        raise EvaluationError(f"zero predictive mass for a held-out token of document {bad}")
     log_total = 0.0
-    bounds = offsets.tolist()
-    for start, stop in zip(bounds, bounds[1:]):
-        if stop > start:
-            log_total += float(logs[start:stop].sum())
+    for log_sum in log_sums.tolist():
+        log_total += log_sum
     return float(math.exp(-log_total / total_test))
 
 

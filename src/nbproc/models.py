@@ -350,6 +350,16 @@ def _available_cores() -> int:
         return os.cpu_count() or 1
 
 
+def _libm(function, values: np.ndarray) -> np.ndarray:
+    """``function`` (``math.log``, ``math.exp``, ...) of each entry of a vector.
+
+    These are the C library's scalar routines: numpy's vector ``log``,
+    ``log1p`` and ``exp`` round some values differently on CPUs with other
+    SIMD extensions, which would make a chain depend on the CPU.
+    """
+    return np.array([function(value) for value in values.tolist()], dtype=np.float64)
+
+
 def _along(axis: str, values: np.ndarray) -> np.ndarray:
     """A per-document or per-topic vector shaped to broadcast over documents x topics."""
     return values[:, None] if axis == DOC else values[None, :]
@@ -575,7 +585,7 @@ def count_sweep(state, hyper, rng, fault=None):
     if spec.gated:  # p is fixed at 0.5
         log_half = math.log(0.5)
         # gate: off cells compete pi_k * 0.5^{r_k} against (1 - pi_k); n_jk > 0 forces it open
-        on_mass = state.pi_k[None, :] * np.exp(r[None, :] * log_half)
+        on_mass = state.pi_k[None, :] * _libm(math.exp, r * log_half)[None, :]
         gate_prob = on_mass / (on_mass + (1.0 - state.pi_k[None, :]))
         proposed = (gen.random((J, K)) < gate_prob).astype(np.int64)
         state.b_jk = np.where(state.n_jk > 0, 1, proposed)
@@ -586,7 +596,7 @@ def count_sweep(state, hyper, rng, fault=None):
         log1mp = gates_per_topic * log_half  # over the open cells of each topic
     else:
         # sum of log(1 - p) over the cells each entry of r covers
-        log1mp = span * np.log1p(-p) if same_axis else float(np.log1p(-p).sum())
+        log1mp = span * _libm(math.log1p, -p) if same_axis else float(_libm(math.log1p, -p).sum())
     state.l_jk = sample_crt_array(state.n_jk, _gated(state, _along(spec.r_axis, r)), rng)
     tables = _per(spec.r_axis, state.l_jk)
     if spec.samples_gamma0:
@@ -598,7 +608,7 @@ def count_sweep(state, hyper, rng, fault=None):
         if spec.r_axis == TOPIC:
             state.l_k_prime = l_prime
         if same_axis or spec.gated:
-            gamma0_rate = hyper.f0 - float(np.log1p(-p_prime).sum()) / share
+            gamma0_rate = hyper.f0 - float(_libm(math.log1p, -p_prime).sum()) / share
         else:  # every entry of r shares one p'
             state.p_prime = p_prime
             gamma0_rate = hyper.f0 - math.log1p(-p_prime) * (r.size / share)
@@ -654,7 +664,7 @@ def crf_alpha_step(alpha: float, total_tables: int, doc_sizes: np.ndarray, a0: f
     w = np.where(has_tokens, w, 1.0)
     s = np.where(has_tokens, gen.random(len(doc_sizes)) < doc_sizes / (doc_sizes + alpha), False)
     shape = a0 + total_tables - s.sum()
-    rate = b0 - float(np.log(w).sum())
+    rate = b0 - float(_libm(math.log, w).sum())
     return float(_gamma_clamped(gen, shape, 1.0 / rate))
 
 

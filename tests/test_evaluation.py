@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from nbproc import (
     split_train_test,
     summarize_parameters,
 )
+from nbproc import _kernels, models
 from nbproc.cli import _GEWEKE_KINDS
 from nbproc.corpus import Corpus, document_views, flatten_documents
 from nbproc.evaluation import _monitored_stats
@@ -228,6 +230,112 @@ def test_zero_mass_on_test_token_is_an_error():
     acc = accumulate(SampleAccumulator.empty(split, 2), state)
     with pytest.raises(EvaluationError, match="document 0"):
         heldout_perplexity(acc)
+
+
+# ---------------------------------------------------------------------------
+# the compiled held-out loops
+# ---------------------------------------------------------------------------
+
+# every lane tail: K mod 4 = 1, 2, 3, 1, 0
+HELDOUT_K = [1, 2, 3, 5, 400]
+
+
+def heldout_case(K, lengths=(0, 7, 30, 0, 1, 12, 0)):
+    """Ragged held-out documents, some with no tokens, and a sample with exact zeros in omega and lam."""
+    V, J = 40, len(lengths)
+    gen = RandomSource(31).generator
+    split = held_out(*[gen.integers(0, V, size=n) for n in lengths])
+    omega = gen.dirichlet(np.full(V, 0.3), size=K)
+    omega[1:][gen.random((K - 1, V)) < 0.3] = 0.0
+    lam = gen.gamma(0.5, 2.0, size=(J, K))
+    lam[:, 1:][gen.random((J, K - 1)) < 0.3] = 0.0
+    return split, make_state(ModelKind.GAMMA_NB, J, K, V, omega, lam)
+
+
+def lane_sum(products):
+    """The four-lane sum of one row of products, in Python floats."""
+    lanes = [0.0] * 4
+    for k, product in enumerate(products.tolist()):
+        lanes[k % 4] += product
+    return (lanes[0] + lanes[1]) + (lanes[2] + lanes[3])
+
+
+def reference_perplexity(acc):
+    log_total = 0.0
+    for mass, total in zip(doc_mass(acc), acc.doc_totals.tolist()):
+        log_sum = 0.0
+        for value in mass.tolist():
+            log_sum += math.log(value / total)
+        log_total += log_sum
+    return math.exp(-log_total / len(acc.test_terms))
+
+
+@pytest.mark.parametrize("K", HELDOUT_K)
+def test_heldout_loops_compiled_match_numpy_reference(compiled_library, K):
+    split, state = heldout_case(K)
+    J = split.num_docs
+    topic_mass = state.omega.sum(axis=1)
+    gen = RandomSource(32).generator
+    start_mass, start_totals = gen.random(split.total_test), gen.random(J)  # both loops add to what is there
+    results = []
+    for loops in (_kernels.NUMPY, compiled_library):
+        mass, totals, log_sums = start_mass.copy(), start_totals.copy(), np.full(J, np.nan)
+        loops.heldout_mass(state.omega_t, state.lam, split.test_terms, split.test_offsets, topic_mass, mass, totals)
+        assert loops.heldout_log_sums(mass, totals, split.test_offsets, log_sums) == -1
+        results.append((mass, totals, log_sums))
+    (mass, totals, log_sums), compiled = results
+    for expected, actual in zip(results[0], compiled):
+        assert np.array_equal(expected, actual)
+    # and both are the lane sums and token-order log sums, written out in Python
+    terms = document_views(split.test_terms, split.test_offsets)
+    one = [lane_sum(state.omega_t[v] * state.lam[j]) for j in range(J) for v in terms[j]]
+    assert mass.tolist() == [start + x for start, x in zip(start_mass.tolist(), one)]
+    assert totals.tolist() == [start_totals[j] + lane_sum(state.lam[j] * topic_mass) for j in range(J)]
+    expected_logs = []
+    for j, doc in enumerate(document_views(mass, split.test_offsets)):
+        log_sum = 0.0
+        for value in doc.tolist():
+            log_sum += math.log(value / totals[j])
+        expected_logs.append(log_sum)
+    assert log_sums.tolist() == expected_logs
+    assert log_sums[0] == 0.0 and log_sums[3] == 0.0  # documents with no held-out tokens
+
+
+@pytest.mark.parametrize("K", HELDOUT_K)
+def test_accumulate_and_perplexity_match_the_lane_reference(library_path, K):
+    split, state = heldout_case(K)
+    acc = SampleAccumulator.empty(split, state.vocab_size)
+    for _ in range(2):
+        accumulate(acc, state)
+    topic_mass = state.omega.sum(axis=1)
+    terms = document_views(split.test_terms, split.test_offsets)
+    one = [lane_sum(state.omega_t[v] * state.lam[j]) for j in range(split.num_docs) for v in terms[j]]
+    assert acc.test_mass.tolist() == [x + x for x in one]
+    assert acc.doc_totals.tolist() == [2 * lane_sum(state.lam[j] * topic_mass) for j in range(split.num_docs)]
+    assert heldout_perplexity(acc) == reference_perplexity(acc)
+
+
+def test_heldout_evaluation_is_the_same_in_one_part_and_several(library_path, monkeypatch):
+    K = 64
+    split, state = heldout_case(K, lengths=(5000, 0, 40, 6000, 0, 0, 3000, 3000))
+    assert split.total_test * K >= models.THREADED_CELLS
+    results = []
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(models, "_available_cores", lambda: cores)
+        assert len(models._document_parts(split.test_offsets, K)) == cores
+        acc = SampleAccumulator.empty(split, state.vocab_size)
+        accumulate(accumulate(acc, state), state)
+        results.append((acc.test_mass, acc.doc_totals, heldout_perplexity(acc)))
+    for mass, totals, perplexity in results[1:]:
+        assert np.array_equal(mass, results[0][0]) and np.array_equal(totals, results[0][1])
+        assert perplexity == results[0][2]
+
+
+def test_zero_mass_names_the_first_document_on_both_paths(compiled_library):
+    mass = np.array([0.5, 0.2, 0.3, 0.0, 0.4, 0.0])
+    offsets = np.array([0, 2, 2, 4, 6])  # document 1 is empty; documents 2 and 3 hold a zero
+    for loops in (_kernels.NUMPY, compiled_library):
+        assert loops.heldout_log_sums(mass, np.ones(4), offsets, np.empty(4)) == 2
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,9 @@ The file is pinned as two values that together cover every byte of it:
 The row hashes hold only for a fixed numpy version (they were recorded
 with numpy 2.4.6).  Another numpy release may turn the same Philox
 stream into different variates, which changes them with no change to
-nbproc.  The perplexity column also comes from BLAS products, whose last
-bits may differ under another BLAS build.
+nbproc.  They do not depend on the CPU's SIMD extensions or the BLAS
+build: ``test_pins_hold_under_older_cpu_switches`` runs this file again
+under process-local switches that emulate an older x86-64 CPU.
 
 ``GOLDEN_GEWEKE`` pins the Geweke path of every kind with a forward
 simulation: the forward and chain means of a short ``geweke_check``
@@ -30,6 +31,11 @@ numpy version, as the row hashes do.
 
 import hashlib
 import json
+import os
+import platform
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,35 +55,35 @@ GOLDEN_TRACES = {
         "e1997f128307b405aba5d251a4641d56d54ff57b92c9f9f571b4424f6bf9b4da",
     ),
     "nb-lda": (
-        "2d86fec14d59aa331b791cd80161c9c94035d3f92df26337b301320db89f8d40",
+        "0cccb612fb4bf2425d1e231de4bf9a638f0aa55b632b595236db19cffba7af07",
         "41ff096fb5cd39a2a7b9e92234f400d46388c0c739459427b2f6032cd6fd3e69",
     ),
     "nb-hdp": (
-        "d8587a43a0ad5c627e30b4004d3221a216bab8cd6a60f7cc078ea686c37a4552",
+        "31d5a3f5e653f0ab7bb701f742ce386ecddbb73bcd865268909078bc823580cf",
         "d499bb671f2f71f6b0c1680c775ba233ecfd7a43eec8c689daa07c55b969432d",
     ),
     "nb-ftm": (
-        "06c7fe86192f45ad93331f3fccfe52a062a06a95b2e08f30320c635a3e01aa92",
+        "9ddee74fab663c1b41eb09ad039e3fe150d0a6cfe47989228a8195bde306856f",
         "607458895073b55a9d62c7016969d2741143b6bfb2d7d81673ad88429e6a0ec4",
     ),
     "beta-nb": (
-        "03998a948a34321d88c11f4b4b8c4d860eff74252c913f6f56172550af84be1a",
+        "b70db0ab42936dc5baca41ff47ef87738df94d4259e6a4c070fcb45d8b3568d0",
         "38342fcb7139983e276e8fa6ba5ce82c96abad6f55fa2ff8c9d58be2715cf8e4",
     ),
     "gamma-nb": (
-        "3d32e40bde0160de6b4ce69fb2c37b024f86e0b2339721f102a7d8a97f989cdb",
+        "57edf034e57c43dbeb71d3d60e1f5b2dd015228c6e4b0e779eda083ddc7eb810",
         "8241230e2ca579da4ddcc460001d655684cb9137e37943113853e96e754c9acb",
     ),
     "marked-beta-nb": (
-        "17d2be14cc77a4deb11a28fba6f821d3e409b84787903a89f860ebee2fd40235",
+        "4c8c12f09994949e119997f14f514a696e94ee6de6390d31a56fda5189bd1c13",
         "1467eebf2d934c1c0fd1c46b4b746810d7e1f63ff68793657796b121ade17f33",
     ),
     "marked-gamma-nb": (
-        "f34690009d5cd6d1840387816f26e9cd8b073eb2fb6e854e8b7952a8d73ff3d4",
+        "54a150e0357731e7dd423658cb83b4c9580a935e22330cbab227fdadb21c2a01",
         "d8940d347e099e3f794435042759b6dd898c23daa796c46eb776c96394365fb7",
     ),
     "crf-hdp": (
-        "536704f938532ad5ccca6c5ab4b6b50f51e0e6f134b1047286f92e515e8496fe",
+        "67ff315076feacb3fbc8abddda92545ab7485e24e52201e0bfe269c8fe9a766e",
         "a7f91a6a1b40bbe000dbfd41b70dfac70bff239a7ae0b63f6250683aee7a337d",
     ),
 }
@@ -99,9 +105,9 @@ def test_trace_matches_golden_hash(model, tmp_path):
 
 # kind name -> sha256 of json.dumps([forward_means, chain_means], sort_keys=True)
 GOLDEN_GEWEKE = {
-    "nb-lda": "7f0234b526edd094e3dafb01cb2d157645c556609d2c5b516c6fe69a29c7f9b5",
+    "nb-lda": "2e72751045af9083843f2e92dd1070fa95ae6078c6f3696ae75e82516e7b19f9",
     "nb-hdp": "eec6cfd4384c60f2b84aea897df9a7eef74e921495ddce964b3f6d7ec2ef3d48",
-    "nb-ftm": "741c7de9069a0ed79472ae08fdf0ad9d22eaea3e932101ea77e15ffe4cf0df16",
+    "nb-ftm": "ba1d8953a3eb484048906cb447ee353581f819b8be37c52c40579322a1c0a225",
     "beta-nb": "63d29274a043a7aaf72040d00cbcc2c78461233caeec7aa0339f37877c3f95a7",
     "gamma-nb": "74665a7b2985b5293f5c3986dc610026296d59bf8cbe107d2a9e2640f9af7bf3",
     "marked-beta-nb": "bef1f1533042c1742d294b440d90c77175541ac63b8560e22b3c07058e34e91b",
@@ -120,3 +126,23 @@ def test_geweke_path_matches_golden_hash(kind):
     means = json.dumps([report.forward_means, report.chain_means], sort_keys=True)
     digest = hashlib.sha256(means.encode()).hexdigest()
     assert digest == GOLDEN_GEWEKE[kind.value], f"{kind.value} Geweke path changed (numpy {np.__version__})"
+
+
+# Switches that emulate an older x86-64 CPU in one process: numpy's vector
+# loops without AVX-512, and OpenBLAS's kernels for a pre-AVX core.
+OLDER_CPU_SWITCHES = {
+    "numpy-without-avx512": {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"},
+    "openblas-nehalem": {"OPENBLAS_CORETYPE": "Nehalem"},
+}
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"), reason="x86-64 switches")
+@pytest.mark.parametrize("switch", sorted(OLDER_CPU_SWITCHES))
+def test_pins_hold_under_older_cpu_switches(switch):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, **OLDER_CPU_SWITCHES[switch]}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    args = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__, "-k", "not older_cpu"]
+    out = subprocess.run(args, capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stdout[-4000:]
+    assert "19 passed" in out.stdout  # every pin ran: ten traces, the coverage check, eight Geweke paths
