@@ -17,6 +17,7 @@ from .corpus import (
     SyntheticGroundTruth,
     SyntheticSpec,
     document_views,
+    drop_empty_documents,
     filter_vocabulary,
     flatten_documents,
     load_bag_of_words,

@@ -28,17 +28,20 @@ import os
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import _kernels
 from . import distributions as dist
 from .corpus import (
     Corpus,
     EmptyCorpusError,
     ParseError,
     SyntheticSpec,
+    drop_empty_documents,
     filter_vocabulary,
     load_bag_of_words,
     split_train_test,
@@ -59,6 +62,7 @@ from .evaluation import (
 from .models import (
     SMOOTHED,
     HyperParams,
+    IterationError,
     ModelKind,
     _dirichlet_rows,
     check_number,
@@ -260,8 +264,8 @@ def _load_run_corpus(config: RunConfig):
     else:
         corpus = load_bag_of_words(config.docword, config.vocab)
     if config.min_doc_freq > 1:
-        corpus = filter_vocabulary(corpus, config.min_doc_freq)
-    return corpus
+        return filter_vocabulary(corpus, config.min_doc_freq)
+    return drop_empty_documents(corpus)
 
 
 def _load_json(path: str):
@@ -306,10 +310,14 @@ def run(config: RunConfig) -> dict:
     read and split before anything is written, so a bad corpus, or a split
     that holds out no tokens, leaves no output behind.
     """
-    config_hash = config.config_hash()
-    kind = ModelKind.from_name(config.model)
-    corpus = _load_run_corpus(config)
-    split = split_train_test(corpus, config.train_frac, RandomSource(config.hyper.seed).child(2))
+    with ThreadPoolExecutor(1) as pool:
+        # the compiled library builds on another core while the corpus is read
+        built = pool.submit(_kernels.library)
+        config_hash = config.config_hash()
+        kind = ModelKind.from_name(config.model)
+        corpus = _load_run_corpus(config)
+        split = split_train_test(corpus, config.train_frac, RandomSource(config.hyper.seed).child(2))
+        built.result()
     if split.total_test < 1:
         raise EvaluationError("the split holds out no tokens")
 
@@ -645,7 +653,7 @@ def main(argv=None) -> int:
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ValueError, EmptyCorpusError) as exc:
+    except (ValueError, EmptyCorpusError, IterationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
 

@@ -260,10 +260,20 @@ def filter_vocabulary(corpus: Corpus, min_doc_freq: int) -> Corpus:
     vocab = tuple(t for t, k in zip(corpus.vocab, keep) if k)
     kept = keep[corpus.terms]
     lengths = np.diff(offsets_from_lengths(kept)[corpus.offsets])  # kept tokens per document
+    return _without_empty_documents(vocab, remap[corpus.terms[kept]], lengths, f"filter_vocabulary(min_doc_freq={min_doc_freq})")
+
+
+def drop_empty_documents(corpus: Corpus) -> Corpus:
+    """Drop the documents that hold no tokens, with a warning; the vocabulary is kept."""
+    return _without_empty_documents(corpus.vocab, corpus.terms, corpus.doc_lengths, "drop_empty_documents")
+
+
+def _without_empty_documents(vocab, terms: np.ndarray, lengths: np.ndarray, source: str) -> Corpus:
+    """The corpus of ``terms`` in documents of ``lengths`` tokens, less those of none, which ``source`` warns about."""
     dropped = int(np.count_nonzero(lengths == 0))
     if dropped:
-        logger.warning("filter_vocabulary(min_doc_freq=%d) dropped %d empty document(s)", min_doc_freq, dropped)
-    return Corpus(vocab, remap[corpus.terms[kept]], offsets_from_lengths(lengths[lengths > 0]))
+        logger.warning("%s dropped %d empty document(s)", source, dropped)
+    return Corpus(vocab, terms, offsets_from_lengths(lengths[lengths > 0]))
 
 
 def offsets_from_lengths(lengths) -> np.ndarray:

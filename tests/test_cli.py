@@ -170,6 +170,17 @@ def test_cli_import_leaves_scipy_unloaded():
     assert out.stdout.split() == ["[]", "0"]
 
 
+def test_run_compiles_one_library(tmp_path):
+    # a second compiler call would add about 75 ms to every run's set-up
+    code = (
+        "import sys, nbproc._kernels; from nbproc.cli import main; code = main(sys.argv[1:]);"
+        "print(code, nbproc._kernels.library.cache_info().misses)"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code, *run_args(tmp_path, "out")], capture_output=True, text=True, env=env)
+    assert out.stdout.split()[-2:] == [str(EXIT_OK), "1"], out.stderr
+
+
 @pytest.mark.parametrize("flag", ["--synth", "--config"])
 def test_run_non_json_file_is_io_error(tmp_path, capsys, flag):
     bad = tmp_path / "bad.json"
@@ -441,7 +452,7 @@ def test_validate_r_shape_fault_fails_nb_ftm_check():
     assert not ok, detail
 
 
-def test_failed_run_leaves_sentinel(tmp_path, monkeypatch):
+def test_failed_run_leaves_sentinel(tmp_path, monkeypatch, capsys):
     # a sweep that fails mid-run must leave the partial output flagged
     calls = []
 
@@ -453,11 +464,27 @@ def test_failed_run_leaves_sentinel(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli, "gibbs_sweep", failing_sweep)
     out = tmp_path / "broken"
-    with pytest.raises(IterationError, match="injected failure"):
-        main(run_args(tmp_path, "broken"))
+    assert main(run_args(tmp_path, "broken")) == EXIT_CHECK_FAILED
+    err = capsys.readouterr().err
+    assert err == "error: non-finite value in update of 'z-weights': injected failure at iteration 2\n"
     assert len(calls) == 3
     assert (out / ".incomplete").exists() and (out / "config.json").exists()
     assert not (out / "trace.csv").exists()
+
+
+def test_run_drops_empty_documents_and_keeps_the_vocabulary(tmp_path, caplog):
+    # document 2 holds no tokens, and term c appears in no document
+    docword, vocab = tmp_path / "d.txt", tmp_path / "v.txt"
+    docword.write_text("3\n3\n2\n1 1 2\n3 2 2\n")
+    vocab.write_text("a\nb\nc\n")
+    out = tmp_path / "out"
+    args = ["run", "--model", "gamma-nb", "--docword", str(docword), "--vocab", str(vocab), "--K", "2"]
+    args += ["--iters", "3", "--burnin", "1", "--init-iters", "1", "--out", str(out)]
+    with caplog.at_level("WARNING", logger="nbproc.corpus"):
+        assert main(args) == EXIT_OK
+    assert "drop_empty_documents dropped 1 empty document(s)" in caplog.messages
+    report = json.loads((out / "report.json").read_text())
+    assert report["corpus"] == {"num_docs": 2, "total_tokens": 4, "vocab_size": 3}
 
 
 def test_split_without_held_out_tokens_writes_nothing(tmp_path, capsys):
