@@ -151,7 +151,9 @@ def _build_library() -> SimpleNamespace:
         function.argtypes, function.restype = argtypes, restype
         return function
 
-    assign_c = declare("assign_topics", size, doubles, doubles, size, integers, integers, size, doubles, integers, doubles)
+    assign_c = declare(
+        "assign_topics", size, doubles, doubles, size, integers, integers, size, doubles, integers, doubles
+    )
     crt_c = declare("crt_tables", size, integers, size, size, address, size, size, doubles, integers)
     mass_c = declare("heldout_mass", None, doubles, doubles, size, integers, integers, size, doubles, doubles, doubles)
     log_sums_c = declare("heldout_log_sums", size, doubles, doubles, integers, size, doubles)
@@ -184,7 +186,8 @@ def library() -> SimpleNamespace | None:
     except (OSError, subprocess.CalledProcessError) as exc:
         reason = exc.stderr.decode(errors="replace").strip() if isinstance(exc, subprocess.CalledProcessError) else exc
         warnings.warn(
-            f"nbproc: cannot build the compiled loops ({reason}); running the same loops in numpy, with the same results",
+            f"nbproc: cannot build the compiled loops ({reason}); "
+            "running the same loops in numpy, with the same results",
             RuntimeWarning,
             stacklevel=3,
         )

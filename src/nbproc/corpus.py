@@ -260,7 +260,8 @@ def filter_vocabulary(corpus: Corpus, min_doc_freq: int) -> Corpus:
     vocab = tuple(t for t, k in zip(corpus.vocab, keep) if k)
     kept = keep[corpus.terms]
     lengths = np.diff(offsets_from_lengths(kept)[corpus.offsets])  # kept tokens per document
-    return _without_empty_documents(vocab, remap[corpus.terms[kept]], lengths, f"filter_vocabulary(min_doc_freq={min_doc_freq})")
+    source = f"filter_vocabulary(min_doc_freq={min_doc_freq})"
+    return _without_empty_documents(vocab, remap[corpus.terms[kept]], lengths, source)
 
 
 def drop_empty_documents(corpus: Corpus) -> Corpus:

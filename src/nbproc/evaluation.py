@@ -106,6 +106,9 @@ def accumulate(acc: SampleAccumulator, state: ModelState) -> SampleAccumulator:
     if terms.size and (terms.min() < 0 or terms.max() >= acc.vocab_size):
         raise ValueError(f"held-out term ids must lie in [0, {acc.vocab_size})")
     omega_t = np.ascontiguousarray(state.omega_t, dtype=np.float64)
+    expected = (acc.vocab_size, lam.shape[1])
+    if omega_t.shape != expected:  # the compiled loop reads lam's K entries from each row
+        raise ValueError(f"omega_t has shape {omega_t.shape}, expected (vocabulary, topics) = {expected}")
     topic_mass = state.omega.sum(axis=1)
     heldout_mass = _kernels.loops().heldout_mass
 

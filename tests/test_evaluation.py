@@ -114,6 +114,9 @@ def test_accumulate_shape_mismatch():
         accumulate(SampleAccumulator.empty(held_out([0], [1], [2]), 3), state)
     with pytest.raises(ValueError):
         accumulate(SampleAccumulator.empty(held_out([0], [1]), 4), state)
+    state.lam = np.ones((2, 3))  # more topics than omega has
+    with pytest.raises(ValueError, match="omega_t has shape"):
+        accumulate(SampleAccumulator.empty(held_out([0], [1]), 3), state)
 
 
 def test_accumulator_footprint_scales_with_held_out_tokens():
