@@ -12,9 +12,11 @@ negative mean log f over held-out tokens, so the accumulator keeps the
 numerator only at the held-out (j, v) cells and the denominator once per
 document: its memory grows with the held-out tokens, never with
 documents x vocabulary.  The held-out terms and their mass are flat,
-document-major arrays that share the split's document offsets, and the
-mass is read from the state's vocabulary-major ``omega_t``, so
-evaluation makes no transpose of its own.
+document-major arrays that share the split's document offsets.  The mass
+is read from the state's vocabulary-major ``omega_t``, and the
+denominator's sum over v of omega[k, v] is the state's ``topic_mass``,
+which the topic draw keeps, so evaluation makes no pass over the topics
+of its own.
 
 Both sums run in the package's compiled library (``nbproc._kernels``):
 each token's mass and each document's total is a sum over topics in four
@@ -106,10 +108,12 @@ def accumulate(acc: SampleAccumulator, state: ModelState) -> SampleAccumulator:
     if terms.size and (terms.min() < 0 or terms.max() >= acc.vocab_size):
         raise ValueError(f"held-out term ids must lie in [0, {acc.vocab_size})")
     omega_t = np.ascontiguousarray(state.omega_t, dtype=np.float64)
+    topic_mass = np.ascontiguousarray(state.topic_mass, dtype=np.float64)
     expected = (acc.vocab_size, lam.shape[1])
     if omega_t.shape != expected:  # the compiled loop reads lam's K entries from each row
         raise ValueError(f"omega_t has shape {omega_t.shape}, expected (vocabulary, topics) = {expected}")
-    topic_mass = state.omega.sum(axis=1)
+    if topic_mass.shape != expected[1:]:  # and K entries of topic_mass
+        raise ValueError(f"topic_mass has shape {topic_mass.shape}, expected (topics,) = {expected[1:]}")
     heldout_mass = _kernels.loops().heldout_mass
 
     def mass_part(start: int, stop: int) -> None:

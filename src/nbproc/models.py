@@ -38,11 +38,12 @@ same draws; the other kinds have no gates.
 
 A state keeps its tokens and their topics as flat, document-major arrays
 with document offsets, so a sweep never joins per-document pieces.  The
-topic update is the only place that transposes omega: it writes the draw's
-transpose into the state's vocabulary-major ``omega_t``, which the
-assignment kernel and held-out evaluation read.  Given omega and lam every
-token's topic is independent of the others', so a large assignment is
-drawn in token-balanced parts on all cores with the same z.
+topics live in one vocabulary-major matrix, ``omega_t``, the layout the
+assignment kernel and held-out evaluation read: the topic update draws
+each row block of the Dirichlet and writes it straight into its columns,
+with each topic's sum over the vocabulary in ``topic_mass``.  Given omega
+and lam every token's topic is independent of the others', so a large
+assignment is drawn in token-balanced parts on all cores with the same z.
 """
 
 from __future__ import annotations
@@ -69,7 +70,7 @@ from .distributions import (
 )
 from .rng import RandomSource
 
-# Row-blocked Dirichlet draws (see _dirichlet_rows); the block count is a
+# Row-blocked Dirichlet draws (see _in_row_blocks); the block count is a
 # constant so that the output never depends on the core count.
 BLOCKED_CELLS = 2**20
 ROW_BLOCKS = 8
@@ -243,12 +244,13 @@ class ModelState:
     training tokens travel with the state so a kernel sweep is
     self-contained.  Tokens and their topics are flat and document-major:
     document j's terms are ``tokens[offsets[j]:offsets[j + 1]]`` and ``z``
-    is aligned with ``tokens``.  ``omega_t`` is ``omega.T`` in its own
-    vocabulary-major buffer, the layout the assignment kernel and held-out
-    evaluation read; set topics with ``set_topics`` so that the two agree.
-    ``lam`` holds the topic weights: rows that sum to one for
-    lda/dir-pfa/crf-hdp.  ``pi_k`` and ``b_jk`` are None except for the
-    gated kind, nb-ftm.
+    is aligned with ``tokens``.  The topics are the columns of the
+    vocabulary x topics ``omega_t``, and ``topic_mass`` holds each one's
+    sum over the vocabulary; ``omega`` is the topics x vocabulary view of
+    the same buffer, for reading.  Set topics with ``set_topics`` so that
+    the two fields agree.  ``lam`` holds the topic weights: rows that sum
+    to one for lda/dir-pfa/crf-hdp.  ``pi_k`` and ``b_jk`` are None except
+    for the gated kind, nb-ftm.
     """
 
     kind: ModelKind
@@ -257,8 +259,8 @@ class ModelState:
     offsets: np.ndarray  # documents + 1 offsets into tokens and z
     z: np.ndarray  # topic of each token, aligned with tokens
     n_jk: np.ndarray  # documents x topics counts derived from z
-    omega: np.ndarray  # topics x vocabulary distributions
-    omega_t: np.ndarray  # vocabulary x topics: omega.T, refreshed with omega
+    omega_t: np.ndarray  # vocabulary x topics distributions
+    topic_mass: np.ndarray  # each topic's sum over the vocabulary (its column sum)
     lam: np.ndarray  # documents x topics weights
     r: np.ndarray  # NB dispersion, one entry per spec.r_axis (none for normalized kinds)
     p: np.ndarray  # NB probability, one entry per spec.p_axis (likewise)
@@ -276,12 +278,19 @@ class ModelState:
         return len(self.offsets) - 1
 
     @property
+    def omega(self) -> np.ndarray:
+        """The topics x vocabulary distributions: a read-only view of ``omega_t``."""
+        view = self.omega_t.T
+        view.flags.writeable = False
+        return view
+
+    @property
     def num_topics(self) -> int:
-        return self.omega.shape[0]
+        return self.omega_t.shape[1]
 
     @property
     def vocab_size(self) -> int:
-        return self.omega.shape[1]
+        return self.omega_t.shape[0]
 
     @property
     def train_counts(self) -> np.ndarray:
@@ -310,30 +319,46 @@ def _dirichlet_rows(gen: np.random.Generator, concentration, *, _workers: int | 
 
     The draw is made in place: a writable C-contiguous float64
     ``concentration`` is overwritten and returned, and any other input
-    (read-only, strided or of another dtype) is copied first.  A draw of
-    fewer than ``BLOCKED_CELLS`` cells takes its gammas from ``gen``.  A
-    larger one splits the rows into ``min(ROW_BLOCKS, rows)`` fixed blocks,
-    each drawn from a child Philox stream keyed by one ``gen.integers``
-    draw, and runs the blocks on up to one thread per available core.  The
+    (read-only, strided or of another dtype) is copied first.  The rows are
+    drawn in the blocks, streams and threads of ``_in_row_blocks``, so the
     output depends only on ``gen``'s state and the shape of the draw, never
     on the thread count, and ``gen`` advances by the same keys whatever the
     concentration values.
     """
     rows = np.require(concentration, np.float64, ["C", "W"])
-    if rows.size < BLOCKED_CELLS:
-        _normalized_gammas(gen, rows)
-        return rows
-    blocks = np.array_split(rows, min(ROW_BLOCKS, len(rows)))
-    keys = gen.integers(2**63, size=len(blocks))
+
+    def draw(stream: np.random.Generator, start: int, stop: int) -> None:
+        _normalized_gammas(stream, rows[start:stop])
+
+    _in_row_blocks(gen, len(rows), rows.size, draw, _workers)
+    return rows
+
+
+def _in_row_blocks(gen: np.random.Generator, num_rows: int, cells: int, draw, workers: int | None = None) -> None:
+    """Call ``draw(stream, start, stop)`` on each row block of a draw of ``cells`` cells in ``num_rows`` rows.
+
+    Below ``BLOCKED_CELLS`` cells there is one block, [0, num_rows), drawn
+    from ``gen``.  Otherwise the rows split as ``np.array_split`` splits
+    them into ``min(ROW_BLOCKS, num_rows)`` blocks, each drawn from a child
+    Philox stream keyed by one ``gen.integers`` draw, on ``workers`` threads
+    (default: up to one per available core).  Blocks and streams depend
+    only on ``gen``'s state and the shape, never on the thread count.
+    """
+    if cells < BLOCKED_CELLS:
+        draw(gen, 0, num_rows)
+        return
+    count = min(ROW_BLOCKS, num_rows)
+    size, extra = divmod(num_rows, count)
+    bounds = [block * size + min(block, extra) for block in range(count + 1)]
+    keys = gen.integers(2**63, size=count)
     streams = [np.random.Generator(np.random.Philox(int(key))) for key in keys]
-    workers = _workers or min(len(blocks), _available_cores())
+    workers = workers or min(count, _available_cores())
     if workers == 1:
-        for stream, block in zip(streams, blocks):
-            _normalized_gammas(stream, block)
+        for stream, start, stop in zip(streams, bounds, bounds[1:]):
+            draw(stream, start, stop)
     else:  # numpy's array gamma releases the GIL
         with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(_normalized_gammas, streams, blocks))
-    return rows
+            list(pool.map(draw, streams, bounds, bounds[1:]))
 
 
 def _normalized_gammas(gen: np.random.Generator, rows: np.ndarray) -> None:
@@ -412,15 +437,15 @@ def blank_state(kind: ModelKind, tokens, offsets, vocab_size: int, num_topics: i
     tokens, offsets = np.asarray(tokens, dtype=np.int64), np.asarray(offsets, dtype=np.int64)
     J, K, V = len(offsets) - 1, num_topics, vocab_size
     size = {DOC: J, TOPIC: K, None: 0}
-    state = ModelState(
+    return ModelState(
         kind=kind,
         eta=float(eta),
         tokens=tokens,
         offsets=offsets,
         z=np.zeros(len(tokens), dtype=np.int64),
         n_jk=np.zeros((J, K), dtype=np.int64),
-        omega=np.empty((K, V)),
-        omega_t=np.empty((V, K)),
+        omega_t=np.full((V, K), 1.0 / V),
+        topic_mass=np.full(K, np.full(V, 1.0 / V).sum()),  # each uniform topic's row sum
         lam=np.full((J, K), 1.0 if kind.models_counts else 1.0 / K),
         r=np.ones(size[kind.spec.r_axis]),
         p=np.full(size[kind.spec.p_axis], 0.5),
@@ -433,21 +458,20 @@ def blank_state(kind: ModelKind, tokens, offsets, vocab_size: int, num_topics: i
         p_prime=0.5,
         r_tilde=np.full(K, 1.0 / K),
     )
-    set_topics(state, np.full((K, V), 1.0 / V))
-    return state
 
 
 def set_topics(state: ModelState, omega: np.ndarray) -> None:
-    """Make ``omega`` the state's topics and write its transpose into ``state.omega_t``.
+    """Make the rows of a topics x vocabulary ``omega`` the state's topics.
 
-    The vocabulary x topics buffer is reused when it has the shape, so a
-    sweep keeps one of each layout; this is the only transpose of omega.
+    Writes the transpose into ``state.omega_t``, reusing that buffer when it
+    has the shape, and the row sums into ``state.topic_mass``.
     """
+    omega = np.ascontiguousarray(omega, dtype=np.float64)
     K, V = omega.shape
     if state.omega_t.shape != (V, K) or not state.omega_t.flags.writeable:
         state.omega_t = np.empty((V, K))
     np.copyto(state.omega_t, omega.T)
-    state.omega = omega
+    state.topic_mass = omega.sum(axis=1)
 
 
 def _recount(state: ModelState) -> None:
@@ -537,21 +561,41 @@ def _draw_topics(state: ModelState, rng: RandomSource) -> np.ndarray:
 
 
 def update_topics(state: ModelState, rng: RandomSource) -> ModelState:
-    """Resample every topic row from its Dirichlet posterior, in place.
-
-    ``state.omega`` is overwritten when it is a writable C-contiguous
-    float64 array, so no other K x V array is made; otherwise a new one
-    replaces it.  The draw is then transposed into ``state.omega_t``.
-    """
-    K, V = state.omega.shape
-    omega = np.require(state.omega, np.float64, ["C", "W"])
-    flat = omega.reshape(-1)  # a view
-    # eta plus the exact float counts: the same bits as eta + np.bincount(...)
-    flat.fill(0.0)
-    np.add.at(flat, state.z * V + state.tokens, 1.0)
-    flat += state.eta
-    set_topics(state, _dirichlet_rows(rng.generator, omega))
+    """Resample every topic from its Dirichlet posterior Dir(eta + its term counts); see ``_sample_topics``."""
+    _sample_topics(state, rng.generator)
     return state
+
+
+def _sample_topics(state: ModelState, gen: np.random.Generator, prior: bool = False, _workers: int | None = None):
+    """Draw each topic from Dir(eta + the counts of its tokens' terms), or from Dir(eta) if ``prior``.
+
+    The draw has the bits of ``_dirichlet_rows(gen, eta + counts).T``, with
+    its row blocks, streams and threads, but makes no topics x vocabulary
+    array: each block is drawn in a buffer of its own, whose row sums are
+    its topics' ``state.topic_mass`` and which is written into its columns
+    of ``state.omega_t``.  ``state.omega_t`` is overwritten when it is a
+    writable C-contiguous float64 array, and replaced otherwise.
+    """
+    V, K = state.omega_t.shape
+    omega_t = state.omega_t
+    if omega_t.dtype != np.float64 or not (omega_t.flags.c_contiguous and omega_t.flags.writeable):
+        omega_t = np.empty((V, K))
+    z, tokens = (state.z[:0], state.tokens[:0]) if prior else (state.z, state.tokens)
+    cells = z * V + tokens  # each counted token's cell of the topics x vocabulary counts
+    topic_mass = np.empty(K)
+
+    def draw(stream: np.random.Generator, start: int, stop: int) -> None:
+        block = np.zeros((stop - start, V))
+        mine = cells if stop - start == K else cells[(z >= start) & (z < stop)] - start * V
+        # eta plus the exact float counts: the same bits as eta + np.bincount(...)
+        np.add.at(block.reshape(-1), mine, 1.0)
+        block += state.eta
+        _normalized_gammas(stream, block)
+        topic_mass[start:stop] = block.sum(axis=1)
+        omega_t[:, start:stop] = block.T
+
+    _in_row_blocks(gen, K, K * V, draw, _workers)
+    state.omega_t, state.topic_mass = omega_t, topic_mass
 
 
 # ---------------------------------------------------------------------------
@@ -621,9 +665,17 @@ def count_sweep(state, hyper, rng, fault=None):
         r_shape = r_shape + 1.0
     state.r = _gamma_clamped(gen, r_shape, 1.0 / r_rate)
     _check_finite("r", state.r)
-    lam_shape = _gated(state, _along(spec.r_axis, state.r)) + state.n_jk
-    is_open = lam_shape > 0  # a closed gate with no tokens pins lam_jk to 0
-    state.lam = np.where(is_open, _gamma_clamped(gen, np.where(is_open, lam_shape, 1.0), _along(spec.p_axis, p)), 0.0)
+    # lam is drawn in one buffer: its shape, then Gamma(shape, 1) draws, which
+    # times p are the Gamma(shape, p) draws of the same variates
+    lam = state.n_jk.astype(np.float64)
+    lam += _gated(state, _along(spec.r_axis, state.r))  # the shape n_jk + r b_jk
+    closed = lam <= 0  # a closed gate with no tokens pins lam_jk to 0
+    lam[closed] = 1.0  # but still takes its variate
+    gen.standard_gamma(lam, out=lam)
+    lam *= _along(spec.p_axis, p)
+    np.maximum(lam, TINY, out=lam)
+    lam[closed] = 0.0
+    state.lam = lam
     _check_finite("lam", state.lam)
 
 
@@ -749,7 +801,7 @@ def initialize(kind: ModelKind, corpus, split, hyper: HyperParams, rng: RandomSo
     draws = [gen.integers(0, K, size=n) for n in state.train_counts.tolist()]
     state.z = np.concatenate([np.zeros(0, dtype=np.int64), *draws])
     _recount(state)
-    set_topics(state, _dirichlet_rows(gen, np.full((K, corpus.vocab_size), hyper.eta)))
+    _sample_topics(state, gen, prior=True)
     warm_r = hyper.lda_alpha_total / K
     state.lam = _gamma_clamped(gen, np.full((J, K), warm_r), 1.0)
     for _ in range(hyper.init_iters):
@@ -820,7 +872,7 @@ def forward_draw(
     state = blank_state(kind, no_tokens, offsets, vocab_size, hyper.K, hyper.eta)
     gen = rng.generator
     _draw_count_params(state, hyper, rng)
-    set_topics(state, _dirichlet_rows(gen, np.full((hyper.K, vocab_size), hyper.eta)))
+    _sample_topics(state, gen, prior=True)
     J, K = num_docs, hyper.K
     if spec.normalized:
         state.lam = _dirichlet_rows(gen, np.broadcast_to(state.alpha * state.r_tilde, (J, K)))
@@ -847,16 +899,18 @@ def validate_state(state: ModelState, after_sweep: bool = True) -> None:
         raise ValueError(
             f"offsets end at {offsets[-1]}, but there are {len(state.tokens)} tokens and {len(state.z)} topics in z"
         )
-    if state.z.size and (state.z.min() < 0 or state.z.max() >= state.num_topics):
-        raise ValueError(f"z holds a topic outside [0, {state.num_topics})")
-    transposed = np.ascontiguousarray(state.omega.T, np.float64)
-    if state.omega_t.shape != transposed.shape or state.omega_t.tobytes() != transposed.tobytes():
-        raise ValueError("omega_t is not omega.T bit for bit; set topics with set_topics")
+    K = state.n_jk.shape[1]
+    if state.z.size and (state.z.min() < 0 or state.z.max() >= K):
+        raise ValueError(f"z holds a topic outside [0, {K})")
+    if state.omega_t.ndim != 2 or state.omega_t.shape[1] != K:
+        raise ValueError(f"omega_t has shape {state.omega_t.shape}, expected (vocabulary, topics) with {K} topics")
+    if np.abs(state.omega_t.sum(axis=0) - 1.0).max() > 1e-10:
+        raise ValueError("omega_t's columns, the topics, are not normalized")
+    if not np.array_equal(state.topic_mass, np.ascontiguousarray(state.omega).sum(axis=1)):
+        raise ValueError("topic_mass is not the topics' sums over the vocabulary; set topics with set_topics")
     train_n = state.train_counts
     if not np.array_equal(state.n_jk.sum(axis=1), train_n):
         raise ValueError("n_jk rows do not sum to the document training counts")
-    if np.abs(state.omega.sum(axis=1) - 1.0).max() > 1e-10:
-        raise ValueError("omega rows are not normalized")
     for name, arr in (("p", state.p), ("pi_k", state.pi_k)):
         if arr is not None and (np.any(arr <= 0) or np.any(arr >= 1)):
             raise ValueError(f"{name} has entries outside the open unit interval")

@@ -310,7 +310,7 @@ def test_accumulate_and_perplexity_match_the_lane_reference(library_path, K):
     acc = SampleAccumulator.empty(split, state.vocab_size)
     for _ in range(2):
         accumulate(acc, state)
-    topic_mass = state.omega.sum(axis=1)
+    topic_mass = np.ascontiguousarray(state.omega).sum(axis=1)  # the row sums, as the topic draw makes them
     terms = document_views(split.test_terms, split.test_offsets)
     one = [lane_sum(state.omega_t[v] * state.lam[j]) for j in range(split.num_docs) for v in terms[j]]
     assert acc.test_mass.tolist() == [x + x for x in one]

@@ -1,6 +1,8 @@
+import copy
 import dataclasses
 import math
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,7 +29,7 @@ from nbproc import (
 from nbproc import _kernels, models
 from nbproc.cli import run_experiment
 from nbproc.corpus import Corpus, SyntheticSpec, document_views, flatten_documents, synthesize_corpus
-from nbproc.models import BLOCKED_CELLS, TINY, _dirichlet_rows, blank_state
+from nbproc.models import BLOCKED_CELLS, ROW_BLOCKS, TINY, _dirichlet_rows, blank_state, count_sweep
 
 MICRO = HyperParams(c=1.0, eta=0.3, a0=3.0, b0=3.0, e0=1.0, f0=1.0, K=2, iters=2, burnin=0, init_iters=0)
 
@@ -307,16 +309,60 @@ def test_blocked_dirichlet_accepts_read_only_input():
 
 
 
-def test_update_topics_draws_into_omega_and_copies_a_read_only_one():
+def test_update_topics_draws_into_omega_t_and_replaces_a_read_only_one():
     state = state_with_tokens(ModelKind.GAMMA_NB, [[0, 1, 1]], 3, 2)
-    omega = state.omega
+    omega_t = state.omega_t
     update_topics(state, RandomSource(10))
-    assert state.omega is omega
-    frozen = omega.copy()
+    assert state.omega_t is omega_t
+    frozen = omega_t.copy()
     frozen.flags.writeable = False
-    set_topics(state, frozen)
+    state.omega_t = frozen
     update_topics(state, RandomSource(11))
-    assert state.omega is not frozen and np.allclose(state.omega.sum(axis=1), 1.0)
+    assert state.omega_t is not frozen
+    validate_state(state, after_sweep=False)  # normalized topics, and their mass
+    # omega is a read-only view of the one topic matrix
+    assert np.shares_memory(state.omega, state.omega_t) and not state.omega.flags.writeable
+    with pytest.raises(AttributeError):
+        state.omega = frozen.T
+
+
+def reference_topics(state, gen, prior=False, workers=None):
+    """The topic draw as one topics x vocabulary Dirichlet draw of eta + the counts, and its row sums."""
+    K, V = state.num_topics, state.vocab_size
+    counts = np.zeros((K, V)) if prior else np.bincount(state.z * V + state.tokens, minlength=K * V).reshape(K, V)
+    omega = _dirichlet_rows(gen, state.eta + counts, _workers=workers)
+    return np.ascontiguousarray(omega.T), omega.sum(axis=1)
+
+
+TOPIC_DRAWS = {
+    "unblocked": (5, 300, None),
+    "blocked-one-worker": (16, 2**16, 1),
+    "blocked-two-workers": (16, 2**16, 2),
+    "blocked-a-worker-per-block": (16, 2**16, ROW_BLOCKS),  # more threads than most test machines' cores
+    "fewer-topics-than-blocks-one-worker": (3, 2**19, 1),
+    "fewer-topics-than-blocks-two-workers": (3, 2**19, 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TOPIC_DRAWS))
+def test_topic_draw_is_the_transposed_dirichlet_rows_draw(case):
+    K, V, workers = TOPIC_DRAWS[case]
+    assert (K * V >= BLOCKED_CELLS) == (workers is not None)
+    gen = RandomSource(40).generator
+    docs = [gen.integers(0, V, size=n) for n in (300, 0, 41, 1200)]
+    state = state_with_tokens(ModelKind.GAMMA_NB, docs, V, K, eta=0.05, seed=41)
+    for prior, seed in ((True, 42), (False, 43)):
+        expected_gen, gen = RandomSource(seed).generator, RandomSource(seed).generator
+        omega_t, topic_mass = reference_topics(state, expected_gen, prior, workers)
+        models._sample_topics(state, gen, prior, _workers=workers)
+        assert state.omega_t.tobytes() == omega_t.tobytes()
+        assert state.topic_mass.tobytes() == topic_mass.tobytes()
+        assert gen.bytes(64) == expected_gen.bytes(64)  # the same variates consumed
+    if workers is None:  # the sweep's own entry point
+        omega_t, topic_mass = reference_topics(state, RandomSource(44).generator)
+        update_topics(state, RandomSource(44))
+        assert state.omega_t.tobytes() == omega_t.tobytes()
+        assert state.topic_mass.tobytes() == topic_mass.tobytes()
 
 
 def test_update_topics_prior_only():
@@ -482,6 +528,74 @@ def test_nb_lda_sweep_exact_replay():
     assert np.array_equal(swept.r, r_j)
     assert np.array_equal(swept.lam, lam)
     assert np.array_equal(swept.omega, omega)
+
+
+class _GammaSnapshots:
+    """A generator that keeps its bit generator's state from before each ``standard_gamma`` call."""
+
+    def __init__(self, gen):
+        self._gen, self.states = gen, []
+
+    def __getattr__(self, name):
+        return getattr(self._gen, name)
+
+    def standard_gamma(self, *args, **kwargs):
+        self.states.append(copy.deepcopy(self._gen.bit_generator.state))
+        return self._gen.standard_gamma(*args, **kwargs)
+
+
+@pytest.mark.parametrize("kind", [ModelKind.GAMMA_NB, ModelKind.NB_FTM], ids=lambda k: k.value)
+def test_count_sweep_lam_is_the_clamped_gamma_of_the_open_cells(kind):
+    hyper = MICRO.replace(K=4)
+    state = forward_draw(kind, hyper, 40, 6, RandomSource(17))
+    rng = RandomSource(18)
+    rng.generator = snapshots = _GammaSnapshots(rng.generator)
+    count_sweep(state, hyper, rng)
+    assert len(snapshots.states) == 1  # lam's draw is the only one
+    gen = np.random.Generator(np.random.Philox())
+    gen.bit_generator.state = snapshots.states[0]
+    # the draw as it was written before lam got one buffer
+    shape = state.r[None, :] + state.n_jk if state.b_jk is None else state.r[None, :] * state.b_jk + state.n_jk
+    is_open = shape > 0
+    lam = np.where(is_open, np.maximum(gen.gamma(np.where(is_open, shape, 1.0), state.p[:, None]), TINY), 0.0)
+    assert state.lam.tobytes() == lam.tobytes()
+    assert gen.bytes(64) == snapshots.bytes(64)  # the same variates consumed
+    if kind is ModelKind.NB_FTM:
+        assert 0 < np.count_nonzero(~is_open) < is_open.size  # closed gates, and open ones
+
+
+# ---------------------------------------------------------------------------
+# memory: one topics x vocabulary array, and lam drawn in one buffer
+# ---------------------------------------------------------------------------
+
+
+def _traced_peak(call):
+    """``call()``'s result, and the bytes tracemalloc sees it hold at its peak beyond what was held before."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_initialize_holds_one_topic_matrix_and_count_sweep_one_lam_buffer(monkeypatch):
+    # a blocked topic draw holds one block buffer per thread: two threads, as on a two-core machine
+    monkeypatch.setattr(models, "_available_cores", lambda: 2)
+    J, K, V = 300, 64, 2**14
+    assert K * V >= BLOCKED_CELLS
+    gen = RandomSource(19).generator
+    corpus = make_corpus([gen.integers(0, V, size=12) for _ in range(J)], V)
+    split = split_train_test(corpus, 0.8, RandomSource(20))
+    hyper = MICRO.replace(K=K, eta=0.05, init_iters=1)
+    state, initialize_peak = _traced_peak(lambda: initialize(ModelKind.GAMMA_NB, corpus, split, hyper, RandomSource(21)))
+    topic_matrices = [f.name for f in dataclasses.fields(state) if np.size(getattr(state, f.name)) >= K * V]
+    assert topic_matrices == ["omega_t"]
+    assert initialize_peak < 2 * K * V * 8
+    _, sweep_peak = _traced_peak(lambda: count_sweep(state, hyper, RandomSource(22)))
+    assert sweep_peak < 3 * J * K * 8
 
 
 # ---------------------------------------------------------------------------
@@ -865,13 +979,16 @@ def _shorten_z(state):
     state.z = state.z[:-1]
 
 
-def _stale_topics(state):
-    state.omega = state.omega.copy()
-    state.omega[0, 0] = np.nextafter(state.omega[0, 0], 1.0)  # one bit, set without set_topics
-
-
 def _misshapen_topics(state):
+    state.omega_t = np.ascontiguousarray(state.omega_t[:, :-1])  # one topic short
+
+
+def _topics_short_of_a_term(state):
     state.omega_t = np.ascontiguousarray(state.omega_t[:-1])
+
+
+def _stale_topic_mass(state):
+    state.topic_mass[0] = np.nextafter(state.topic_mass[0], 2.0)  # one bit, set without set_topics
 
 
 BROKEN_LAYOUTS = {
@@ -881,8 +998,9 @@ BROKEN_LAYOUTS = {
     "z-shorter-than-tokens": (_shorten_z, "5 tokens and 4 topics in z"),
     "z-negative": (_set("z", 0, -1), r"z holds a topic outside \[0, 3\)"),
     "z-past-last-topic": (_set("z", 4, 3), r"z holds a topic outside \[0, 3\)"),
-    "omega-t-stale": (_stale_topics, "omega_t is not omega.T bit for bit"),
-    "omega-t-misshapen": (_misshapen_topics, "omega_t is not omega.T bit for bit"),
+    "omega-t-misshapen": (_misshapen_topics, r"omega_t has shape \(5, 2\), expected \(vocabulary, topics\) with 3"),
+    "omega-t-short-of-a-term": (_topics_short_of_a_term, "omega_t's columns, the topics, are not normalized"),
+    "topic-mass-stale": (_stale_topic_mass, "topic_mass is not the topics' sums over the vocabulary"),
 }
 
 
