@@ -40,6 +40,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nbproc import models
 from nbproc.cli import _GEWEKE_KINDS, EXIT_OK, main
 from nbproc.evaluation import default_geweke_settings, geweke_check
 from nbproc.rng import RandomSource
@@ -103,6 +104,39 @@ def test_trace_matches_golden_hash(model, tmp_path):
     assert first.decode() == f"# config_hash={config_hash}", f"{model} config hash changed"
 
 
+# The same two-part pin for one fit at a shape the pins above never reach: K x V
+# at or above BLOCKED_CELLS, so the topic Dirichlet is drawn in row blocks of
+# several chunks each, and training tokens x K at or above THREADED_CELLS, so
+# the assignment is drawn in parts on all cores.  About a second.
+BLOCKED_K, BLOCKED_V = 192, 16384
+BLOCKED_TRACE = (
+    "57ab253cfe5ca1f72fbf02d979030696eff9c3c848874ba3a34b03f30e8f3d3a",
+    "9cba10887410e8c761a83ad57e71e43307cd37a39257db7c5fb90fe475d5226f",
+)
+
+
+def test_blocked_threaded_trace_matches_golden_hash(tmp_path, monkeypatch):
+    assert BLOCKED_K * BLOCKED_V >= models.BLOCKED_CELLS
+    document_parts, cells = models._document_parts, []
+
+    def counted_parts(offsets, num_topics):
+        cells.append(int(offsets[-1]) * num_topics)
+        return document_parts(offsets, num_topics)
+
+    monkeypatch.setattr(models, "_document_parts", counted_parts)
+    spec = tmp_path / "synth.json"
+    spec.write_text(json.dumps({"k_true": 5, "vocab_size": BLOCKED_V, "num_docs": 120, "r": 5.0, "p": 0.8, "seed": 9}))
+    out = tmp_path / "gamma-nb"
+    args = ["run", "--model", "gamma-nb", "--synth", str(spec), "--train-frac", "0.6", "--seed", "11"]
+    args += ["--K", str(BLOCKED_K), "--iters", "3", "--burnin", "1", "--init-iters", "1", "--out", str(out)]
+    assert main(args) == EXIT_OK
+    assert cells and min(cells) >= models.THREADED_CELLS
+    first, rows = (out / "trace.csv").read_bytes().split(b"\n", 1)
+    rows_sha256, config_hash = BLOCKED_TRACE
+    assert hashlib.sha256(rows).hexdigest() == rows_sha256, f"blocked trace rows changed (numpy {np.__version__})"
+    assert first.decode() == f"# config_hash={config_hash}", "blocked config hash changed"
+
+
 # kind name -> sha256 of json.dumps([forward_means, chain_means], sort_keys=True)
 GOLDEN_GEWEKE = {
     "nb-lda": "2e72751045af9083843f2e92dd1070fa95ae6078c6f3696ae75e82516e7b19f9",
@@ -145,4 +179,5 @@ def test_pins_hold_under_older_cpu_switches(switch):
     args = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__, "-k", "not older_cpu"]
     out = subprocess.run(args, capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stdout[-4000:]
-    assert "19 passed" in out.stdout  # every pin ran: ten traces, the coverage check, eight Geweke paths
+    # every pin ran: ten traces, the blocked trace, the coverage check, eight Geweke paths
+    assert "20 passed" in out.stdout
