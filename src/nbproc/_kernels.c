@@ -10,20 +10,71 @@
 #include <math.h>
 #include <stdint.h>
 
+/* The number of entries of the nondecreasing cum[0..K-1] that lie below t:
+ * a lower-bound search whose steps take no branch on the data (Khuong and
+ * Morin, "Array layouts for comparison-based searching", 2017), so a
+ * mispredicted comparison never stalls the next one.
+ */
+static inline int64_t count_below(const double *cum, int64_t K, double t)
+{
+    const double *base = cum;
+    for (int64_t n = K; n > 1; n -= n / 2)
+        base = base[n / 2] < t ? base + n / 2 : base;
+    return (base - cum) + (*base < t);
+}
+
 /* For token i of document j with term v, the weights omega_t[v, k] *
  * lam[j, k] are summed in order k = 0..K-1 (the IEEE operations of numpy's
  * multiply and cumsum), and z[i] is the number of k whose running sum lies
  * below u[i] * total.  The caller checks that omega_t and lam hold no
  * negative entry, so the running sums never decrease and that number is
- * found by bisection.  Returns -1, or the first document whose total is
- * not positive and finite; z is then partly written.
+ * found by a lower-bound search.  Each sum is one chain of K dependent
+ * adds, so four tokens of a document run in lockstep, each with its own
+ * sum and its own K-entry part of the 4 * K doubles of cum; a document's
+ * last len % 4 tokens run one by one.  Row j of the documents x topics
+ * counts gets document j's topics.  Returns -1, or the first document
+ * whose total is not positive and finite; z and counts are then partly
+ * written.
  */
 int64_t assign_topics(const double *omega_t, const double *lam, int64_t K, const int64_t *terms,
-                      const int64_t *offsets, int64_t J, const double *u, int64_t *z, double *cum)
+                      const int64_t *offsets, int64_t J, const double *u, int64_t *z, int64_t *counts,
+                      double *cum)
 {
+    double *cum1 = cum + K, *cum2 = cum + 2 * K, *cum3 = cum + 3 * K;
     for (int64_t j = 0; j < J; j++) {
         const double *weights = lam + j * K;
-        for (int64_t i = offsets[j]; i < offsets[j + 1]; i++) {
+        int64_t *row_counts = counts + j * K;
+        for (int64_t k = 0; k < K; k++)
+            row_counts[k] = 0;
+        int64_t i = offsets[j];
+        for (; i + 4 <= offsets[j + 1]; i += 4) {
+            const double *row0 = omega_t + terms[i] * K, *row1 = omega_t + terms[i + 1] * K;
+            const double *row2 = omega_t + terms[i + 2] * K, *row3 = omega_t + terms[i + 3] * K;
+            double total0 = 0.0, total1 = 0.0, total2 = 0.0, total3 = 0.0;
+            for (int64_t k = 0; k < K; k++) {
+                const double weight = weights[k];
+                total0 += row0[k] * weight;
+                total1 += row1[k] * weight;
+                total2 += row2[k] * weight;
+                total3 += row3[k] * weight;
+                cum[k] = total0;
+                cum1[k] = total1;
+                cum2[k] = total2;
+                cum3[k] = total3;
+            }
+            if (!(isfinite(total0) && total0 > 0.0 && isfinite(total1) && total1 > 0.0 && isfinite(total2) &&
+                  total2 > 0.0 && isfinite(total3) && total3 > 0.0))
+                return j;
+            z[i] = count_below(cum, K, u[i] * total0);
+            z[i + 1] = count_below(cum1, K, u[i + 1] * total1);
+            z[i + 2] = count_below(cum2, K, u[i + 2] * total2);
+            z[i + 3] = count_below(cum3, K, u[i + 3] * total3);
+            row_counts[z[i]]++;
+            row_counts[z[i + 1]]++;
+            row_counts[z[i + 2]]++;
+            row_counts[z[i + 3]]++;
+        }
+        for (; i < offsets[j + 1]; i++) {
             const double *row = omega_t + terms[i] * K;
             double total = 0.0;
             for (int64_t k = 0; k < K; k++) {
@@ -32,16 +83,8 @@ int64_t assign_topics(const double *omega_t, const double *lam, int64_t K, const
             }
             if (!(isfinite(total) && total > 0.0))
                 return j;
-            const double threshold = u[i] * total;
-            int64_t below = 0, above = K; /* the answer lies in [below, above] */
-            while (below < above) {
-                const int64_t mid = below + (above - below) / 2;
-                if (cum[mid] < threshold)
-                    below = mid + 1;
-                else
-                    above = mid;
-            }
-            z[i] = below;
+            z[i] = count_below(cum, K, u[i] * total);
+            row_counts[z[i]]++;
         }
     }
     return -1;

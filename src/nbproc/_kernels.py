@@ -35,16 +35,19 @@ CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 HELDOUT_BLOCK_CELLS = 2**16
 
 
-def assign_topics(omega_t, lam, terms, offsets, u, z) -> int:
-    """Write each token's topic into ``z``.
+def assign_topics(omega_t, lam, terms, offsets, u, z, counts) -> int:
+    """Write each token's topic into ``z`` and each document's topic counts into ``counts``.
 
     Token i of document j with term v takes the number of topics k whose
     running sum of omega_t[v, :k+1] * lam[j, :k+1] lies below u[i] times
-    the total.  ``lam`` may be a run of documents' rows: ``offsets`` then
-    holds that run's len(lam) + 1 entries, which index the whole ``terms``,
-    ``u`` and ``z``.  Returns -1, or the first document of the run whose
-    totals are not all positive and finite.
+    the total, and row j of the documents x topics ``counts`` becomes the
+    number of document j's tokens on each topic.  ``lam`` and ``counts``
+    may be a run of documents' rows: ``offsets`` then holds that run's
+    len(lam) + 1 entries, which index the whole ``terms``, ``u`` and ``z``.
+    Returns -1, or the first document of the run whose totals are not all
+    positive and finite.
     """
+    K = lam.shape[1]
     for j in range(len(lam)):
         start, stop = offsets[j], offsets[j + 1]
         cum = omega_t[terms[start:stop]]  # tokens x topics
@@ -54,6 +57,7 @@ def assign_topics(omega_t, lam, terms, offsets, u, z) -> int:
         if not np.all(np.isfinite(totals)) or not np.all(totals > 0):
             return j
         z[start:stop] = (cum < (u[start:stop] * totals)[:, None]).sum(axis=1)
+        counts[j] = np.bincount(z[start:stop], minlength=K)
     return -1
 
 
@@ -167,15 +171,15 @@ def _build_library() -> SimpleNamespace:
         return function
 
     assign_c = declare(
-        "assign_topics", size, doubles, doubles, size, integers, integers, size, doubles, integers, doubles
+        "assign_topics", size, doubles, doubles, size, integers, integers, size, doubles, integers, integers, doubles
     )
     crt_c = declare("crt_tables", size, integers, size, size, address, size, size, doubles, integers)
     mass_c = declare("heldout_mass", None, doubles, doubles, size, integers, integers, size, doubles, doubles, doubles)
     log_sums_c = declare("heldout_log_sums", size, doubles, doubles, integers, size, doubles)
 
-    def assign(omega_t, lam, terms, offsets, u, z) -> int:
+    def assign(omega_t, lam, terms, offsets, u, z, counts) -> int:
         K = omega_t.shape[1]
-        return assign_c(omega_t, lam, K, terms, offsets, len(lam), u, z, np.empty(K))
+        return assign_c(omega_t, lam, K, terms, offsets, len(lam), u, z, counts, np.empty(4 * K))
 
     def crt(m, r, u, tables) -> int:
         cols = m.shape[-1] if m.ndim else 1

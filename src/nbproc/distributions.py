@@ -238,14 +238,27 @@ def sample_crt(m: int, r, rng: RandomSource) -> int:
     return int(np.count_nonzero(rng.generator.random(m) < probs))
 
 
-def sample_crt_array(m, r, rng: RandomSource) -> np.ndarray:
+def writable_as(array, shape: tuple[int, ...], dtype) -> bool:
+    """True when ``array`` is a writable, C-contiguous ndarray of this shape and dtype."""
+    return (
+        isinstance(array, np.ndarray)
+        and array.shape == shape
+        and array.dtype == dtype
+        and array.flags.c_contiguous
+        and array.flags.writeable
+    )
+
+
+def sample_crt_array(m, r, rng: RandomSource, out=None) -> np.ndarray:
     """Elementwise CRT draws for an array of counts ``m`` and rates ``r``.
 
     ``r`` is broadcast against ``m``; it must be positive wherever
     m > 0 (cells with m = 0 yield 0 regardless of r, which lets gated
     models pass r = 0 for switched-off cells).  One uniform is drawn per
     Bernoulli trial, m.sum() in all, and the compiled loop (or its numpy
-    form) counts each cell's successes.
+    form) counts each cell's successes.  The tables are written into
+    ``out`` when given, a writable C-contiguous int64 array of m's shape,
+    and returned.
     """
     m = np.asarray(m)
     if not np.issubdtype(m.dtype, np.integer):
@@ -254,9 +267,13 @@ def sample_crt_array(m, r, rng: RandomSource) -> np.ndarray:
         raise ParameterError("m entries must be non-negative")
     r = np.broadcast_to(np.asarray(r, dtype=np.float64), m.shape)
     m = np.ascontiguousarray(m, dtype=np.int64)
-    out = np.zeros(m.shape, dtype=np.int64)
+    if out is None:
+        out = np.empty(m.shape, dtype=np.int64)
+    elif not writable_as(out, m.shape, np.int64):
+        raise ParameterError(f"out must be a writable C-contiguous int64 array of shape {m.shape}")
     total = int(m.sum())
     if total == 0:
+        out.fill(0)
         return out
     u = rng.generator.random(total)
     if _kernels.loops().crt_tables(m, r, u, out) >= 0:

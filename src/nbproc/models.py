@@ -40,10 +40,15 @@ A state keeps its tokens and their topics as flat, document-major arrays
 with document offsets, so a sweep never joins per-document pieces.  The
 topics live in one vocabulary-major matrix, ``omega_t``, the layout the
 assignment kernel and held-out evaluation read: the topic update draws
-each row block of the Dirichlet and writes it straight into its columns,
-with each topic's sum over the vocabulary in ``topic_mass``.  Given omega
-and lam every token's topic is independent of the others', so a large
-assignment is drawn in token-balanced parts on all cores with the same z.
+each row block of the Dirichlet a chunk of rows at a time through one
+small buffer and writes each chunk straight into its columns, with each
+topic's sum over the vocabulary in ``topic_mass``.  Given omega and lam
+every token's topic is independent of the others', so a large assignment
+is drawn in token-balanced parts on all cores with the same z, and the
+kernel writes each document's counts into its row of ``n_jk`` as it goes.
+A sweep overwrites ``omega_t``, ``n_jk``, ``lam`` and ``l_jk`` in place
+wherever they are writable C-contiguous arrays of their shape and dtype,
+so its working set stays the same from sweep to sweep.
 """
 
 from __future__ import annotations
@@ -67,6 +72,7 @@ from .distributions import (
     sample_crt_array,
     sample_dirichlet,
     sample_gamma,
+    writable_as,
 )
 from .rng import RandomSource
 
@@ -74,6 +80,10 @@ from .rng import RandomSource
 # constant so that the output never depends on the core count.
 BLOCKED_CELLS = 2**20
 ROW_BLOCKS = 8
+# Each row block of a blocked topic draw is drawn a chunk of rows at a time
+# through one buffer of about this many cells (1 MB), in chunks of a
+# multiple of eight rows (see _sample_topics).
+CHUNK_CELLS = 2**17
 # Topic assignment of at least this many token x topic cells runs in one
 # token-balanced part per available core (see sample_topic_assignments);
 # each token's z depends only on its own uniform, so the parts never
@@ -474,6 +484,11 @@ def set_topics(state: ModelState, omega: np.ndarray) -> None:
     state.topic_mass = omega.sum(axis=1)
 
 
+def _reusable(array: np.ndarray, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """``array`` where a sweep may overwrite it (see ``writable_as``), else a new one, leaving it as it is."""
+    return array if writable_as(array, shape, dtype) else np.empty(shape, dtype=dtype)
+
+
 def _recount(state: ModelState) -> None:
     J, K = state.num_docs, state.num_topics
     cells = np.repeat(np.arange(0, J * K, K, dtype=np.int64), state.train_counts)  # each token's row start
@@ -513,14 +528,24 @@ def _run_parts(work, parts: list[tuple[int, int]]) -> list:
 
 
 def sample_topic_assignments(state: ModelState, rng: RandomSource) -> ModelState:
-    """Resample z for every training token and refresh n_jk; see ``_draw_topics``."""
-    state.z = _draw_topics(state, rng)  # its uniforms are freed before the recount
-    _recount(state)
+    """Resample z for every training token and write its counts into n_jk; see ``_draw_topics``.
+
+    The kernel counts as it draws, into ``state.n_jk`` where that is a
+    writable C-contiguous int64 documents x topics array.  A failed draw
+    keeps the old z and recounts n_jk from it.
+    """
+    n_jk = _reusable(state.n_jk, (state.num_docs, state.num_topics), np.int64)
+    try:
+        state.z = _draw_topics(state, rng, n_jk)
+    except IterationError:
+        _recount(state)  # the kernel wrote some rows of the new counts
+        raise
+    state.n_jk = n_jk
     return state
 
 
-def _draw_topics(state: ModelState, rng: RandomSource) -> np.ndarray:
-    """A new topic for every training token.
+def _draw_topics(state: ModelState, rng: RandomSource, n_jk: np.ndarray) -> np.ndarray:
+    """A new topic for every training token; each document's topic counts go into its row of ``n_jk``.
 
     Probability of topic k for a token with term v is proportional to
     omega[k, v] times the document's weight lam[j, k].  One uniform per
@@ -529,7 +554,8 @@ def _draw_topics(state: ModelState, rng: RandomSource) -> np.ndarray:
     are split into token-balanced parts drawn on one thread each; a token's
     z depends only on its own uniform, so z never depends on the number of
     parts, and a document with no admissible topic is named as the lowest
-    such one.
+    such one.  Parts hold whole documents, so no two threads write one row
+    of ``n_jk``.
     """
     omega_t = np.ascontiguousarray(state.omega_t, dtype=np.float64)  # vocabulary x topics
     V, K = omega_t.shape
@@ -550,7 +576,7 @@ def _draw_topics(state: ModelState, rng: RandomSource) -> np.ndarray:
     assign = _kernels.loops().assign_topics
 
     def assign_part(start: int, stop: int) -> int:
-        bad = assign(omega_t, lam[start:stop], terms, offsets[start : stop + 1], u, z)
+        bad = assign(omega_t, lam[start:stop], terms, offsets[start : stop + 1], u, z, n_jk[start:stop])
         return bad if bad < 0 else start + bad
 
     found = _run_parts(assign_part, _document_parts(offsets, K))
@@ -571,28 +597,46 @@ def _sample_topics(state: ModelState, gen: np.random.Generator, prior: bool = Fa
 
     The draw has the bits of ``_dirichlet_rows(gen, eta + counts).T``, with
     its row blocks, streams and threads, but makes no topics x vocabulary
-    array: each block is drawn in a buffer of its own, whose row sums are
-    its topics' ``state.topic_mass`` and which is written into its columns
-    of ``state.omega_t``.  ``state.omega_t`` is overwritten when it is a
-    writable C-contiguous float64 array, and replaced otherwise.
+    array.  Below ``BLOCKED_CELLS`` it is one chunk.  A row block of a
+    larger draw takes its rows in order, a chunk of ``CHUNK_CELLS // V``
+    rows at a time rounded down to a multiple of eight (at least eight),
+    through one buffer; its stream draws the gammas cell by cell in C order
+    and each row is clamped and normalized on its own, so the chunks keep
+    the bits.  A chunk's row sums are its topics' ``state.topic_mass``, and
+    the chunk is written into its columns of ``state.omega_t``, which is
+    overwritten when it is a writable C-contiguous float64 array, and
+    replaced otherwise.
     """
     V, K = state.omega_t.shape
-    omega_t = state.omega_t
-    if omega_t.dtype != np.float64 or not (omega_t.flags.c_contiguous and omega_t.flags.writeable):
-        omega_t = np.empty((V, K))
+    omega_t = _reusable(state.omega_t, (V, K), np.float64)
     z, tokens = (state.z[:0], state.tokens[:0]) if prior else (state.z, state.tokens)
     cells = z * V + tokens  # each counted token's cell of the topics x vocabulary counts
     topic_mass = np.empty(K)
+    # eight rows or more per write: narrower transposed writes into omega_t cost more
+    height = K if K * V < BLOCKED_CELLS else max(8, CHUNK_CELLS // V // 8 * 8)
 
     def draw(stream: np.random.Generator, start: int, stop: int) -> None:
-        block = np.zeros((stop - start, V))
         mine = cells if stop - start == K else cells[(z >= start) & (z < stop)] - start * V
-        # eta plus the exact float counts: the same bits as eta + np.bincount(...)
-        np.add.at(block.reshape(-1), mine, 1.0)
-        block += state.eta
-        _normalized_gammas(stream, block)
-        topic_mass[start:stop] = block.sum(axis=1)
-        omega_t[:, start:stop] = block.T
+        rows = min(height, stop - start)
+        firsts = range(start, stop, rows)
+        edges = [0, len(mine)]
+        if len(firsts) > 1:  # sorted, each chunk's cells are one run
+            mine = np.sort(mine)
+            edges[1:1] = np.searchsorted(mine, [(first - start) * V for first in firsts[1:]]).tolist()
+        buffer = np.empty(rows * V)
+        for first, lo, hi in zip(firsts, edges, edges[1:]):
+            last = min(first + rows, stop)
+            chunk = buffer[: (last - first) * V].reshape(last - first, V)
+            chunk.fill(0.0)
+            here = mine[lo:hi]
+            if first > start:  # mine is then the block's own sorted copy
+                here -= (first - start) * V
+            # eta plus the exact float counts: the same bits as eta + np.bincount(...)
+            np.add.at(chunk.reshape(-1), here, 1.0)
+            chunk += state.eta
+            _normalized_gammas(stream, chunk)
+            topic_mass[first:last] = chunk.sum(axis=1)
+            omega_t[:, first:last] = chunk.T
 
     _in_row_blocks(gen, K, K * V, draw, _workers)
     state.omega_t, state.topic_mass = omega_t, topic_mass
@@ -641,7 +685,8 @@ def count_sweep(state, hyper, rng, fault=None):
     else:
         # sum of log(1 - p) over the cells each entry of r covers
         log1mp = span * _libm(math.log1p, -p) if same_axis else float(_libm(math.log1p, -p).sum())
-    state.l_jk = sample_crt_array(state.n_jk, _gated(state, _along(spec.r_axis, r)), rng)
+    l_jk = _reusable(state.l_jk, (J, K), np.int64)
+    state.l_jk = sample_crt_array(state.n_jk, _gated(state, _along(spec.r_axis, r)), rng, l_jk)
     tables = _per(spec.r_axis, state.l_jk)
     if spec.samples_gamma0:
         share = _gamma0_share(spec, K)
@@ -665,9 +710,11 @@ def count_sweep(state, hyper, rng, fault=None):
         r_shape = r_shape + 1.0
     state.r = _gamma_clamped(gen, r_shape, 1.0 / r_rate)
     _check_finite("r", state.r)
-    # lam is drawn in one buffer: its shape, then Gamma(shape, 1) draws, which
-    # times p are the Gamma(shape, p) draws of the same variates
-    lam = state.n_jk.astype(np.float64)
+    # lam is drawn in one buffer, state.lam where it can be overwritten: its
+    # shape, then Gamma(shape, 1) draws, which times p are the Gamma(shape, p)
+    # draws of the same variates
+    lam = _reusable(state.lam, (J, K), np.float64)
+    np.copyto(lam, state.n_jk)  # cast in place, where np.add would cast through a buffer
     lam += _gated(state, _along(spec.r_axis, state.r))  # the shape n_jk + r b_jk
     closed = lam <= 0  # a closed gate with no tokens pins lam_jk to 0
     lam[closed] = 1.0  # but still takes its variate
@@ -690,8 +737,9 @@ def crf_hdp_sweep(state, hyper, rng):
     to one table as r -> 0, so this is the limiting law.
     """
     gen = rng.generator
-    K = state.num_topics
-    state.l_jk = sample_crt_array(state.n_jk, np.maximum(state.alpha * state.r_tilde, TINY)[None, :], rng)
+    J, K = state.n_jk.shape
+    l_jk = _reusable(state.l_jk, (J, K), np.int64)
+    state.l_jk = sample_crt_array(state.n_jk, np.maximum(state.alpha * state.r_tilde, TINY)[None, :], rng, l_jk)
     state.alpha = crf_alpha_step(
         state.alpha, int(state.l_jk.sum()), state.train_counts, hyper.a0, hyper.b0, gen
     )
@@ -699,7 +747,8 @@ def crf_hdp_sweep(state, hyper, rng):
     tilde_conc = state.gamma0 / K + state.l_jk.sum(axis=0)
     state.r_tilde = _dirichlet_rows(gen, tilde_conc[None, :])[0]
     _check_finite("r_tilde", state.r_tilde)
-    state.lam = _dirichlet_rows(gen, state.alpha * state.r_tilde[None, :] + state.n_jk)
+    lam = _reusable(state.lam, (J, K), np.float64)
+    state.lam = _dirichlet_rows(gen, np.add(state.alpha * state.r_tilde[None, :], state.n_jk, out=lam))
     _check_finite("lam", state.lam)
 
 
@@ -723,7 +772,8 @@ def crf_alpha_step(alpha: float, total_tables: int, doc_sizes: np.ndarray, a0: f
 def lda_sweep(state, hyper, rng):
     """Parameter block of the normalized sweep with fixed smoothing; also serves dir-pfa."""
     smoothing = hyper.lda_alpha_total / state.num_topics
-    state.lam = _dirichlet_rows(rng.generator, smoothing + state.n_jk)
+    lam = _reusable(state.lam, state.n_jk.shape, np.float64)
+    state.lam = _dirichlet_rows(rng.generator, np.add(smoothing, state.n_jk, out=lam))
     _check_finite("lam", state.lam)
 
 
@@ -803,10 +853,18 @@ def initialize(kind: ModelKind, corpus, split, hyper: HyperParams, rng: RandomSo
     _recount(state)
     _sample_topics(state, gen, prior=True)
     warm_r = hyper.lda_alpha_total / K
-    state.lam = _gamma_clamped(gen, np.full((J, K), warm_r), 1.0)
+    # the warm-up lam is drawn in one buffer; gen.gamma(shape, scale) is
+    # scale times the standard_gamma(shape) of the same variate
+    lam = state.lam
+    lam.fill(warm_r)
+    gen.standard_gamma(lam, out=lam)
+    np.maximum(lam, TINY, out=lam)
     for _ in range(hyper.init_iters):
         sample_topic_assignments(state, rng)
-        state.lam = _gamma_clamped(gen, warm_r + state.n_jk, 0.5)
+        np.add(state.n_jk, warm_r, out=lam)
+        gen.standard_gamma(lam, out=lam)
+        lam *= 0.5
+        np.maximum(lam, TINY, out=lam)
         update_topics(state, rng)
     _draw_count_params(state, hyper, rng)
     if not kind.models_counts:

@@ -385,6 +385,34 @@ def test_sample_crt_array_counts_one_uniform_per_trial(library_path, case):
     assert source.generator.random() == gen.random()  # the same number of uniforms consumed
 
 
+@pytest.mark.parametrize("case", sorted(CRT_CASES))
+def test_sample_crt_array_into_out_gives_the_tables_of_a_fresh_array(library_path, case):
+    m, r = CRT_CASES[case]
+    fresh_source, source = rng(29), rng(29)
+    fresh = sample_crt_array(m, r, fresh_source)
+    out = np.full(np.shape(m), -1, dtype=np.int64)  # every cell is written, the empty ones too
+    assert sample_crt_array(m, r, source, out) is out
+    assert np.array_equal(out, fresh)
+    assert source.generator.random() == fresh_source.generator.random()
+
+
+def test_sample_crt_array_rejects_an_unusable_out():
+    m = np.array([[2, 0, 1], [0, 3, 1]])
+    read_only = np.zeros((2, 3), dtype=np.int64)
+    read_only.flags.writeable = False
+    unusable = {
+        "wrong-shape": np.zeros((3, 2), dtype=np.int64),
+        "wrong-dtype": np.zeros((2, 3), dtype=np.int32),
+        "strided": np.zeros((2, 6), dtype=np.int64)[:, ::2],
+        "read-only": read_only,
+        "list": [[0, 0, 0], [0, 0, 0]],
+    }
+    for name, out in unusable.items():
+        with pytest.raises(ParameterError, match="out must be a writable C-contiguous int64 array of shape"):
+            sample_crt_array(m, 1.0, rng(30), out)
+        assert np.all(np.asarray(out) == 0), name
+
+
 @pytest.mark.parametrize("rate", [0.0, -1.0, np.nan, np.inf])
 def test_crt_tables_name_the_first_bad_cell_on_both_paths(compiled_library, rate):
     m = np.array([[2, 0, 1], [0, 3, 1]])

@@ -103,12 +103,14 @@ def test_assignments_counts_always_match_lengths():
     assert np.array_equal(state.n_jk.sum(axis=1), state.train_counts)
 
 
-@pytest.mark.parametrize("K", [1, 7, 400])
-def test_assign_matches_reference_expression(library_path, K):
-    # uneven lengths, empty documents first, in the middle and last, the longest neither first nor last
+@pytest.mark.parametrize("K", [1, 2, 3, 4, 5, 7, 400])
+def test_assign_matches_reference_expression(library_path, monkeypatch, K):
+    # every length 0-9, so the kernel's four-token groups leave each remainder mod 4; empty
+    # documents first, in the middle and last, and the longest neither first nor last
+    lengths = (0, 5, 40, 0, 173, 12, 1, 0, 2, 3, 4, 6, 7, 8, 9, 0)
     V = 30
     gen = RandomSource(14).generator
-    tokens = [gen.integers(0, V, size=n) for n in (0, 5, 40, 0, 173, 12, 1, 0)]
+    tokens = [gen.integers(0, V, size=n) for n in lengths]
     state = state_with_tokens(ModelKind.NB_FTM, tokens, V, K, seed=15)
     omega = gen.dirichlet(np.full(V, 0.3), size=K)
     state.lam = gen.gamma(0.5, 2.0, size=(len(tokens), K))
@@ -119,13 +121,47 @@ def test_assign_matches_reference_expression(library_path, K):
 
     expected_gen = RandomSource(16).generator
     z, n_jk = replay_assign(state, state.lam, expected_gen)
-    actual_gen = RandomSource(16)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # the path was chosen, and warned about, once
-        sample_topic_assignments(state, actual_gen)
-    assert np.array_equal(state.z, np.concatenate(z))
-    assert np.array_equal(state.n_jk, n_jk)
-    assert actual_gen.generator.random() == expected_gen.random()  # same number of uniforms consumed
+    expected_next = expected_gen.random()
+    monkeypatch.setattr(models, "THREADED_CELLS", 1)  # token-balanced parts at this size
+    for cores in (1, 2, 3):
+        monkeypatch.setattr(models, "_available_cores", lambda: cores)
+        drawn = state.clone()
+        drawn.n_jk = counts = np.full_like(state.n_jk, -1)
+        actual_gen = RandomSource(16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the path was chosen, and warned about, once
+            sample_topic_assignments(drawn, actual_gen)
+        assert np.array_equal(drawn.z, np.concatenate(z)), f"{cores} cores"
+        assert drawn.n_jk is counts and np.array_equal(counts, n_jk), f"{cores} cores"  # counted by the kernel
+        assert actual_gen.generator.random() == expected_next  # same number of uniforms consumed
+
+
+def test_assign_ties_take_the_first_topic_whose_running_sum_reaches_the_threshold(library_path):
+    # dyadic weights with exact zeros: runs of equal running sums, which thresholds hit exactly
+    omega_t = np.array([[0.25, 0.0, 0.25, 0.0, 0.5], [0.0, 0.0, 0.5, 0.5, 0.0]])  # terms x topics
+    lam = np.array([[1.0, 1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.0, 1.0, 1.0]])
+    # running sums: term 0 [.25 .25 .5 .5 1] and term 1 [0 0 .5 1 1] in document 0,
+    # term 0 [.25 .25 .25 .25 .75] and term 1 [0 0 0 .5 .5] in document 1
+    terms = np.array([0, 0, 0, 0, 1, 1, 0, 1, 1, 1, 1, 0])
+    u = np.array([0.25, 0.5, 0.0, 0.75, 0.5, 0.0, 0.5, 0.5, 0.0, 0.5, 0.5, 0.5])
+    offsets = np.array([0, 7, 12])
+    z, counts = np.empty(12, dtype=np.int64), np.full((2, 5), -1)
+    assert _kernels.loops().assign_topics(omega_t, lam, terms, offsets, u, z, counts) == -1
+    assert z.tolist() == [0, 2, 0, 4, 2, 0, 2, 3, 0, 3, 3, 4]
+    assert counts.tolist() == [[3, 0, 3, 0, 1], [1, 0, 0, 3, 1]]
+
+
+def test_failed_assignment_keeps_z_and_its_counts(library_path, monkeypatch):
+    for cores in (1, 3):
+        monkeypatch.setattr(models, "_available_cores", lambda: cores)
+        state = threaded_state([3000] * 6)
+        state.lam[[1, 2, 5]] = 0.0  # at three cores, a part fails after writing a row, and one before
+        z = state.z.copy()
+        with pytest.raises(IterationError, match="document 1 has no admissible topic"):
+            sample_topic_assignments(state, RandomSource(95))
+        assert np.array_equal(state.z, z)
+        recount = np.vstack([np.bincount(doc_z, minlength=THREADED_K) for doc_z in document_views(z, state.offsets)])
+        assert np.array_equal(state.n_jk, recount), f"{cores} cores"
 
 
 def test_assign_names_the_first_document_without_admissible_topic(library_path):
@@ -196,12 +232,13 @@ def test_threaded_parts_split_at_the_documents_the_cases_name(monkeypatch):
 def test_threaded_assignment_matches_numpy_reference_at_any_core_count(library_path, monkeypatch, shape):
     state = threaded_state(THREADED_SHAPES[shape])
     u = RandomSource(94).generator.random(len(state.tokens))
-    expected = np.empty(len(state.tokens), dtype=np.int64)
-    assert _kernels.assign_topics(state.omega_t, state.lam, state.tokens, state.offsets, u, expected) == -1
+    expected, counts = np.empty(len(state.tokens), dtype=np.int64), np.empty_like(state.n_jk)
+    assert _kernels.assign_topics(state.omega_t, state.lam, state.tokens, state.offsets, u, expected, counts) == -1
     for cores in (1, 2, 3):
         monkeypatch.setattr(models, "_available_cores", lambda: cores)
         drawn = sample_topic_assignments(state.clone(), RandomSource(94))
         assert np.array_equal(drawn.z, expected), f"{cores} cores"
+        assert np.array_equal(drawn.n_jk, counts), f"{cores} cores"
 
 
 def test_threaded_assignment_names_the_lowest_bad_document(library_path, monkeypatch):
@@ -326,6 +363,47 @@ def test_update_topics_draws_into_omega_t_and_replaces_a_read_only_one():
         state.omega = frozen.T
 
 
+def _unusable(array, how):
+    """A stand-in for ``array`` that a sweep must not write into, and the array that holds its memory."""
+    J, K = array.shape
+    if how == "read-only":
+        bad = array.copy()
+        bad.flags.writeable = False
+        return bad, bad
+    if how == "strided":
+        owner = np.zeros((J, 2 * K), dtype=array.dtype)
+        return owner[:, ::2], owner
+    bad = np.zeros((J + 1, K), dtype=array.dtype) if how == "wrong-shape" else np.zeros((J, K), dtype=np.int32)
+    return bad, bad
+
+
+@pytest.mark.parametrize("how", ["read-only", "wrong-shape", "strided", "wrong-dtype"])
+@pytest.mark.parametrize("kind", [ModelKind.GAMMA_NB, ModelKind.CRF_HDP], ids=lambda k: k.value)
+def test_sweep_writes_counts_and_weights_in_place_and_replaces_unusable_arrays(kind, how):
+    hyper = MICRO.replace(K=3)
+    state = forward_draw(kind, hyper, 6, 5, RandomSource(30), doc_lengths=[4, 0, 7, 3, 5, 9])
+    buffers = {name: getattr(state, name) for name in ("n_jk", "lam", "l_jk")}
+    gibbs_sweep(state, hyper, RandomSource(31))
+    assert all(getattr(state, name) is buffer for name, buffer in buffers.items())
+    block = count_sweep if kind.models_counts else models.crf_hdp_sweep
+    steps = {
+        "n_jk": lambda s: sample_topic_assignments(s, RandomSource(32)),
+        "lam": lambda s: block(s, hyper, RandomSource(33)),
+        "l_jk": lambda s: block(s, hyper, RandomSource(33)),
+    }
+    for name, step in steps.items():
+        expected, swept = state.clone(), state.clone()
+        step(expected)
+        bad, owner = _unusable(getattr(state, name), how)
+        held = owner.copy()
+        setattr(swept, name, bad)
+        step(swept)
+        assert getattr(swept, name) is not bad, name
+        assert np.array_equal(owner, held), f"{name} was written"
+        for field in steps:
+            assert np.array_equal(getattr(swept, field), getattr(expected, field)), f"{name}: {field} differs"
+
+
 def reference_topics(state, gen, prior=False, workers=None):
     """The topic draw as one topics x vocabulary Dirichlet draw of eta + the counts, and its row sums."""
     K, V = state.num_topics, state.vocab_size
@@ -334,27 +412,40 @@ def reference_topics(state, gen, prior=False, workers=None):
     return np.ascontiguousarray(omega.T), omega.sum(axis=1)
 
 
+# K, V, workers, and the chunks of the whole draw
 TOPIC_DRAWS = {
-    "unblocked": (5, 300, None),
-    "blocked-one-worker": (16, 2**16, 1),
-    "blocked-two-workers": (16, 2**16, 2),
-    "blocked-a-worker-per-block": (16, 2**16, ROW_BLOCKS),  # more threads than most test machines' cores
-    "fewer-topics-than-blocks-one-worker": (3, 2**19, 1),
-    "fewer-topics-than-blocks-two-workers": (3, 2**19, 2),
+    "unblocked": (5, 300, None, 1),
+    "blocked-one-worker": (16, 2**16, 1, ROW_BLOCKS),
+    "blocked-two-workers": (16, 2**16, 2, ROW_BLOCKS),
+    "blocked-a-worker-per-block": (16, 2**16, ROW_BLOCKS, ROW_BLOCKS),  # more threads than most test machines' cores
+    "fewer-topics-than-blocks-one-worker": (3, 2**19, 1, 3),
+    "fewer-topics-than-blocks-two-workers": (3, 2**19, 2, 3),
+    "two-chunks-per-block-one-worker": (128, 2**14, 1, 2 * ROW_BLOCKS),  # blocks of 16 rows, chunks of 8
+    "uneven-chunks-two-workers": (200, 2**13, 2, 2 * ROW_BLOCKS),  # blocks of 25 rows, chunks of 16 and 9
 }
 
 
 @pytest.mark.parametrize("case", sorted(TOPIC_DRAWS))
-def test_topic_draw_is_the_transposed_dirichlet_rows_draw(case):
-    K, V, workers = TOPIC_DRAWS[case]
+def test_topic_draw_is_the_transposed_dirichlet_rows_draw(monkeypatch, case):
+    K, V, workers, chunks = TOPIC_DRAWS[case]
     assert (K * V >= BLOCKED_CELLS) == (workers is not None)
+    normalized_gammas, drawn = models._normalized_gammas, []
+
+    def counted(stream, rows):
+        drawn.append(len(rows))
+        normalized_gammas(stream, rows)
+
+    monkeypatch.setattr(models, "_normalized_gammas", counted)
     gen = RandomSource(40).generator
     docs = [gen.integers(0, V, size=n) for n in (300, 0, 41, 1200)]
     state = state_with_tokens(ModelKind.GAMMA_NB, docs, V, K, eta=0.05, seed=41)
     for prior, seed in ((True, 42), (False, 43)):
         expected_gen, gen = RandomSource(seed).generator, RandomSource(seed).generator
         omega_t, topic_mass = reference_topics(state, expected_gen, prior, workers)
+        drawn.clear()
         models._sample_topics(state, gen, prior, _workers=workers)
+        assert len(drawn) == chunks and sum(drawn) == K
+        assert max(drawn) * V <= max(models.CHUNK_CELLS, 8 * V) or chunks == 1
         assert state.omega_t.tobytes() == omega_t.tobytes()
         assert state.topic_mass.tobytes() == topic_mass.tobytes()
         assert gen.bytes(64) == expected_gen.bytes(64)  # the same variates consumed
@@ -581,10 +672,18 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
-def test_initialize_holds_one_topic_matrix_and_count_sweep_one_lam_buffer(monkeypatch):
-    # a blocked topic draw holds one block buffer per thread: two threads, as on a two-core machine
-    monkeypatch.setattr(models, "_available_cores", lambda: 2)
-    J, K, V = 300, 64, 2**14
+MEMORY_SHAPES = {
+    # cores, J, K, V: two threads, as on a two-core machine, each with a block of one chunk
+    "two-cores": (2, 300, 64, 2**14),
+    # eight threads at once, each drawing a block of four chunks
+    "eight-cores": (8, 300, 256, 2**14),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MEMORY_SHAPES))
+def test_initialize_holds_one_topic_matrix_and_count_sweep_no_documents_by_topics_copy(monkeypatch, case):
+    cores, J, K, V = MEMORY_SHAPES[case]
+    monkeypatch.setattr(models, "_available_cores", lambda: cores)
     assert K * V >= BLOCKED_CELLS
     gen = RandomSource(19).generator
     corpus = make_corpus([gen.integers(0, V, size=12) for _ in range(J)], V)
@@ -593,9 +692,10 @@ def test_initialize_holds_one_topic_matrix_and_count_sweep_one_lam_buffer(monkey
     state, initialize_peak = _traced_peak(lambda: initialize(ModelKind.GAMMA_NB, corpus, split, hyper, RandomSource(21)))
     topic_matrices = [f.name for f in dataclasses.fields(state) if np.size(getattr(state, f.name)) >= K * V]
     assert topic_matrices == ["omega_t"]
-    assert initialize_peak < 2 * K * V * 8
+    # the topic matrix, and one chunk buffer per thread at a time
+    assert initialize_peak < (2 if cores == 2 else 1.5) * K * V * 8
     _, sweep_peak = _traced_peak(lambda: count_sweep(state, hyper, RandomSource(22)))
-    assert sweep_peak < 3 * J * K * 8
+    assert sweep_peak < 1 * J * K * 8
 
 
 # ---------------------------------------------------------------------------
