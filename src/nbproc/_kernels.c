@@ -26,15 +26,15 @@ static inline int64_t count_below(const double *cum, int64_t K, double t)
 /* For token i of document j with term v, the weights omega_t[v, k] *
  * lam[j, k] are summed in order k = 0..K-1 (the IEEE operations of numpy's
  * multiply and cumsum), and z[i] is the number of k whose running sum lies
- * below u[i] * total.  The caller checks that omega_t and lam hold no
- * negative entry, so the running sums never decrease and that number is
- * found by a lower-bound search.  Each sum is one chain of K dependent
- * adds, so four tokens of a document run in lockstep, each with its own
- * sum and its own K-entry part of the 4 * K doubles of cum; a document's
- * last len % 4 tokens run one by one.  Row j of the documents x topics
- * counts gets document j's topics.  Returns -1, or the first document
- * whose total is not positive and finite; z and counts are then partly
- * written.
+ * below u[i] * total, at most K - 1 since u[i] < 1.  The caller checks
+ * that omega_t and lam hold no negative entry, so the running sums never
+ * decrease and that number is found by a lower-bound search.  Each sum is
+ * one chain of K dependent adds, so four tokens of a document run in
+ * lockstep, each with its own sum and its own K-entry part of the 4 * K
+ * doubles of cum; a document's last len % 4 tokens run one by one.  Row j
+ * of the documents x topics counts gets document j's topics.  Returns -1,
+ * or the first document whose total is not positive and finite; z and
+ * counts are then partly written.
  */
 int64_t assign_topics(const double *omega_t, const double *lam, int64_t K, const int64_t *terms,
                       const int64_t *offsets, int64_t J, const double *u, int64_t *z, int64_t *counts,

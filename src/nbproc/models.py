@@ -473,13 +473,12 @@ def blank_state(kind: ModelKind, tokens, offsets, vocab_size: int, num_topics: i
 def set_topics(state: ModelState, omega: np.ndarray) -> None:
     """Make the rows of a topics x vocabulary ``omega`` the state's topics.
 
-    Writes the transpose into ``state.omega_t``, reusing that buffer when it
-    has the shape, and the row sums into ``state.topic_mass``.
+    Writes the transpose into ``state.omega_t``, reusing that buffer where a
+    sweep would, and the row sums into ``state.topic_mass``.
     """
     omega = np.ascontiguousarray(omega, dtype=np.float64)
     K, V = omega.shape
-    if state.omega_t.shape != (V, K) or not state.omega_t.flags.writeable:
-        state.omega_t = np.empty((V, K))
+    state.omega_t = _reusable(state.omega_t, (V, K), np.float64)
     np.copyto(state.omega_t, omega.T)
     state.topic_mass = omega.sum(axis=1)
 
@@ -846,25 +845,26 @@ def initialize(kind: ModelKind, corpus, split, hyper: HyperParams, rng: RandomSo
     _check_beta_process(kind, hyper)
     state = blank_state(kind, split.train_terms, split.train_offsets, corpus.vocab_size, hyper.K, hyper.eta)
     gen = rng.generator
-    J, K = state.num_docs, state.num_topics
+    K = state.num_topics
     # one draw per document: how integers() splits its 64-bit words depends on the draw sizes
     draws = [gen.integers(0, K, size=n) for n in state.train_counts.tolist()]
     state.z = np.concatenate([np.zeros(0, dtype=np.int64), *draws])
     _recount(state)
     _sample_topics(state, gen, prior=True)
     warm_r = hyper.lda_alpha_total / K
-    # the warm-up lam is drawn in one buffer; gen.gamma(shape, scale) is
-    # scale times the standard_gamma(shape) of the same variate
-    lam = state.lam
-    lam.fill(warm_r)
-    gen.standard_gamma(lam, out=lam)
-    np.maximum(lam, TINY, out=lam)
+
+    def warm_lam(counts, scale: float) -> None:
+        """Gamma(warm_r + counts, scale) clamped at TINY, drawn in ``state.lam``: gen.gamma(shape,
+        scale) is scale times the standard_gamma(shape) of the same variate."""
+        np.add(counts, warm_r, out=state.lam)
+        gen.standard_gamma(state.lam, out=state.lam)
+        state.lam *= scale
+        np.maximum(state.lam, TINY, out=state.lam)
+
+    warm_lam(0, 1.0)
     for _ in range(hyper.init_iters):
         sample_topic_assignments(state, rng)
-        np.add(state.n_jk, warm_r, out=lam)
-        gen.standard_gamma(lam, out=lam)
-        lam *= 0.5
-        np.maximum(lam, TINY, out=lam)
+        warm_lam(state.n_jk, 0.5)
         update_topics(state, rng)
     _draw_count_params(state, hyper, rng)
     if not kind.models_counts:

@@ -656,7 +656,7 @@ def test_count_sweep_lam_is_the_clamped_gamma_of_the_open_cells(kind):
 
 
 # ---------------------------------------------------------------------------
-# memory: one topics x vocabulary array, and lam drawn in one buffer
+# memory: one topics x vocabulary array, chunked topic draws, and a sweep drawn in place
 # ---------------------------------------------------------------------------
 
 
@@ -672,17 +672,8 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
-MEMORY_SHAPES = {
-    # cores, J, K, V: two threads, as on a two-core machine, each with a block of one chunk
-    "two-cores": (2, 300, 64, 2**14),
-    # eight threads at once, each drawing a block of four chunks
-    "eight-cores": (8, 300, 256, 2**14),
-}
-
-
-@pytest.mark.parametrize("case", sorted(MEMORY_SHAPES))
-def test_initialize_holds_one_topic_matrix_and_count_sweep_no_documents_by_topics_copy(monkeypatch, case):
-    cores, J, K, V = MEMORY_SHAPES[case]
+def _initialize_and_sweep_peaks(monkeypatch, cores, J, K, V):
+    """tracemalloc peaks of a gamma-nb ``initialize`` and one ``count_sweep`` on ``cores`` threads."""
     monkeypatch.setattr(models, "_available_cores", lambda: cores)
     assert K * V >= BLOCKED_CELLS
     gen = RandomSource(19).generator
@@ -692,9 +683,24 @@ def test_initialize_holds_one_topic_matrix_and_count_sweep_no_documents_by_topic
     state, initialize_peak = _traced_peak(lambda: initialize(ModelKind.GAMMA_NB, corpus, split, hyper, RandomSource(21)))
     topic_matrices = [f.name for f in dataclasses.fields(state) if np.size(getattr(state, f.name)) >= K * V]
     assert topic_matrices == ["omega_t"]
-    # the topic matrix, and one chunk buffer per thread at a time
-    assert initialize_peak < (2 if cores == 2 else 1.5) * K * V * 8
     _, sweep_peak = _traced_peak(lambda: count_sweep(state, hyper, RandomSource(22)))
+    return initialize_peak, sweep_peak
+
+
+def test_initialize_holds_one_topic_matrix_and_count_sweep_one_lam_buffer(monkeypatch):
+    # two threads, as on a two-core machine, each drawing a block of one chunk
+    J, K, V = 300, 64, 2**14
+    initialize_peak, sweep_peak = _initialize_and_sweep_peaks(monkeypatch, 2, J, K, V)
+    assert initialize_peak < 2 * K * V * 8
+    assert sweep_peak < 1 * J * K * 8  # lam, l_jk and n_jk are written in place
+
+
+def test_topic_draw_memory_does_not_grow_with_the_core_count(monkeypatch):
+    # eight threads at once, each drawing a block of four chunks
+    J, K, V = 300, 256, 2**14
+    assert K // models.ROW_BLOCKS >= 4 * (models.CHUNK_CELLS // V)
+    initialize_peak, sweep_peak = _initialize_and_sweep_peaks(monkeypatch, 8, J, K, V)
+    assert initialize_peak < 1.5 * K * V * 8  # the topic matrix, and one chunk buffer per thread
     assert sweep_peak < 1 * J * K * 8
 
 
