@@ -1,6 +1,7 @@
-/* The package's per-token loops, compiled: topic assignment, CRT table
- * counts and held-out evaluation.  Each is the compiled form of a numpy loop
- * in nbproc._kernels and gives its results bit for bit.
+/* The package's per-token loops, compiled: topic assignment, the topics'
+ * token counts, CRT table counts and held-out evaluation.  Each is the
+ * compiled form of a numpy loop in nbproc._kernels and gives its results
+ * bit for bit.
  *
  * Build contract: compile without FMA contraction (-ffp-contract=off),
  * without -march=native and without -ffast-math.  Each of them lets the
@@ -35,6 +36,11 @@ static inline int64_t count_below(const double *cum, int64_t K, double t)
  * of the documents x topics counts gets document j's topics.  Returns -1,
  * or the first document whose total is not positive and finite; z and
  * counts are then partly written.
+ *
+ * u and z may share one buffer, the uniforms drawn into the new z's
+ * memory: token i reads u[i] before it writes z[i], and no other token
+ * reads or writes either, so threads that run disjoint runs of documents
+ * never touch each other's entries.
  */
 int64_t assign_topics(const double *omega_t, const double *lam, int64_t K, const int64_t *terms,
                       const int64_t *offsets, int64_t J, const double *u, int64_t *z, int64_t *counts,
@@ -88,6 +94,42 @@ int64_t assign_topics(const double *omega_t, const double *lam, int64_t K, const
         }
     }
     return -1;
+}
+
+/* Adds 1.0 to counts[(k - first) * V + terms[i]] for each token i < N of
+ * topic k = z[i] in [first, last).  The counts stay exact integers, so the
+ * order of the adds never changes them.
+ */
+void count_topics(const int64_t *z, const int64_t *terms, int64_t N, int64_t first, int64_t last, int64_t V,
+                  double *counts)
+{
+    for (int64_t i = 0; i < N; i++) {
+        const int64_t k = z[i];
+        if (k >= first && k < last)
+            counts[(k - first) * V + terms[i]] += 1.0;
+    }
+}
+
+/* Lists the cell (k - start) * V + terms[i] of each token i < N of topic
+ * z[i] in [start, stop), k = z[i], topic by topic and in token order
+ * within a topic: topic k's cells go from cells[next[k - start]] on, and
+ * next[k - start] ends past them.
+ */
+void gather_cells(const int64_t *z, const int64_t *terms, int64_t N, int64_t start, int64_t stop, int64_t V,
+                  int64_t *next, int64_t *cells)
+{
+    for (int64_t i = 0; i < N; i++) {
+        const int64_t k = z[i] - start;
+        if (k >= 0 && k < stop - start)
+            cells[next[k]++] = k * V + terms[i];
+    }
+}
+
+/* Adds 1.0 to counts[cells[t] - base] for t = 0..n-1. */
+void add_cells(const int64_t *cells, int64_t n, int64_t base, double *counts)
+{
+    for (int64_t t = 0; t < n; t++)
+        counts[cells[t] - base] += 1.0;
 }
 
 /* CRT(m, r) table counts of a rows x cols array of counts m, in C order.

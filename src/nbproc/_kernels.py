@@ -1,13 +1,15 @@
 """The package's one compiled library and the numpy loops it replaces.
 
 ``_kernels.c`` holds the per-token loops of a sweep and of held-out
-evaluation: topic assignment, CRT table counts and the held-out mass and
-log sums.  It is compiled on first use, once per process, with the C
-compiler Python was built with, and loaded with ``ctypes``.  ``loops()``
-returns its functions, or, where it cannot be built, the numpy functions
-below after one warning.  Each numpy function gives the same results as
-its compiled form bit for bit and is the tests' reference for it; both
-take the same arguments, and the compiled ones release the GIL.
+evaluation: topic assignment, the topics' token counts (one counting pass,
+or a pass that lists a row block's cells topic by topic and a count of
+each chunk's), CRT table counts and the held-out mass and log sums.  It is compiled on first use,
+once per process, with the C compiler Python was built with, and loaded
+with ``ctypes``.  ``loops()`` returns its functions, or, where it cannot
+be built, the numpy functions below after one warning.  Each numpy
+function gives the same results as its compiled form bit for bit and is
+the tests' reference for it; both take the same arguments, and the
+compiled ones release the GIL.
 """
 
 from __future__ import annotations
@@ -46,6 +48,10 @@ def assign_topics(omega_t, lam, terms, offsets, u, z, counts) -> int:
     len(lam) + 1 entries, which index the whole ``terms``, ``u`` and ``z``.
     Returns -1, or the first document of the run whose totals are not all
     positive and finite.
+
+    ``u`` may be ``z``'s own buffer viewed as float64: each document's
+    uniforms are read before its topics are written, and a run of
+    documents touches only its own tokens' entries.
     """
     K = lam.shape[1]
     for j in range(len(lam)):
@@ -59,6 +65,35 @@ def assign_topics(omega_t, lam, terms, offsets, u, z, counts) -> int:
         z[start:stop] = (cum < (u[start:stop] * totals)[:, None]).sum(axis=1)
         counts[j] = np.bincount(z[start:stop], minlength=K)
     return -1
+
+
+def count_topics(z, terms, first, last, counts) -> None:
+    """Add 1.0 to ``counts[k - first, v]`` for each token of topic k in [first, last) and term v.
+
+    The counts stay exact integers, so they never depend on the order of
+    the adds.
+    """
+    mine = (z >= first) & (z < last)
+    np.add.at(counts.reshape(-1), (z[mine] - first) * counts.shape[1] + terms[mine], 1.0)
+
+
+def gather_cells(z, terms, start, stop, V, next, cells) -> None:
+    """List the cell (k - start) * V + v of each token of topic k in [start, stop) and term v, topic by topic.
+
+    Topic k's cells go, in token order, from ``cells[next[k - start]]`` on,
+    and ``next[k - start]`` ends past them.
+    """
+    mine = np.flatnonzero((z >= start) & (z < stop))
+    topics = z[mine] - start
+    for k in range(stop - start):
+        ours = mine[topics == k]
+        cells[next[k] : next[k] + len(ours)] = k * V + terms[ours]
+        next[k] += len(ours)
+
+
+def add_cells(cells, base, counts) -> None:
+    """Add 1.0 to ``counts`` at each flat index ``cells - base``."""
+    np.add.at(counts.reshape(-1), cells - base, 1.0)
 
 
 def crt_tables(m, r, u, tables) -> int:
@@ -148,6 +183,9 @@ def heldout_log_sums(mass, totals, offsets, sums) -> int:
 
 NUMPY = SimpleNamespace(
     assign_topics=assign_topics,
+    count_topics=count_topics,
+    gather_cells=gather_cells,
+    add_cells=add_cells,
     crt_tables=crt_tables,
     heldout_mass=heldout_mass,
     heldout_log_sums=heldout_log_sums,
@@ -173,6 +211,9 @@ def _build_library() -> SimpleNamespace:
     assign_c = declare(
         "assign_topics", size, doubles, doubles, size, integers, integers, size, doubles, integers, integers, doubles
     )
+    count_c = declare("count_topics", None, integers, integers, size, size, size, size, doubles)
+    gather_c = declare("gather_cells", None, integers, integers, size, size, size, size, integers, integers)
+    add_c = declare("add_cells", None, integers, size, size, doubles)
     crt_c = declare("crt_tables", size, integers, size, size, address, size, size, doubles, integers)
     mass_c = declare("heldout_mass", None, doubles, doubles, size, integers, integers, size, doubles, doubles, doubles)
     log_sums_c = declare("heldout_log_sums", size, doubles, doubles, integers, size, doubles)
@@ -180,6 +221,15 @@ def _build_library() -> SimpleNamespace:
     def assign(omega_t, lam, terms, offsets, u, z, counts) -> int:
         K = omega_t.shape[1]
         return assign_c(omega_t, lam, K, terms, offsets, len(lam), u, z, counts, np.empty(4 * K))
+
+    def count(z, terms, first, last, counts) -> None:
+        count_c(z, terms, len(z), first, last, counts.shape[1], counts)
+
+    def gather(z, terms, start, stop, V, next, cells) -> None:
+        gather_c(z, terms, len(z), start, stop, V, next, cells)
+
+    def add(cells, base, counts) -> None:
+        add_c(cells, len(cells), base, counts)
 
     def crt(m, r, u, tables) -> int:
         cols = m.shape[-1] if m.ndim else 1
@@ -194,7 +244,15 @@ def _build_library() -> SimpleNamespace:
     def log_sums(mass, totals, offsets, sums) -> int:
         return log_sums_c(mass, totals, offsets, len(totals), sums)
 
-    return SimpleNamespace(assign_topics=assign, crt_tables=crt, heldout_mass=heldout, heldout_log_sums=log_sums)
+    return SimpleNamespace(
+        assign_topics=assign,
+        count_topics=count,
+        gather_cells=gather,
+        add_cells=add,
+        crt_tables=crt,
+        heldout_mass=heldout,
+        heldout_log_sums=log_sums,
+    )
 
 
 @functools.cache

@@ -31,6 +31,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -200,12 +201,15 @@ def _commit_identifier() -> str:
     return "unknown"
 
 
-def run_experiment(kind: ModelKind, corpus: Corpus, split, hyper: HyperParams):
+def run_experiment(kind: ModelKind, corpus: Corpus | SimpleNamespace, split, hyper: HyperParams):
     """Initialize, sweep, collect; returns (state, accumulator, trace).
 
-    The whole chain consumes one random stream, child 0 of the seed, in a
-    fixed order, so a run is bit-reproducible for a given seed and numpy
-    version.
+    Of the corpus only its ``vocab_size`` is read: the split holds the
+    tokens.  The whole chain consumes one random stream, child 0 of the
+    seed, in a fixed order, so a run is bit-reproducible for a given seed
+    and numpy version.  One accumulator serves the whole run: before
+    burn-in ends it holds only the latest sample, which the trace's
+    perplexity reads, and it is emptied once more when collection starts.
     """
     rng = RandomSource(hyper.seed).child(0)
     state = initialize(kind, corpus, split, hyper, rng)
@@ -214,15 +218,11 @@ def run_experiment(kind: ModelKind, corpus: Corpus, split, hyper: HyperParams):
     started = time.perf_counter()
     for it in range(hyper.iters):
         gibbs_sweep(state, hyper, rng)
-        if it >= hyper.burnin and (it - hyper.burnin) % hyper.collect_every == 0:
+        if it <= hyper.burnin:  # the latest sample alone, or the first collected one
+            acc.clear()
+        if it < hyper.burnin or (it - hyper.burnin) % hyper.collect_every == 0:
             accumulate(acc, state)
-        if acc.num_samples > 0:
-            perplexity = heldout_perplexity(acc)
-        else:  # before collection starts, trace the instantaneous sample
-            snapshot = SampleAccumulator.empty(split, corpus.vocab_size)
-            accumulate(snapshot, state)
-            perplexity = heldout_perplexity(snapshot)
-        trace.append(iteration=it, perplexity=perplexity, **trace_scalars(state))
+        trace.append(iteration=it, perplexity=heldout_perplexity(acc), **trace_scalars(state))
     trace.final = {
         "perplexity": heldout_perplexity(acc),
         "active_topics": count_active_topics(state),
@@ -318,6 +318,8 @@ def run(config: RunConfig) -> dict:
         corpus = _load_run_corpus(config)
         split = split_train_test(corpus, config.train_frac, RandomSource(config.hyper.seed).child(2))
         built.result()
+    sizes = SimpleNamespace(num_docs=corpus.num_docs, vocab_size=corpus.vocab_size, total_tokens=corpus.total_tokens)
+    del corpus  # the split holds every token the fit reads, and the report needs only the sizes
     if split.total_test < 1:
         raise EvaluationError("the split holds out no tokens")
 
@@ -331,7 +333,7 @@ def run(config: RunConfig) -> dict:
         json.dump(resolved, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
-    state, acc, trace = run_experiment(kind, corpus, split, config.hyper)
+    state, acc, trace = run_experiment(kind, sizes, split, config.hyper)
 
     _write_csv(
         out_dir / "trace.csv",
@@ -355,11 +357,7 @@ def run(config: RunConfig) -> dict:
         "perplexity": trace.final["perplexity"],
         "active_topics": trace.final["active_topics"],
         "runtime_seconds": trace.final["wall_time_seconds"],
-        "corpus": {
-            "num_docs": corpus.num_docs,
-            "vocab_size": corpus.vocab_size,
-            "total_tokens": corpus.total_tokens,
-        },
+        "corpus": vars(sizes),
         "config_hash": config_hash,
         "commit": commit,
     }

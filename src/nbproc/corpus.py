@@ -186,12 +186,15 @@ def _not_utf8(path) -> ParseError:
 def _flat_terms(rows: np.ndarray, num_docs: int, vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
     """The flat, per-document sorted terms and the offsets of checked docword rows."""
     doc, term, count = rows.T
-    # document-major, terms ascending: the lines of a repeated (doc, term)
-    # cell end up adjacent, so the repeat adds up their counts
-    order = np.argsort((doc - 1) * vocab_size + term, kind="stable")
     lengths = np.zeros(num_docs, dtype=np.int64)
     np.add.at(lengths, doc - 1, count)
-    return np.repeat(term[order] - 1, count[order]), offsets_from_lengths(lengths)
+    # document-major, terms ascending: the lines of a repeated (doc, term)
+    # cell end up adjacent, so the repeat adds up their counts
+    key = (doc - 1) * vocab_size + term
+    if np.any(key[1:] < key[:-1]):  # UCI files come sorted, and a stable sort of a sorted key keeps its order
+        order = np.argsort(key, kind="stable")
+        term, count = term[order], count[order]
+    return np.repeat(term - 1, count), offsets_from_lengths(lengths)
 
 
 def load_bag_of_words(docword_path, vocab_path) -> Corpus:

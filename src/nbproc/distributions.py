@@ -29,6 +29,9 @@ PROB_FLOOR = 1e-12
 PROB_CEIL = 1.0 - 1e-12
 
 DEFAULT_STIRLING_CAPACITY = 10_000
+# sample_crt_array draws its uniforms in runs of rows of about this many
+# trials (512 kB), so they never take memory in proportion to the tokens
+CRT_CHUNK_TRIALS = 2**16
 
 
 class ParameterError(ValueError):
@@ -255,8 +258,11 @@ def sample_crt_array(m, r, rng: RandomSource, out=None) -> np.ndarray:
     ``r`` is broadcast against ``m``; it must be positive wherever
     m > 0 (cells with m = 0 yield 0 regardless of r, which lets gated
     models pass r = 0 for switched-off cells).  One uniform is drawn per
-    Bernoulli trial, m.sum() in all, and the compiled loop (or its numpy
-    form) counts each cell's successes.  The tables are written into
+    Bernoulli trial, m.sum() in all, cell after cell in C order, and the
+    compiled loop (or its numpy form) counts each cell's successes.  The
+    uniforms are drawn for a run of rows of m (its cells, for a vector) at a
+    time, about ``CRT_CHUNK_TRIALS`` trials or one row; the stream gives
+    the same values as one draw of them all.  The tables are written into
     ``out`` when given, a writable C-contiguous int64 array of m's shape,
     and returned.
     """
@@ -271,13 +277,20 @@ def sample_crt_array(m, r, rng: RandomSource, out=None) -> np.ndarray:
         out = np.empty(m.shape, dtype=np.int64)
     elif not writable_as(out, m.shape, np.int64):
         raise ParameterError(f"out must be a writable C-contiguous int64 array of shape {m.shape}")
-    total = int(m.sum())
-    if total == 0:
+    if not m.any():
         out.fill(0)
         return out
-    u = rng.generator.random(total)
-    if _kernels.loops().crt_tables(m, r, u, out) >= 0:
-        raise ParameterError("r must be positive and finite wherever m > 0")
+    cols = m.shape[-1] if m.ndim > 1 else 1
+    m, r, tables = m.reshape(-1, cols), r.reshape(-1, cols), out.reshape(-1, cols)
+    ends = np.cumsum(m.sum(axis=1))  # the trials up to the end of each row
+    crt_tables = _kernels.loops().crt_tables
+    start, drawn = 0, 0
+    while start < len(m):
+        stop = max(start + 1, int(np.searchsorted(ends, drawn + CRT_CHUNK_TRIALS, side="right")))
+        u = rng.generator.random(int(ends[stop - 1]) - drawn)
+        if crt_tables(m[start:stop], r[start:stop], u, tables[start:stop]) >= 0:
+            raise ParameterError("r must be positive and finite wherever m > 0")
+        start, drawn = stop, int(ends[stop - 1])
     return out
 
 

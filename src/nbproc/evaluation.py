@@ -89,6 +89,12 @@ class SampleAccumulator:
             vocab_size=vocab_size,
         )
 
+    def clear(self) -> None:
+        """Empty the sums in place: the next sample folded in gives the bits of a fresh accumulator's."""
+        self.num_samples = 0
+        self.test_mass.fill(0.0)
+        self.doc_totals.fill(0.0)
+
 
 def accumulate(acc: SampleAccumulator, state: ModelState) -> SampleAccumulator:
     """Fold one collected sample's omega-weight products into the sums.

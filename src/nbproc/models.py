@@ -41,14 +41,16 @@ with document offsets, so a sweep never joins per-document pieces.  The
 topics live in one vocabulary-major matrix, ``omega_t``, the layout the
 assignment kernel and held-out evaluation read: the topic update draws
 each row block of the Dirichlet a chunk of rows at a time through one
-small buffer and writes each chunk straight into its columns, with each
-topic's sum over the vocabulary in ``topic_mass``.  Given omega and lam
-every token's topic is independent of the others', so a large assignment
-is drawn in token-balanced parts on all cores with the same z, and the
-kernel writes each document's counts into its row of ``n_jk`` as it goes.
-A sweep overwrites ``omega_t``, ``n_jk``, ``lam`` and ``l_jk`` in place
-wherever they are writable C-contiguous arrays of their shape and dtype,
-so its working set stays the same from sweep to sweep.
+small buffer, counts the chunk's tokens straight into it, and writes each
+chunk into its columns, with each topic's sum over the vocabulary in
+``topic_mass``.  Given omega and lam every token's topic is independent
+of the others', so a large assignment is drawn in token-balanced parts on
+all cores with the same z, from uniforms drawn into the new z's own
+buffer, and the kernel writes each document's counts into its row of
+``n_jk`` as it goes.  A sweep overwrites ``omega_t``, ``n_jk``, ``lam``,
+``l_jk`` and ``b_jk`` in place wherever they are writable C-contiguous
+arrays of their shape and dtype, so its working set stays the same from
+sweep to sweep, and the new z is its only token-length array.
 """
 
 from __future__ import annotations
@@ -543,18 +545,28 @@ def sample_topic_assignments(state: ModelState, rng: RandomSource) -> ModelState
     return state
 
 
+def _check_terms(terms: np.ndarray, offsets: np.ndarray, V: int) -> None:
+    """Reject a term id outside [0, V), naming its document: the compiled loops index rows of V entries with them."""
+    if terms.size and (terms.min() < 0 or terms.max() >= V):
+        first = int(np.flatnonzero((terms < 0) | (terms >= V))[0])
+        doc = int(np.searchsorted(offsets, first, side="right")) - 1
+        raise ValueError(f"document {doc} holds term id {terms[first]}, outside the vocabulary [0, {V})")
+
+
 def _draw_topics(state: ModelState, rng: RandomSource, n_jk: np.ndarray) -> np.ndarray:
     """A new topic for every training token; each document's topic counts go into its row of ``n_jk``.
 
     Probability of topic k for a token with term v is proportional to
     omega[k, v] times the document's weight lam[j, k].  One uniform per
-    token is drawn, in document order; the compiled kernel and the numpy
-    path draw the same z from them.  Above ``THREADED_CELLS`` the documents
-    are split into token-balanced parts drawn on one thread each; a token's
-    z depends only on its own uniform, so z never depends on the number of
-    parts, and a document with no admissible topic is named as the lowest
-    such one.  Parts hold whole documents, so no two threads write one row
-    of ``n_jk``.
+    token is drawn, in document order, into the new z's own buffer; the
+    compiled kernel and the numpy path read each token's uniform before
+    they write its topic, and draw the same z from them.  Above
+    ``THREADED_CELLS`` the documents are split into token-balanced parts
+    drawn on one thread each; a token's z depends only on its own uniform,
+    so z never depends on the number of parts, and a document with no
+    admissible topic is named as the lowest such one.  Parts hold whole
+    documents, so no two threads write one row of ``n_jk`` or one token's
+    entry of z.
     """
     omega_t = np.ascontiguousarray(state.omega_t, dtype=np.float64)  # vocabulary x topics
     V, K = omega_t.shape
@@ -563,15 +575,13 @@ def _draw_topics(state: ModelState, rng: RandomSource, n_jk: np.ndarray) -> np.n
     if lam.shape != (J, K):
         raise ValueError(f"lam has shape {lam.shape}, expected (documents, topics) = {(J, K)}")
     terms, offsets = state.tokens, state.offsets
-    if terms.size and (terms.min() < 0 or terms.max() >= V):
-        first = int(np.flatnonzero((terms < 0) | (terms >= V))[0])
-        doc = int(np.searchsorted(offsets, first, side="right")) - 1
-        raise ValueError(f"document {doc} holds term id {terms[first]}, outside the vocabulary [0, {V})")
+    _check_terms(terms, offsets, V)
     for name, weights in (("omega", omega_t), ("lam", lam)):
         if weights.min(initial=0.0) < 0:  # the compiled kernel bisects nondecreasing running sums
             raise ValueError(f"{name} has a negative entry; topic weights must be non-negative")
-    u = rng.generator.random(len(terms))
     z = np.empty(len(terms), dtype=np.int64)
+    u = z.view(np.float64)  # each token reads its uniform before its topic overwrites it
+    rng.generator.random(out=u)
     assign = _kernels.loops().assign_topics
 
     def assign_part(start: int, stop: int) -> int:
@@ -601,37 +611,44 @@ def _sample_topics(state: ModelState, gen: np.random.Generator, prior: bool = Fa
     rows at a time rounded down to a multiple of eight (at least eight),
     through one buffer; its stream draws the gammas cell by cell in C order
     and each row is clamped and normalized on its own, so the chunks keep
-    the bits.  A chunk's row sums are its topics' ``state.topic_mass``, and
-    the chunk is written into its columns of ``state.omega_t``, which is
-    overwritten when it is a writable C-contiguous float64 array, and
-    replaced otherwise.
+    the bits.  The compiled loops count a chunk's tokens straight into the
+    buffer: a block of one chunk in one pass over the tokens, a block of
+    several from one pass that lists its own tokens' cells topic by topic.  A
+    chunk's row sums are its topics' ``state.topic_mass``, and the chunk is
+    written into its columns of ``state.omega_t``, which is overwritten
+    when it is a writable C-contiguous float64 array, and replaced
+    otherwise.
     """
     V, K = state.omega_t.shape
     omega_t = _reusable(state.omega_t, (V, K), np.float64)
     z, tokens = (state.z[:0], state.tokens[:0]) if prior else (state.z, state.tokens)
-    cells = z * V + tokens  # each counted token's cell of the topics x vocabulary counts
+    _check_terms(tokens, state.offsets, V)
     topic_mass = np.empty(K)
     # eight rows or more per write: narrower transposed writes into omega_t cost more
     height = K if K * V < BLOCKED_CELLS else max(8, CHUNK_CELLS // V // 8 * 8)
+    loops = _kernels.loops()
+    per_topic = np.bincount(z, minlength=K) if height < K else None  # sizes a block's list of its cells
 
     def draw(stream: np.random.Generator, start: int, stop: int) -> None:
-        mine = cells if stop - start == K else cells[(z >= start) & (z < stop)] - start * V
         rows = min(height, stop - start)
         firsts = range(start, stop, rows)
-        edges = [0, len(mine)]
-        if len(firsts) > 1:  # sorted, each chunk's cells are one run
-            mine = np.sort(mine)
-            edges[1:1] = np.searchsorted(mine, [(first - start) * V for first in firsts[1:]]).tolist()
+        cells = None
+        if len(firsts) > 1:  # the block's cells, topic by topic, so each chunk's are one run
+            sizes = per_topic[start:stop]
+            starts = np.cumsum(sizes) - sizes
+            cells = np.empty(int(sizes.sum()), dtype=np.int64)
+            loops.gather_cells(z, tokens, start, stop, V, starts.copy(), cells)
+            edges = [*starts[::rows].tolist(), len(cells)]
         buffer = np.empty(rows * V)
-        for first, lo, hi in zip(firsts, edges, edges[1:]):
+        for index, first in enumerate(firsts):
             last = min(first + rows, stop)
             chunk = buffer[: (last - first) * V].reshape(last - first, V)
             chunk.fill(0.0)
-            here = mine[lo:hi]
-            if first > start:  # mine is then the block's own sorted copy
-                here -= (first - start) * V
             # eta plus the exact float counts: the same bits as eta + np.bincount(...)
-            np.add.at(chunk.reshape(-1), here, 1.0)
+            if cells is None:
+                loops.count_topics(z, tokens, first, last, chunk)
+            else:
+                loops.add_cells(cells[edges[index] : edges[index + 1]], (first - start) * V, chunk)
             chunk += state.eta
             _normalized_gammas(stream, chunk)
             topic_mass[first:last] = chunk.sum(axis=1)
@@ -669,14 +686,20 @@ def count_sweep(state, hyper, rng, fault=None):
         state.p = _beta_clamped(gen, a + _per(spec.p_axis, state.n_jk), b + (span * r if same_axis else r.sum()))
         _check_finite("p", state.p)
     p = state.p
+    # lam is drawn last, in one buffer, state.lam where it can be overwritten;
+    # until then the gated kind draws its gates' uniforms into it
+    lam = _reusable(state.lam, (J, K), np.float64)
     if spec.gated:  # p is fixed at 0.5
         log_half = math.log(0.5)
         # gate: off cells compete pi_k * 0.5^{r_k} against (1 - pi_k); n_jk > 0 forces it open
-        on_mass = state.pi_k[None, :] * _libm(math.exp, r * log_half)[None, :]
-        gate_prob = on_mass / (on_mass + (1.0 - state.pi_k[None, :]))
-        proposed = (gen.random((J, K)) < gate_prob).astype(np.int64)
-        state.b_jk = np.where(state.n_jk > 0, 1, proposed)
-        gates_per_topic = state.b_jk.sum(axis=0)
+        on_mass = state.pi_k * _libm(math.exp, r * log_half)
+        gate_prob = on_mass / (on_mass + (1.0 - state.pi_k))
+        gen.random(out=lam)  # the uniforms of gen.random((J, K))
+        b_jk = _reusable(state.b_jk, (J, K), np.int64)
+        np.less(lam, gate_prob, out=b_jk)
+        np.copyto(b_jk, 1, where=state.n_jk > 0)
+        state.b_jk = b_jk
+        gates_per_topic = b_jk.sum(axis=0)
         a, b = _beta_prior(BETA_PROCESS, hyper, K)
         state.pi_k = _beta_clamped(gen, a + gates_per_topic, b + J - gates_per_topic)
         _check_finite("pi_k", state.pi_k)
@@ -685,7 +708,8 @@ def count_sweep(state, hyper, rng, fault=None):
         # sum of log(1 - p) over the cells each entry of r covers
         log1mp = span * _libm(math.log1p, -p) if same_axis else float(_libm(math.log1p, -p).sum())
     l_jk = _reusable(state.l_jk, (J, K), np.int64)
-    state.l_jk = sample_crt_array(state.n_jk, _gated(state, _along(spec.r_axis, r)), rng, l_jk)
+    # the rate r b_jk is read only where n_jk > 0, where every gate is open
+    state.l_jk = sample_crt_array(state.n_jk, _along(spec.r_axis, r), rng, l_jk)
     tables = _per(spec.r_axis, state.l_jk)
     if spec.samples_gamma0:
         share = _gamma0_share(spec, K)
@@ -709,12 +733,11 @@ def count_sweep(state, hyper, rng, fault=None):
         r_shape = r_shape + 1.0
     state.r = _gamma_clamped(gen, r_shape, 1.0 / r_rate)
     _check_finite("r", state.r)
-    # lam is drawn in one buffer, state.lam where it can be overwritten: its
-    # shape, then Gamma(shape, 1) draws, which times p are the Gamma(shape, p)
-    # draws of the same variates
-    lam = _reusable(state.lam, (J, K), np.float64)
+    # lam's shape, then Gamma(shape, 1) draws, which times p are the
+    # Gamma(shape, p) draws of the same variates
     np.copyto(lam, state.n_jk)  # cast in place, where np.add would cast through a buffer
-    lam += _gated(state, _along(spec.r_axis, state.r))  # the shape n_jk + r b_jk
+    # the shape n_jk + r b_jk: b_jk is 0 or 1, so r is added where the gate is open
+    np.add(lam, _along(spec.r_axis, state.r), out=lam, where=True if state.b_jk is None else state.b_jk == 1)
     closed = lam <= 0  # a closed gate with no tokens pins lam_jk to 0
     lam[closed] = 1.0  # but still takes its variate
     gen.standard_gamma(lam, out=lam)

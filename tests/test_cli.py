@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -470,6 +471,29 @@ def test_failed_run_leaves_sentinel(tmp_path, monkeypatch, capsys):
     assert len(calls) == 3
     assert (out / ".incomplete").exists() and (out / "config.json").exists()
     assert not (out / "trace.csv").exists()
+
+
+def test_run_frees_the_corpus_and_keeps_one_accumulator(tmp_path, monkeypatch):
+    # the sweeps see no Corpus left alive, and no accumulator is made per iteration
+    load_run_corpus, corpora = cli._load_run_corpus, []
+
+    def loaded(config):
+        corpus = load_run_corpus(config)
+        corpora.append(weakref.ref(corpus))
+        return corpus
+
+    def sweep(state, hyper, rng):
+        assert corpora and all(ref() is None for ref in corpora)
+        return gibbs_sweep(state, hyper, rng)
+
+    empty, made = cli.SampleAccumulator.empty, []
+    monkeypatch.setattr(cli, "_load_run_corpus", loaded)
+    monkeypatch.setattr(cli, "gibbs_sweep", sweep)
+    monkeypatch.setattr(cli.SampleAccumulator, "empty", lambda *args: made.append(None) or empty(*args))
+    assert main(run_args(tmp_path, "out")) == EXIT_OK  # 30 iterations, 10 of them burn-in
+    assert len(made) == 1
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert sorted(report["corpus"]) == ["num_docs", "total_tokens", "vocab_size"]  # what the run kept of the corpus
 
 
 def test_run_drops_empty_documents_and_keeps_the_vocabulary(tmp_path, caplog):

@@ -159,6 +159,25 @@ def test_load_sums_duplicate_cells(tmp_path):
     assert [list(t) for t in corpus.doc_tokens] == [[1, 1], [2, 2, 2]]
 
 
+def test_load_sorted_and_shuffled_docword_give_the_same_corpus(tmp_path, monkeypatch):
+    gen = np.random.default_rng(77)
+    cells = sorted({(int(d), int(w)) for d, w in zip(gen.integers(1, 9, size=60), gen.integers(1, 15, size=60))})
+    rows = [(d, w, int(gen.integers(1, 4))) for d, w in cells] + [(d, w, 2) for d, w in cells[::7]]
+    vocab = "".join(f"t{v}\n" for v in range(14))
+    argsort, sorts = np.argsort, []
+    monkeypatch.setattr(np, "argsort", lambda *a, **k: sorts.append(None) or argsort(*a, **k))
+    corpora = []
+    # in (doc, term) order, as UCI files come, with each repeated cell's lines adjacent; then shuffled
+    for order in (sorted(rows), [rows[i] for i in gen.permutation(len(rows))]):
+        text = f"8\n14\n{len(order)}\n" + "".join(f"{d} {w} {n}\n" for d, w, n in order)
+        corpora.append((load_bag_of_words(*write_files(tmp_path, text, vocab)), len(sorts)))
+    (in_order, sorted_sorts), (shuffled, all_sorts) = corpora
+    assert (sorted_sorts, all_sorts) == (0, 1)  # the sorted file skips the sort
+    assert np.array_equal(in_order.terms, shuffled.terms) and np.array_equal(in_order.offsets, shuffled.offsets)
+    expected = [sorted(w - 1 for d, w, n in rows for _ in range(n) if d == doc) for doc in range(1, 9)]
+    assert [t.tolist() for t in in_order.doc_tokens] == expected  # the repeated cells' counts add up
+
+
 @pytest.mark.parametrize(
     "data, line, message",
     [

@@ -5,7 +5,7 @@ import pytest
 from scipy.special import gammaln, logsumexp
 from scipy.stats import nbinom
 
-from nbproc import _kernels
+from nbproc import _kernels, distributions
 from nbproc import (
     CapacityError,
     ParameterError,
@@ -394,6 +394,38 @@ def test_sample_crt_array_into_out_gives_the_tables_of_a_fresh_array(library_pat
     assert sample_crt_array(m, r, source, out) is out
     assert np.array_equal(out, fresh)
     assert source.generator.random() == fresh_source.generator.random()
+
+
+class _RandomSizes:
+    """A generator that records the size of each ``random`` draw."""
+
+    def __init__(self, gen):
+        self.gen, self.sizes = gen, []
+
+    def random(self, size=None, **kwargs):
+        self.sizes.append(size)
+        return self.gen.random(size, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.gen, name)
+
+
+@pytest.mark.parametrize("case", sorted(CRT_CASES))
+def test_sample_crt_array_in_row_chunks_gives_the_tables_of_one_draw(library_path, monkeypatch, case):
+    m, r = CRT_CASES[case]
+    whole_source = rng(33)
+    whole = sample_crt_array(m, r, whole_source)
+    next_uniform = whole_source.generator.random()
+    rows = np.reshape(m, (-1, np.shape(m)[-1] if np.ndim(m) > 1 else 1)).sum(axis=1)  # trials per row of chunking
+    for trials in (1, 5, 16):
+        monkeypatch.setattr(distributions, "CRT_CHUNK_TRIALS", trials)
+        source = rng(33)
+        source.generator = sizes = _RandomSizes(source.generator)
+        assert np.array_equal(sample_crt_array(m, r, source), whole), trials
+        assert source.generator.random() == next_uniform  # the same uniforms, in the same order
+        drawn = sizes.sizes[:-1]
+        assert sum(drawn) == np.sum(m) and max(drawn, default=0) <= max(trials, rows.max(initial=0))
+        assert len(drawn) > 1 or np.sum(m) <= trials or len(rows) == 1
 
 
 def test_sample_crt_array_rejects_an_unusable_out():

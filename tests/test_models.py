@@ -4,6 +4,7 @@ import math
 import threading
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,7 +29,14 @@ from nbproc import (
 )
 from nbproc import _kernels, models
 from nbproc.cli import run_experiment
-from nbproc.corpus import Corpus, SyntheticSpec, document_views, flatten_documents, synthesize_corpus
+from nbproc.corpus import (
+    Corpus,
+    SyntheticSpec,
+    document_views,
+    flatten_documents,
+    offsets_from_lengths,
+    synthesize_corpus,
+)
 from nbproc.models import BLOCKED_CELLS, ROW_BLOCKS, TINY, _dirichlet_rows, blank_state, count_sweep
 
 MICRO = HyperParams(c=1.0, eta=0.3, a0=3.0, b0=3.0, e0=1.0, f0=1.0, K=2, iters=2, burnin=0, init_iters=0)
@@ -123,14 +131,23 @@ def test_assign_matches_reference_expression(library_path, monkeypatch, K):
     z, n_jk = replay_assign(state, state.lam, expected_gen)
     expected_next = expected_gen.random()
     monkeypatch.setattr(models, "THREADED_CELLS", 1)  # token-balanced parts at this size
+    loops, shared = _kernels.loops(), []
+
+    def assign_in_place(omega_t, lam, terms, offsets, u, z, counts):
+        shared.append(u.ctypes.data == z.ctypes.data and u.nbytes == z.nbytes)  # the uniforms live in z's buffer
+        return loops.assign_topics(omega_t, lam, terms, offsets, u, z, counts)
+
+    monkeypatch.setattr(_kernels, "loops", lambda: SimpleNamespace(**{**vars(loops), "assign_topics": assign_in_place}))
     for cores in (1, 2, 3):
         monkeypatch.setattr(models, "_available_cores", lambda: cores)
         drawn = state.clone()
         drawn.n_jk = counts = np.full_like(state.n_jk, -1)
         actual_gen = RandomSource(16)
+        shared.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the path was chosen, and warned about, once
             sample_topic_assignments(drawn, actual_gen)
+        assert len(shared) == len(models._document_parts(state.offsets, K)) and all(shared), f"{cores} cores"
         assert np.array_equal(drawn.z, np.concatenate(z)), f"{cores} cores"
         assert drawn.n_jk is counts and np.array_equal(counts, n_jk), f"{cores} cores"  # counted by the kernel
         assert actual_gen.generator.random() == expected_next  # same number of uniforms consumed
@@ -181,6 +198,15 @@ def test_assign_rejects_term_outside_vocabulary(library_path, term):
     # raised before any uniform was drawn, so before either path ran
     assert rng.generator.random() == RandomSource(4).generator.random()
     assert np.array_equal(state.z, z_before)
+
+
+@pytest.mark.parametrize("term", [-1, 3])
+def test_topic_update_rejects_term_outside_vocabulary(library_path, term):
+    state = state_with_tokens(ModelKind.GAMMA_NB, [[0, 1], [2, term]], 3, 2)
+    omega_t = state.omega_t.copy()
+    with pytest.raises(ValueError, match=f"document 1 holds term id {term}, outside the vocabulary"):
+        update_topics(state, RandomSource(4))
+    assert np.array_equal(state.omega_t, omega_t)  # rejected before the counting loop indexed a row with it
 
 
 @pytest.mark.parametrize("name", ["omega", "lam"])
@@ -672,15 +698,15 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
-def _initialize_and_sweep_peaks(monkeypatch, cores, J, K, V):
-    """tracemalloc peaks of a gamma-nb ``initialize`` and one ``count_sweep`` on ``cores`` threads."""
+def _initialize_and_sweep_peaks(monkeypatch, cores, J, K, V, kind=ModelKind.GAMMA_NB):
+    """tracemalloc peaks of an ``initialize`` and one ``count_sweep`` on ``cores`` threads."""
     monkeypatch.setattr(models, "_available_cores", lambda: cores)
     assert K * V >= BLOCKED_CELLS
     gen = RandomSource(19).generator
     corpus = make_corpus([gen.integers(0, V, size=12) for _ in range(J)], V)
     split = split_train_test(corpus, 0.8, RandomSource(20))
     hyper = MICRO.replace(K=K, eta=0.05, init_iters=1)
-    state, initialize_peak = _traced_peak(lambda: initialize(ModelKind.GAMMA_NB, corpus, split, hyper, RandomSource(21)))
+    state, initialize_peak = _traced_peak(lambda: initialize(kind, corpus, split, hyper, RandomSource(21)))
     topic_matrices = [f.name for f in dataclasses.fields(state) if np.size(getattr(state, f.name)) >= K * V]
     assert topic_matrices == ["omega_t"]
     _, sweep_peak = _traced_peak(lambda: count_sweep(state, hyper, RandomSource(22)))
@@ -695,6 +721,12 @@ def test_initialize_holds_one_topic_matrix_and_count_sweep_one_lam_buffer(monkey
     assert sweep_peak < 1 * J * K * 8  # lam, l_jk and n_jk are written in place
 
 
+def test_gated_count_sweep_holds_one_lam_buffer(monkeypatch):
+    J, K, V = 300, 64, 2**14
+    _, sweep_peak = _initialize_and_sweep_peaks(monkeypatch, 2, J, K, V, ModelKind.NB_FTM)
+    assert sweep_peak < 1 * J * K * 8  # the gates' uniforms and the CRT rates take lam's buffer
+
+
 def test_topic_draw_memory_does_not_grow_with_the_core_count(monkeypatch):
     # eight threads at once, each drawing a block of four chunks
     J, K, V = 300, 256, 2**14
@@ -702,6 +734,23 @@ def test_topic_draw_memory_does_not_grow_with_the_core_count(monkeypatch):
     initialize_peak, sweep_peak = _initialize_and_sweep_peaks(monkeypatch, 8, J, K, V)
     assert initialize_peak < 1.5 * K * V * 8  # the topic matrix, and one chunk buffer per thread
     assert sweep_peak < 1 * J * K * 8
+
+
+TOKEN_LENGTH_KINDS = [ModelKind.GAMMA_NB, ModelKind.NB_FTM, ModelKind.CRF_HDP, ModelKind.LDA]
+
+
+@pytest.mark.parametrize("kind", TOKEN_LENGTH_KINDS, ids=lambda k: k.value)
+def test_sweep_holds_no_token_length_array_but_the_new_z(kind):
+    J, K, V, N = 128, 8, 500, 2**21
+    assert N * 8 >= 16 * max(J * K * 8, K * V * 8, models.CHUNK_CELLS * 8)
+    gen = RandomSource(110).generator
+    state = blank_state(kind, gen.integers(0, V, size=N), offsets_from_lengths(np.full(J, N // J)), V, K, 0.05)
+    state.z = gen.integers(0, K, size=N)
+    models._recount(state)
+    hyper = MICRO.replace(K=K, eta=0.05)
+    gibbs_sweep(state, hyper, RandomSource(111))  # the sweep's own arrays, which later sweeps overwrite
+    _, peak = _traced_peak(lambda: gibbs_sweep(state, hyper, RandomSource(112)))
+    assert peak < 1.25 * N * 8  # the new z, and what the other arrays need
 
 
 # ---------------------------------------------------------------------------
