@@ -1,7 +1,11 @@
-/* The package's per-token loops, compiled: topic assignment, the topics'
- * token counts, CRT table counts and held-out evaluation.  Each is the
- * compiled form of a numpy loop in nbproc._kernels and gives its results
- * bit for bit.
+/* The package's per-token loops, compiled: topic assignment, the
+ * documents' and the topics' token counts, CRT table counts and held-out
+ * evaluation.  Each is the compiled form of a numpy loop in nbproc._kernels
+ * and gives its results bit for bit.  One more, read_docword, reads the
+ * data lines of a docword file of the plainest form and declines any
+ * other, which nbproc.corpus then reads with np.loadtxt.  nbproc._kernels
+ * compiles this file once per source version and flags, and keeps the
+ * library in the __pycache__ directory beside it.
  *
  * Build contract: compile without FMA contraction (-ffp-contract=off),
  * without -march=native and without -ffast-math.  Each of them lets the
@@ -9,6 +13,7 @@
  * rounding and so the drawn topics and the held-out mass.
  */
 #include <math.h>
+#include <stddef.h>
 #include <stdint.h>
 
 /* The number of entries of the nondecreasing cum[0..K-1] that lie below t:
@@ -90,6 +95,26 @@ int64_t assign_topics(const double *omega_t, const double *lam, int64_t K, const
             if (!(isfinite(total) && total > 0.0))
                 return j;
             z[i] = count_below(cum, K, u[i] * total);
+            row_counts[z[i]]++;
+        }
+    }
+    return -1;
+}
+
+/* Row j of the J x K counts gets the number of tokens i of document j,
+ * offsets[j] <= i < offsets[j + 1], with each topic z[i].  Returns -1, or
+ * the first token whose topic lies outside [0, K); counts is then partly
+ * written.
+ */
+int64_t count_documents(const int64_t *z, const int64_t *offsets, int64_t J, int64_t K, int64_t *counts)
+{
+    for (int64_t j = 0; j < J; j++) {
+        int64_t *row_counts = counts + j * K;
+        for (int64_t k = 0; k < K; k++)
+            row_counts[k] = 0;
+        for (int64_t i = offsets[j]; i < offsets[j + 1]; i++) {
+            if (z[i] < 0 || z[i] >= K)
+                return i;
             row_counts[z[i]]++;
         }
     }
@@ -213,4 +238,52 @@ int64_t heldout_log_sums(const double *mass, const double *totals, const int64_t
         sums[j] = sum;
     }
     return -1;
+}
+
+/* Reads one field of at most 18 digits, which no int64 overflows, ending at
+ * the byte stop: returns the byte after stop, or NULL. */
+static const char *read_field(const char *p, const char *end, char stop, int64_t *value)
+{
+    const char *first = p;
+    int64_t v = 0;
+    while (p < end && p - first < 18 && *p >= '0' && *p <= '9')
+        v = v * 10 + (*p++ - '0');
+    if (p == first || p == end || *p != stop)
+        return NULL;
+    *value = v;
+    return p + 1;
+}
+
+/* Reads the nnz data lines of a docword file into the nnz x 3 rows of
+ * docID, wordID and count.  text holds the whole file; its first three
+ * lines, the header, are skipped.  Returns 1 when every header line ends
+ * at an LF and holds no CR, every data line is "digits SP digits SP
+ * digits LF" with at most 18 digits a field, a docID in 1..num_docs, a
+ * wordID in 1..vocab_size and a count of at least 1, and the text ends
+ * after the nnz-th data line.  Returns 0 otherwise; rows is then partly
+ * written.  So every file it reads holds ASCII decimal lines that
+ * np.loadtxt reads as the same rows, and a file with any other layout
+ * (CRLF, tabs, signs, blank lines) is left to np.loadtxt.
+ */
+int64_t read_docword(const char *text, int64_t size, int64_t nnz, int64_t num_docs, int64_t vocab_size,
+                     int64_t *rows)
+{
+    const char *p = text, *end = text + size;
+    for (int line = 0; line < 3; line++) {
+        while (p < end && *p != '\n')
+            if (*p++ == '\r')
+                return 0;
+        if (p == end)
+            return 0;
+        p++;
+    }
+    for (int64_t n = 0; n < nnz; n++) {
+        int64_t *row = rows + 3 * n;
+        if (!(p = read_field(p, end, ' ', row)) || !(p = read_field(p, end, ' ', row + 1)) ||
+            !(p = read_field(p, end, '\n', row + 2)))
+            return 0;
+        if (row[0] < 1 || row[0] > num_docs || row[1] < 1 || row[1] > vocab_size || row[2] < 1)
+            return 0;
+    }
+    return p == end;
 }

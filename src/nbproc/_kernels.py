@@ -1,23 +1,31 @@
 """The package's one compiled library and the numpy loops it replaces.
 
 ``_kernels.c`` holds the per-token loops of a sweep and of held-out
-evaluation: topic assignment, the topics' token counts (one counting pass,
-or a pass that lists a row block's cells topic by topic and a count of
-each chunk's), CRT table counts and the held-out mass and log sums.  It is compiled on first use,
-once per process, with the C compiler Python was built with, and loaded
-with ``ctypes``.  ``loops()`` returns its functions, or, where it cannot
-be built, the numpy functions below after one warning.  Each numpy
-function gives the same results as its compiled form bit for bit and is
-the tests' reference for it; both take the same arguments, and the
-compiled ones release the GIL.
+evaluation: topic assignment, the documents' topic counts, the topics'
+token counts (one counting pass, or a pass that lists a row block's cells
+topic by topic and a count of each chunk's), CRT table counts and the
+held-out mass and log sums.  It is compiled with the C compiler Python was
+built with into ``__pycache__/`` beside it, under a name that carries the
+machine and a sha256 of the source, the flags and the compiler command,
+so a process loads the library a past one built and compiles only when
+the source, the flags or the compiler change.  It is loaded with
+``ctypes``.  ``loops()`` returns its functions, or, where it cannot be
+built, the numpy functions below after one warning.  Each numpy function
+gives the same results as its compiled form bit for bit and is the tests'
+reference for it; both take the same arguments, and the compiled ones
+release the GIL.  The library also reads docword data lines
+(``read_docword``), which has no numpy form: ``nbproc.corpus`` reads them
+with ``np.loadtxt`` where the library is missing or declines a file.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import hashlib
 import math
 import os
+import platform
 import shlex
 import subprocess
 import sysconfig
@@ -64,6 +72,22 @@ def assign_topics(omega_t, lam, terms, offsets, u, z, counts) -> int:
             return j
         z[start:stop] = (cum < (u[start:stop] * totals)[:, None]).sum(axis=1)
         counts[j] = np.bincount(z[start:stop], minlength=K)
+    return -1
+
+
+def count_documents(z, offsets, counts) -> int:
+    """Write into row j of ``counts`` the number of document j's tokens on each topic.
+
+    Document j's topics are ``z[offsets[j]:offsets[j + 1]]``.  Returns -1,
+    or the first token whose topic lies outside [0, K).
+    """
+    K = counts.shape[1]
+    for j in range(len(counts)):
+        topics = z[offsets[j] : offsets[j + 1]]
+        bad = np.flatnonzero((topics < 0) | (topics >= K))
+        if bad.size:
+            return int(offsets[j] + bad[0])
+        counts[j] = np.bincount(topics, minlength=K)
     return -1
 
 
@@ -183,6 +207,7 @@ def heldout_log_sums(mass, totals, offsets, sums) -> int:
 
 NUMPY = SimpleNamespace(
     assign_topics=assign_topics,
+    count_documents=count_documents,
     count_topics=count_topics,
     gather_cells=gather_cells,
     add_cells=add_cells,
@@ -193,12 +218,15 @@ NUMPY = SimpleNamespace(
 
 
 def _build_library() -> SimpleNamespace:
-    """Compile ``_kernels.c`` and load it; its functions take the numpy loops' arguments."""
+    """Load ``_kernels.c``'s library, compiling it where no cached build loads; its functions take the numpy loops' arguments."""
     compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")
-    with tempfile.TemporaryDirectory(ignore_cleanup_errors=True) as tmp:
-        path = os.path.join(tmp, "_kernels.so")
-        subprocess.run([*compiler, *CFLAGS, str(SOURCE), "-o", path, "-lm"], check=True, capture_output=True)
-        library = ctypes.CDLL(path)  # the loaded library outlives its file
+    source = SOURCE.read_bytes()
+    key = hashlib.sha256(repr((source, CFLAGS, compiler)).encode()).hexdigest()
+    cached = SOURCE.parent / "__pycache__" / f"_kernels.{platform.machine()}.{key}.so"
+    try:
+        library = ctypes.CDLL(str(cached))
+    except OSError:  # not built yet, or a file that does not load: build it once more
+        library = _compile(compiler, source, cached)
     doubles = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     integers = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
     size, address = ctypes.c_int64, ctypes.c_void_p
@@ -211,16 +239,21 @@ def _build_library() -> SimpleNamespace:
     assign_c = declare(
         "assign_topics", size, doubles, doubles, size, integers, integers, size, doubles, integers, integers, doubles
     )
+    count_documents_c = declare("count_documents", size, integers, integers, size, size, integers)
     count_c = declare("count_topics", None, integers, integers, size, size, size, size, doubles)
     gather_c = declare("gather_cells", None, integers, integers, size, size, size, size, integers, integers)
     add_c = declare("add_cells", None, integers, size, size, doubles)
     crt_c = declare("crt_tables", size, integers, size, size, address, size, size, doubles, integers)
     mass_c = declare("heldout_mass", None, doubles, doubles, size, integers, integers, size, doubles, doubles, doubles)
     log_sums_c = declare("heldout_log_sums", size, doubles, doubles, integers, size, doubles)
+    docword_c = declare("read_docword", size, ctypes.c_char_p, size, size, size, size, integers)
 
     def assign(omega_t, lam, terms, offsets, u, z, counts) -> int:
         K = omega_t.shape[1]
         return assign_c(omega_t, lam, K, terms, offsets, len(lam), u, z, counts, np.empty(4 * K))
+
+    def count_docs(z, offsets, counts) -> int:
+        return count_documents_c(z, offsets, *counts.shape, counts)
 
     def count(z, terms, first, last, counts) -> None:
         count_c(z, terms, len(z), first, last, counts.shape[1], counts)
@@ -244,15 +277,48 @@ def _build_library() -> SimpleNamespace:
     def log_sums(mass, totals, offsets, sums) -> int:
         return log_sums_c(mass, totals, offsets, len(totals), sums)
 
+    def docword(text: bytes, nnz: int, num_docs: int, vocab_size: int) -> np.ndarray | None:
+        """The (nnz, 3) docID, wordID and count rows of the docword file ``text``, or None where
+        it is not of the plainest form (see ``read_docword`` in ``_kernels.c``)."""
+        if nnz > len(text) // 6:  # a data line takes at least six bytes
+            return None
+        rows = np.empty((nnz, 3), dtype=np.int64)
+        return rows if docword_c(text, len(text), nnz, num_docs, vocab_size, rows) else None
+
     return SimpleNamespace(
         assign_topics=assign,
+        count_documents=count_docs,
         count_topics=count,
         gather_cells=gather,
         add_cells=add,
         crt_tables=crt,
         heldout_mass=heldout,
         heldout_log_sums=log_sums,
+        read_docword=docword,
     )
+
+
+def _compile(compiler: list[str], source: bytes, cached: Path) -> ctypes.CDLL:
+    """Compile ``source`` into the library file ``cached`` and load it.
+
+    The build goes to a temporary directory beside ``cached`` and is then
+    renamed into place, so a process never loads a half-written file.
+    Where that directory cannot be made, the library is built in a
+    temporary directory elsewhere and not kept.
+    """
+    try:
+        cached.parent.mkdir(exist_ok=True)
+        build = tempfile.TemporaryDirectory(dir=cached.parent, ignore_cleanup_errors=True)
+    except OSError:
+        build, cached = tempfile.TemporaryDirectory(ignore_cleanup_errors=True), None
+    with build as directory:
+        path = os.path.join(directory, "_kernels.so")
+        command = [*compiler, *CFLAGS, "-x", "c", "-", "-o", path, "-lm"]  # the very bytes the key names
+        subprocess.run(command, input=source, check=True, capture_output=True)
+        if cached is None:
+            return ctypes.CDLL(path)  # the loaded library outlives its file
+        os.replace(path, cached)
+    return ctypes.CDLL(str(cached))
 
 
 @functools.cache

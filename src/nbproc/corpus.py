@@ -11,14 +11,18 @@ each document's terms ascending, with document offsets: document j is
 ``terms[offsets[j]:offsets[j + 1]]``.  Loading, writing, filtering and
 splitting work on those arrays; ``doc_tokens`` and the like are views.
 
-The data lines are read in one pass by ``np.loadtxt`` into an NNZ x 3
-integer array, checked with array operations, and expanded into the flat
-terms with one ``np.repeat``, so loading takes memory in proportion to NNZ
-and the token count.  Blank lines are skipped, fields are separated by any
-whitespace, and a (doc, term) cell given on several lines gets the sum of
-their counts.  A field is an ASCII integer with an optional sign.  When a
-check fails, a line-by-line walk finds the first bad line and the
-``ParseError`` names it.
+The data lines are read in one pass into an NNZ x 3 integer array,
+checked, and expanded into the flat terms with one ``np.repeat``, so
+loading takes memory in proportion to NNZ and the token count.  A file of
+the plainest form, every data line ``digits SP digits SP digits LF`` and
+in range, is read by a compiled loop (``_kernels``' ``read_docword``);
+any other file, or any file where the library cannot be built, by
+``np.loadtxt``, which gives the same rows for the files both read.  Blank
+lines are skipped, fields are separated by any whitespace, and a
+(doc, term) cell given on several lines gets the sum of their counts.  A
+field is an ASCII integer with an optional sign.  When a check fails, a
+line-by-line walk finds the first bad line and the ``ParseError`` names
+it.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _kernels
 from .distributions import sample_dirichlet
 from .rng import RandomSource
 
@@ -134,9 +139,26 @@ def _data_rows(fh, num_docs: int, vocab_size: int, nnz: int) -> np.ndarray | Non
     high = rows.max(axis=0, initial=1)
     if rows.min(initial=1) < 1 or high[0] > num_docs or high[1] > vocab_size:
         return None
-    if rows[:, 2].sum(dtype=np.float64) > _MAX_TOKENS:
+    return _within_one_array(rows)
+
+
+def _within_one_array(rows: np.ndarray) -> np.ndarray | None:
+    """``rows``, or None where their counts add up to more tokens than one array can hold."""
+    return None if rows[:, 2].sum(dtype=np.float64) > _MAX_TOKENS else rows
+
+
+def _plain_rows(path, num_docs: int, vocab_size: int, nnz: int) -> np.ndarray | None:
+    """The checked data rows of a docword file of the plainest form, read by the compiled loop.
+
+    Returns None where the library is missing or the file is of another
+    form; ``_data_rows`` then reads it.
+    """
+    library = _kernels.library()
+    if library is None:
         return None
-    return rows
+    with open(path, "rb") as fh:
+        rows = library.read_docword(fh.read(), nnz, num_docs, vocab_size)
+    return None if rows is None else _within_one_array(rows)
 
 
 def _first_bad_line(path, num_docs: int, vocab_size: int, nnz: int) -> str:
@@ -202,7 +224,9 @@ def load_bag_of_words(docword_path, vocab_path) -> Corpus:
     try:
         with open(docword_path, "r", encoding="utf-8") as fh:
             num_docs, vocab_size, nnz = _header(fh, docword_path)
-            rows = _data_rows(fh, num_docs, vocab_size, nnz)
+            rows = _plain_rows(docword_path, num_docs, vocab_size, nnz)
+            if rows is None:
+                rows = _data_rows(fh, num_docs, vocab_size, nnz)
         if rows is None:
             raise ParseError(_first_bad_line(docword_path, num_docs, vocab_size, nnz))
     except UnicodeDecodeError:

@@ -208,8 +208,6 @@ def crt_pmf(m: int, r, triangle: StirlingTriangle | None = None) -> np.ndarray:
     log space.  Intended as a reference/oracle; the samplers never need
     it (``sample_crt`` is exact on its own).
     """
-    from scipy.special import gammaln  # imported here so that importing nbproc does not load scipy
-
     m = int(m)
     if m < 0:
         raise ParameterError(f"m must be non-negative, got {m}")
@@ -220,7 +218,7 @@ def crt_pmf(m: int, r, triangle: StirlingTriangle | None = None) -> np.ndarray:
     log_s = tri.log_row(m)
     j = np.arange(m + 1)
     with np.errstate(invalid="ignore"):
-        log_pmf = gammaln(r) - gammaln(m + r) + log_s + j * math.log(r)
+        log_pmf = math.lgamma(r) - math.lgamma(m + r) + log_s + j * math.log(r)
     log_pmf[0] = -np.inf  # |s(m,0)| = 0 for m >= 1
     return np.exp(log_pmf)
 

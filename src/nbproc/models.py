@@ -440,13 +440,14 @@ def _gated(state: ModelState, values: np.ndarray) -> np.ndarray:
     return values if state.b_jk is None else values * state.b_jk
 
 
-def blank_state(kind: ModelKind, tokens, offsets, vocab_size: int, num_topics: int, eta: float) -> ModelState:
-    """A structurally valid state with neutral parameter values.
+def blank_state(kind: ModelKind, tokens, offsets, z, vocab_size: int, num_topics: int, eta: float) -> ModelState:
+    """A state with neutral parameter values: tokens, their topics, and zero counts.
 
     ``tokens`` is the flat, document-major term array that ``offsets``
-    index; it is kept, not copied, when it is int64.
+    index, and ``z`` their topics; each is kept, not copied, when it is
+    int64.  ``_recount`` sets ``n_jk`` from z.
     """
-    tokens, offsets = np.asarray(tokens, dtype=np.int64), np.asarray(offsets, dtype=np.int64)
+    tokens, offsets, z = (np.asarray(a, dtype=np.int64) for a in (tokens, offsets, z))
     J, K, V = len(offsets) - 1, num_topics, vocab_size
     size = {DOC: J, TOPIC: K, None: 0}
     return ModelState(
@@ -454,7 +455,7 @@ def blank_state(kind: ModelKind, tokens, offsets, vocab_size: int, num_topics: i
         eta=float(eta),
         tokens=tokens,
         offsets=offsets,
-        z=np.zeros(len(tokens), dtype=np.int64),
+        z=z,
         n_jk=np.zeros((J, K), dtype=np.int64),
         omega_t=np.full((V, K), 1.0 / V),
         topic_mass=np.full(K, np.full(V, 1.0 / V).sum()),  # each uniform topic's row sum
@@ -491,10 +492,13 @@ def _reusable(array: np.ndarray, shape: tuple[int, ...], dtype) -> np.ndarray:
 
 
 def _recount(state: ModelState) -> None:
-    J, K = state.num_docs, state.num_topics
-    cells = np.repeat(np.arange(0, J * K, K, dtype=np.int64), state.train_counts)  # each token's row start
-    cells += state.z
-    state.n_jk = np.bincount(cells, minlength=J * K).reshape(J, K)
+    """Set ``state.n_jk`` to each document's token count on each topic, in one pass over z."""
+    n_jk = np.empty((state.num_docs, state.num_topics), dtype=np.int64)
+    z = np.ascontiguousarray(state.z, dtype=np.int64)
+    bad = _kernels.loops().count_documents(z, state.offsets, n_jk)
+    if bad >= 0:
+        raise ValueError(f"token {bad} has topic {z[bad]}, outside [0, {state.num_topics})")
+    state.n_jk = n_jk
 
 
 def _document_parts(offsets: np.ndarray, num_topics: int) -> list[tuple[int, int]]:
@@ -866,12 +870,14 @@ def initialize(kind: ModelKind, corpus, split, hyper: HyperParams, rng: RandomSo
     priors; gates start fully open.
     """
     _check_beta_process(kind, hyper)
-    state = blank_state(kind, split.train_terms, split.train_offsets, corpus.vocab_size, hyper.K, hyper.eta)
     gen = rng.generator
-    K = state.num_topics
-    # one draw per document: how integers() splits its 64-bit words depends on the draw sizes
-    draws = [gen.integers(0, K, size=n) for n in state.train_counts.tolist()]
-    state.z = np.concatenate([np.zeros(0, dtype=np.int64), *draws])
+    K, offsets = hyper.K, split.train_offsets
+    z = np.empty(offsets[-1], dtype=np.int64)
+    bounds = offsets.tolist()
+    for start, stop in zip(bounds, bounds[1:]):
+        # one draw per document: how integers() splits its 64-bit words depends on the draw sizes
+        z[start:stop] = gen.integers(0, K, size=stop - start)
+    state = blank_state(kind, split.train_terms, offsets, z, corpus.vocab_size, K, hyper.eta)
     _recount(state)
     _sample_topics(state, gen, prior=True)
     warm_r = hyper.lda_alpha_total / K
@@ -950,7 +956,7 @@ def forward_draw(
         raise ValueError(f"{kind.value} needs explicit doc_lengths for forward simulation")
     _check_beta_process(kind, hyper)
     no_tokens, offsets = np.zeros(0, dtype=np.int64), np.zeros(num_docs + 1, dtype=np.int64)
-    state = blank_state(kind, no_tokens, offsets, vocab_size, hyper.K, hyper.eta)
+    state = blank_state(kind, no_tokens, offsets, no_tokens, vocab_size, hyper.K, hyper.eta)
     gen = rng.generator
     _draw_count_params(state, hyper, rng)
     _sample_topics(state, gen, prior=True)

@@ -172,7 +172,7 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 def test_run_compiles_one_library(tmp_path):
-    # a second compiler call would add about 75 ms to every run's set-up
+    # one load of the library per process: a second would mean a second compiler call on a cache miss
     code = (
         "import sys, nbproc._kernels; from nbproc.cli import main; code = main(sys.argv[1:]);"
         "print(code, nbproc._kernels.library.cache_info().misses)"
@@ -180,6 +180,15 @@ def test_run_compiles_one_library(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code, *run_args(tmp_path, "out")], capture_output=True, text=True, env=env)
     assert out.stdout.split()[-2:] == [str(EXIT_OK), "1"], out.stderr
+
+
+def test_commit_is_unknown_when_git_does_not_answer(monkeypatch):
+    def hung(command, **kwargs):
+        raise subprocess.TimeoutExpired(command, kwargs.get("timeout"))
+
+    monkeypatch.delenv("NBPROC_COMMIT", raising=False)
+    monkeypatch.setattr(subprocess, "run", hung)
+    assert cli._commit_identifier() == "unknown"
 
 
 @pytest.mark.parametrize("flag", ["--synth", "--config"])

@@ -17,6 +17,7 @@ from nbproc import (
     synthesize_corpus,
     write_bag_of_words,
 )
+from nbproc import _kernels
 
 
 def write_files(tmp_path, docword, vocab):
@@ -176,6 +177,71 @@ def test_load_sorted_and_shuffled_docword_give_the_same_corpus(tmp_path, monkeyp
     assert np.array_equal(in_order.terms, shuffled.terms) and np.array_equal(in_order.offsets, shuffled.offsets)
     expected = [sorted(w - 1 for d, w, n in rows for _ in range(n) if d == doc) for doc in range(1, 9)]
     assert [t.tolist() for t in in_order.doc_tokens] == expected  # the repeated cells' counts add up
+
+
+def load_both_ways(monkeypatch, dw, vf):
+    """The corpus arrays, or the ParseError message, as loaded and as np.loadtxt alone loads them (no C compiler)."""
+    outcomes = []
+    for library in (_kernels.library, lambda: None):
+        with monkeypatch.context() as patch:
+            patch.setattr(_kernels, "library", library)
+            try:
+                corpus = load_bag_of_words(dw, vf)
+            except ParseError as exc:
+                outcomes.append(str(exc))
+            else:
+                outcomes.append((corpus.vocab, corpus.terms.tolist(), corpus.offsets.tolist()))
+    return outcomes
+
+
+def test_plain_docword_lines_load_as_loadtxt_loads_them(tmp_path, monkeypatch, compiled_library):
+    gen = np.random.default_rng(91)
+    cells = sorted({(int(d), int(w)) for d, w in zip(gen.integers(1, 40, size=400), gen.integers(1, 60, size=400))})
+    rows = [(d, w, int(gen.integers(1, 9))) for d, w in cells] + [(d, w, 3) for d, w in cells[::5]]
+    vocab = "".join(f"t{v}\n" for v in range(60))
+    for order in (sorted(rows), [rows[i] for i in gen.permutation(len(rows))]):  # repeated cells adjacent, then not
+        text = f"40\n60\n{len(order)}\n" + "".join(f"{d} {w} {n}\n" for d, w, n in order)
+        assert np.array_equal(compiled_library.read_docword(text.encode(), len(order), 40, 60), order)
+        loaded, by_loadtxt = load_both_ways(monkeypatch, *write_files(tmp_path, text, vocab))
+        assert loaded == by_loadtxt
+
+
+@pytest.mark.parametrize(
+    "text, plain",
+    [
+        ("2\n3\n3\n1 1 2\n2 3 1\n1 1 1\n", True),
+        ("2\n3\n2\n001 01 0002\n2 3 1\n", True),
+        ("2\n3\n0\n", True),
+        ("2\r\n3\r\n2\r\n1 1 2\r\n2 3 1\r\n", False),
+        ("2\r3\r2\r1 1 2\n2 3 1\n", False),
+        ("2\n3\n2\n1\t1\t2\n2 3 1\n", False),
+        ("2\n3\n2\n+1 1 +2\n2 3 1\n", False),
+        ("2\n3\n2\n1 1 2\n2 3 1\n\n \n", False),
+        ("2\n3\n2\n1 1 2\n2 3 1", False),
+        ("2\n3\n2\n 1 1 2\n2  3 1 \n", False),
+        ("2\n3\n2\n1 1 0000000000000000002\n2 3 1\n", False),
+        ("2\n3\n2\n1 1 2\n2 3 0\n", False),
+        ("2\n3\n2\n1 1 2\n3 3 1\n", False),
+        ("2\n3\n2\n1 4 2\n2 3 1\n", False),
+        ("2\n3\n3\n1 1 2\n2 3 1\n", False),
+        ("2\n3\n1\n1 1 2\n2 3 1\n", False),
+        ("2\n3\n2\n1 1 2\n2 3 -1\n", False),
+        ("2\n3\n2\n1 1 2\n2 3 1\u00a0\n", False),
+    ],
+    ids=[
+        "repeated-cell", "leading-zeros", "no-data", "crlf", "cr-header", "tabs", "plus-signs", "trailing-blank-lines",
+        "no-final-newline", "extra-spaces", "19-digit-field", "zero-count", "doc-out-of-range", "word-out-of-range",
+        "fewer-than-nnz", "more-than-nnz", "negative-count", "non-ascii-space",
+    ],
+)
+def test_docword_forms_load_as_loadtxt_loads_them(tmp_path, monkeypatch, compiled_library, text, plain):
+    header = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")[:3]
+    read = compiled_library.read_docword(text.encode(), int(header[2]), int(header[0]), int(header[1]))
+    assert (read is not None) == plain
+    (tmp_path / "docword.txt").write_bytes(text.encode())
+    (tmp_path / "vocab.txt").write_bytes(b"a\nb\nc\n")
+    loaded, by_loadtxt = load_both_ways(monkeypatch, tmp_path / "docword.txt", tmp_path / "vocab.txt")
+    assert loaded == by_loadtxt
 
 
 @pytest.mark.parametrize(

@@ -33,7 +33,8 @@ def make_corpus(doc_tokens, vocab_size):
 
 
 def make_state(kind, J, K, V, omega, lam):
-    state = blank_state(kind, np.zeros(0, dtype=np.int64), np.zeros(J + 1, dtype=np.int64), V, K, 0.3)
+    no_tokens = np.zeros(0, dtype=np.int64)
+    state = blank_state(kind, no_tokens, np.zeros(J + 1, dtype=np.int64), no_tokens, V, K, 0.3)
     set_topics(state, np.asarray(omega, dtype=float))
     state.lam = np.asarray(lam, dtype=float)
     return state

@@ -49,9 +49,9 @@ def make_corpus(doc_tokens, vocab_size):
 
 def state_with_tokens(kind, tokens, vocab_size, num_topics, eta=0.3, seed=0):
     """A structurally valid state with given tokens and random z."""
-    state = blank_state(kind, *flatten_documents(tokens), vocab_size, num_topics, eta)
     gen = RandomSource(seed).generator
-    state.z = np.concatenate([gen.integers(0, num_topics, size=len(t)).astype(np.int64) for t in tokens])
+    z = np.concatenate([gen.integers(0, num_topics, size=len(t)).astype(np.int64) for t in tokens])
+    state = blank_state(kind, *flatten_documents(tokens), z, vocab_size, num_topics, eta)
     K = num_topics
     state.n_jk = np.vstack([np.bincount(z, minlength=K) for z in document_views(state.z, state.offsets)])
     return state
@@ -744,13 +744,29 @@ def test_sweep_holds_no_token_length_array_but_the_new_z(kind):
     J, K, V, N = 128, 8, 500, 2**21
     assert N * 8 >= 16 * max(J * K * 8, K * V * 8, models.CHUNK_CELLS * 8)
     gen = RandomSource(110).generator
-    state = blank_state(kind, gen.integers(0, V, size=N), offsets_from_lengths(np.full(J, N // J)), V, K, 0.05)
-    state.z = gen.integers(0, K, size=N)
+    terms = gen.integers(0, V, size=N)
+    state = blank_state(kind, terms, offsets_from_lengths(np.full(J, N // J)), gen.integers(0, K, size=N), V, K, 0.05)
     models._recount(state)
     hyper = MICRO.replace(K=K, eta=0.05)
     gibbs_sweep(state, hyper, RandomSource(111))  # the sweep's own arrays, which later sweeps overwrite
     _, peak = _traced_peak(lambda: gibbs_sweep(state, hyper, RandomSource(112)))
     assert peak < 1.25 * N * 8  # the new z, and what the other arrays need
+
+
+@pytest.mark.parametrize("init_iters", [0, 1])
+def test_initialize_holds_no_token_length_array_but_z_and_a_sweeps(init_iters):
+    J, K, V, N = 128, 8, 500, int(0.6 * 2**21) // 128 * 128
+    gen = RandomSource(113).generator
+    split = SimpleNamespace(train_terms=gen.integers(0, V, size=N), train_offsets=offsets_from_lengths(np.full(J, N // J)))
+    hyper = MICRO.replace(K=K, eta=0.05, init_iters=init_iters)
+    tracemalloc.start()
+    try:
+        state = initialize(ModelKind.GAMMA_NB, SimpleNamespace(vocab_size=V), split, hyper, RandomSource(114))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert state.z.nbytes == N * 8
+    assert peak - held < 1.25 * N * 8  # a warm-up sweep's new z, and what the other arrays need
 
 
 # ---------------------------------------------------------------------------
