@@ -7,6 +7,12 @@ given ``(seed, path)`` pair reproduces the same variate stream on any
 platform running the same numpy version.  Child sources derived with
 :meth:`RandomSource.child` are statistically independent and themselves
 a pure function of ``(seed, index path)``.
+
+A chain draws from one source's Philox stream in a fixed order.  The one
+exception is a large gamma array (``nbproc.models.BLOCKED_CELLS`` cells or
+more): it is drawn in fixed row blocks, each from an SFC64 generator keyed
+by one draw from the chain's stream, so its bits are still a pure function
+of the chain's state and the shape of the draw.
 """
 
 from __future__ import annotations

@@ -62,7 +62,7 @@ def conditional_draws(base_state, hyper, num, seed, extract, fault=None):
     source = RandomSource(seed)
     rows = []
     for _ in range(num):
-        s = base_state.clone()
+        s = copy.deepcopy(base_state)
         gibbs_sweep(s, hyper, source, fault=fault)
         rows.append(extract(s))
     return rows
@@ -140,7 +140,7 @@ def test_assign_matches_reference_expression(library_path, monkeypatch, K):
     monkeypatch.setattr(_kernels, "loops", lambda: SimpleNamespace(**{**vars(loops), "assign_topics": assign_in_place}))
     for cores in (1, 2, 3):
         monkeypatch.setattr(models, "_available_cores", lambda: cores)
-        drawn = state.clone()
+        drawn = copy.deepcopy(state)
         drawn.n_jk = counts = np.full_like(state.n_jk, -1)
         actual_gen = RandomSource(16)
         shared.clear()
@@ -262,7 +262,7 @@ def test_threaded_assignment_matches_numpy_reference_at_any_core_count(library_p
     assert _kernels.assign_topics(state.omega_t, state.lam, state.tokens, state.offsets, u, expected, counts) == -1
     for cores in (1, 2, 3):
         monkeypatch.setattr(models, "_available_cores", lambda: cores)
-        drawn = sample_topic_assignments(state.clone(), RandomSource(94))
+        drawn = sample_topic_assignments(copy.deepcopy(state), RandomSource(94))
         assert np.array_equal(drawn.z, expected), f"{cores} cores"
         assert np.array_equal(drawn.n_jk, counts), f"{cores} cores"
 
@@ -313,7 +313,7 @@ def test_threaded_run_traces_match_at_one_and_two_cores(monkeypatch, kind):
 # topic updates
 # ---------------------------------------------------------------------------
 
-BLOCKED = (16, 65_536)  # 2**20 cells: the smallest draw that is split into row blocks
+BLOCKED = (8, 65_536)  # 2**19 cells: the smallest draw that is split into row blocks
 
 
 def test_blocked_dirichlet_bytes_depend_on_seed_alone():
@@ -351,7 +351,7 @@ def test_blocked_dirichlet_row_mass_matches_beta_mean():
 
 
 def test_small_dirichlet_matches_unblocked_oracle():
-    shape = (16, 65_535)  # one cell short of a blocked draw
+    shape = (8, 65_535)  # one cell short of a blocked draw
     conc = RandomSource(25).generator.gamma(0.5, 1.0, size=shape) + 0.05
     oracle_gen, gen = RandomSource(26).generator, RandomSource(26).generator
     expected = np.maximum(oracle_gen.gamma(conc, 1.0), TINY)
@@ -418,7 +418,7 @@ def test_sweep_writes_counts_and_weights_in_place_and_replaces_unusable_arrays(k
         "l_jk": lambda s: block(s, hyper, RandomSource(33)),
     }
     for name, step in steps.items():
-        expected, swept = state.clone(), state.clone()
+        expected, swept = copy.deepcopy(state), copy.deepcopy(state)
         step(expected)
         bad, owner = _unusable(getattr(state, name), how)
         held = owner.copy()
@@ -489,7 +489,7 @@ def test_update_topics_prior_only():
     draws = []
     source = RandomSource(6)
     for _ in range(4000):
-        s = state.clone()
+        s = copy.deepcopy(state)
         update_topics(s, source)
         draws.append(s.omega[1])  # topic 1 has no tokens
     mean = np.mean(draws, axis=0)
@@ -504,7 +504,7 @@ def test_update_topics_concentration():
     source = RandomSource(7)
     draws = []
     for _ in range(200):
-        s = state.clone()
+        s = copy.deepcopy(state)
         update_topics(s, source)
         draws.append(s.omega[0, 7])
     assert np.mean(draws) > 0.99
@@ -521,7 +521,7 @@ def test_update_topics_posterior_mean_formula():
     source = RandomSource(9)
     draws = []
     for _ in range(4000):
-        s = state.clone()
+        s = copy.deepcopy(state)
         update_topics(s, source)
         draws.append(s.omega[0])
     assert np.abs(np.mean(draws, axis=0) / expected - 1).max() < 0.02
@@ -581,10 +581,10 @@ def test_gamma_nb_sweep_exact_replay():
     base = forward_draw(ModelKind.GAMMA_NB, hyper, 3, 4, RandomSource(10))
     assert base.n_jk.sum() > 0
 
-    swept = base.clone()
+    swept = copy.deepcopy(base)
     gibbs_sweep(swept, hyper, RandomSource(11))
 
-    state = base.clone()
+    state = copy.deepcopy(base)
     gen = RandomSource(11).generator
     K, V = 2, 4
     z, n_jk = replay_assign(state, state.lam, gen)
@@ -617,10 +617,10 @@ def test_nb_lda_sweep_exact_replay():
     base = forward_draw(ModelKind.NB_LDA, hyper, 3, 4, RandomSource(12))
     assert base.n_jk.sum() > 0
 
-    swept = base.clone()
+    swept = copy.deepcopy(base)
     gibbs_sweep(swept, hyper, RandomSource(13))
 
-    state = base.clone()
+    state = copy.deepcopy(base)
     gen = RandomSource(13).generator
     K, V = 2, 4
     z, n_jk = replay_assign(state, state.lam, gen)
@@ -679,6 +679,95 @@ def test_count_sweep_lam_is_the_clamped_gamma_of_the_open_cells(kind):
     assert gen.bytes(64) == snapshots.bytes(64)  # the same variates consumed
     if kind is ModelKind.NB_FTM:
         assert 0 < np.count_nonzero(~is_open) < is_open.size  # closed gates, and open ones
+
+
+def counted_state(kind, n_jk, vocab_size=3):
+    """A state whose document j holds n_jk[j, k] tokens of topic k, every one of term 0."""
+    J, K = n_jk.shape
+    z = np.repeat(np.tile(np.arange(K), J), n_jk.ravel())
+    state = blank_state(kind, np.zeros(len(z), np.int64), offsets_from_lengths(n_jk.sum(axis=1)), z, vocab_size, K, 0.05)
+    models._recount(state)
+    return state
+
+
+def every_fourth_cell(J, K, count=4):
+    """Documents x topics counts: ``count`` tokens in every fourth cell, none elsewhere."""
+    j, k = np.indices((J, K))
+    return np.where((j + k) % 4 == 0, count, 0)
+
+
+LAM_K = 128  # with BLOCKED_CELLS // LAM_K documents, lam is the smallest blocked draw
+
+
+def _recorded_blocks(monkeypatch):
+    """Patch ``_in_row_blocks`` to record the (rows, cells) of every draw; returns the record."""
+    in_row_blocks, calls = models._in_row_blocks, []
+
+    def recorded(gen, num_rows, cells, draw, workers=None):
+        calls.append((num_rows, cells))
+        in_row_blocks(gen, num_rows, cells, draw, workers)
+
+    monkeypatch.setattr(models, "_in_row_blocks", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("step", ["count_sweep", "initialize"])
+def test_blocked_lam_bytes_do_not_depend_on_the_core_count(monkeypatch, step):
+    J, K = BLOCKED_CELLS // LAM_K, LAM_K
+    hyper = MICRO.replace(K=K, eta=0.05, init_iters=1)
+    base = counted_state(ModelKind.GAMMA_NB, every_fourth_cell(J, K))
+    split = SimpleNamespace(train_terms=base.tokens, train_offsets=base.offsets)
+    calls = _recorded_blocks(monkeypatch)
+    drawn = []
+    for cores in (1, 2):
+        monkeypatch.setattr(models, "_available_cores", lambda: cores)
+        if step == "count_sweep":
+            state = copy.deepcopy(base)
+            rng = RandomSource(120)
+            rng.generator = snapshots = _GammaSnapshots(rng.generator)
+            count_sweep(state, hyper, rng)
+            assert snapshots.states == []  # no lam gamma from the chain's own stream
+        else:
+            state = initialize(ModelKind.GAMMA_NB, SimpleNamespace(vocab_size=3), split, hyper, RandomSource(121))
+        drawn.append(state.lam.tobytes())
+    assert (J, J * K) in calls  # lam was drawn in row blocks
+    assert drawn[0] == drawn[1]
+
+
+def test_blocked_gamma_main_stream_use_ignores_values():
+    small, large = RandomSource(122).generator, RandomSource(122).generator
+    models._standard_gammas(small, np.full(BLOCKED, 0.05))
+    models._standard_gammas(large, np.full(BLOCKED, 3.0))
+    assert small.bytes(64) == large.bytes(64)  # the same state after the draw
+
+
+def test_blocked_lam_means_match_their_shapes():
+    J, K = BLOCKED_CELLS // LAM_K, LAM_K
+    state = counted_state(ModelKind.GAMMA_NB, every_fourth_cell(J, K))
+    count_sweep(state, MICRO.replace(K=K), RandomSource(123))
+    gammas = state.lam / state.p[:, None]  # Gamma(r_k + n_jk, 1) draws, within rounding
+    # numpy draws shapes below 1 and above 1 with two algorithms: each topic's
+    # empty cells have shape r_k < 1, and its cells of 4 tokens r_k + 4
+    assert state.r.max() < 1
+    for k, r in enumerate(state.r):
+        for shape, cells in ((r, state.n_jk[:, k] == 0), (r + 4, state.n_jk[:, k] == 4)):
+            draws = gammas[cells, k]
+            assert len(draws) >= J // 4
+            assert abs(draws.mean() - shape) < 5 * math.sqrt(shape / len(draws)), (k, shape)
+
+
+def test_lam_one_row_short_of_blocking_is_the_single_stream_draw():
+    J, K = BLOCKED_CELLS // LAM_K - 1, LAM_K
+    state = counted_state(ModelKind.GAMMA_NB, every_fourth_cell(J, K))
+    rng = RandomSource(124)
+    rng.generator = snapshots = _GammaSnapshots(rng.generator)
+    count_sweep(state, MICRO.replace(K=K), rng)
+    assert len(snapshots.states) == 1  # lam's draw, on the chain's stream
+    gen = np.random.Generator(np.random.Philox())
+    gen.bit_generator.state = snapshots.states[0]
+    lam = np.maximum(gen.gamma(state.r[None, :] + state.n_jk, state.p[:, None]), TINY)
+    assert state.lam.tobytes() == lam.tobytes()
+    assert gen.bytes(64) == snapshots.bytes(64)  # the same variates consumed
 
 
 # ---------------------------------------------------------------------------
@@ -1007,7 +1096,7 @@ def test_nb_ftm_gates():
     source = RandomSource(46)
     saw_closed = False
     for _ in range(200):
-        s = base.clone()
+        s = copy.deepcopy(base)
         gibbs_sweep(s, hyper, source)
         assert np.all(s.b_jk[s.n_jk > 0] == 1)  # counts force gates open
         assert np.all(s.lam[s.b_jk == 0] == 0.0)  # closed gates pin weights to 0
@@ -1247,7 +1336,7 @@ def test_sweep_touches_exactly_its_parameters(kind):
     split = split_train_test(corpus, 0.7, RandomSource(69))
     hyper = MICRO.replace(K=3, init_iters=2, c=6.0 if kind in (ModelKind.BETA_NB, ModelKind.MARKED_BETA_NB) else 1.0)
     state = initialize(kind, corpus, split, hyper, RandomSource(70))
-    before = state.clone()
+    before = copy.deepcopy(state)
     gibbs_sweep(state, hyper, RandomSource(71))
     for name in STATE_FIELDS:
         same = _field_equal(getattr(before, name), getattr(state, name))
@@ -1285,8 +1374,9 @@ def test_state_holds_only_the_documents_by_topics_arrays_its_kind_reads(kind):
 
 @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
 def test_clone_is_equal_and_shares_no_array(kind):
+    # the tests draw from deep copies of one state and compare them field by field
     state = state_with_tokens(kind, [np.array([0, 1, 1, 4]), np.array([2, 3])], 5, 3)
-    twin = state.clone()
+    twin = copy.deepcopy(state)
     assert twin.kind is state.kind
     for f in dataclasses.fields(state):
         a, b = getattr(state, f.name), getattr(twin, f.name)
