@@ -110,7 +110,7 @@ def test_trace_matches_golden_hash(model, tmp_path):
 # the assignment is drawn in parts on all cores.  About a second.
 BLOCKED_K, BLOCKED_V = 192, 16384
 BLOCKED_TRACE = (
-    "57ab253cfe5ca1f72fbf02d979030696eff9c3c848874ba3a34b03f30e8f3d3a",
+    "bad8ddbd86448011fb1393c5fc5cf124785402a0779b84fbb0ca9ab9c276f9c5",
     "9cba10887410e8c761a83ad57e71e43307cd37a39257db7c5fb90fe475d5226f",
 )
 
