@@ -90,18 +90,24 @@ GOLDEN_TRACES = {
 }
 
 
+def assert_trace_pinned(tmp_path, model, synth, flags, pin, name):
+    """Fit ``model`` with ``nbproc run`` on the ``synth`` corpus at seed 11 and check its ``trace.csv`` against ``pin``."""
+    spec = tmp_path / "synth.json"
+    spec.write_text(json.dumps(synth))
+    out = tmp_path / model
+    args = ["run", "--model", model, "--synth", str(spec), "--train-frac", "0.6", "--seed", "11", *flags]
+    assert main([*args, "--out", str(out)]) == EXIT_OK
+    first, rows = (out / "trace.csv").read_bytes().split(b"\n", 1)
+    rows_sha256, config_hash = pin
+    assert hashlib.sha256(rows).hexdigest() == rows_sha256, f"{name} trace rows changed (numpy {np.__version__})"
+    assert first.decode() == f"# config_hash={config_hash}", f"{name} config hash changed"
+
+
 @pytest.mark.parametrize("model", sorted(GOLDEN_TRACES))
 def test_trace_matches_golden_hash(model, tmp_path):
-    spec = tmp_path / "synth.json"
-    spec.write_text(json.dumps({"k_true": 3, "vocab_size": 15, "num_docs": 12, "r": 5.0, "p": 0.6, "seed": 9}))
-    out = tmp_path / model
-    args = ["run", "--model", model, "--synth", str(spec), "--train-frac", "0.6", "--seed", "11"]
-    args += ["--K", "5", "--iters", "6", "--burnin", "3", "--init-iters", "2", "--out", str(out)]
-    assert main(args) == EXIT_OK
-    first, rows = (out / "trace.csv").read_bytes().split(b"\n", 1)
-    rows_sha256, config_hash = GOLDEN_TRACES[model]
-    assert hashlib.sha256(rows).hexdigest() == rows_sha256, f"{model} trace rows changed (numpy {np.__version__})"
-    assert first.decode() == f"# config_hash={config_hash}", f"{model} config hash changed"
+    synth = {"k_true": 3, "vocab_size": 15, "num_docs": 12, "r": 5.0, "p": 0.6, "seed": 9}
+    flags = ["--K", "5", "--iters", "6", "--burnin", "3", "--init-iters", "2"]
+    assert_trace_pinned(tmp_path, model, synth, flags, GOLDEN_TRACES[model], model)
 
 
 # The same two-part pin for one fit at a shape the pins above never reach: K x V
@@ -124,17 +130,37 @@ def test_blocked_threaded_trace_matches_golden_hash(tmp_path, monkeypatch):
         return document_parts(offsets, num_topics)
 
     monkeypatch.setattr(models, "_document_parts", counted_parts)
-    spec = tmp_path / "synth.json"
-    spec.write_text(json.dumps({"k_true": 5, "vocab_size": BLOCKED_V, "num_docs": 120, "r": 5.0, "p": 0.8, "seed": 9}))
-    out = tmp_path / "gamma-nb"
-    args = ["run", "--model", "gamma-nb", "--synth", str(spec), "--train-frac", "0.6", "--seed", "11"]
-    args += ["--K", str(BLOCKED_K), "--iters", "3", "--burnin", "1", "--init-iters", "1", "--out", str(out)]
-    assert main(args) == EXIT_OK
+    synth = {"k_true": 5, "vocab_size": BLOCKED_V, "num_docs": 120, "r": 5.0, "p": 0.8, "seed": 9}
+    flags = ["--K", str(BLOCKED_K), "--iters", "3", "--burnin", "1", "--init-iters", "1"]
+    assert_trace_pinned(tmp_path, "gamma-nb", synth, flags, BLOCKED_TRACE, "blocked")
     assert cells and min(cells) >= models.THREADED_CELLS
-    first, rows = (out / "trace.csv").read_bytes().split(b"\n", 1)
-    rows_sha256, config_hash = BLOCKED_TRACE
-    assert hashlib.sha256(rows).hexdigest() == rows_sha256, f"blocked trace rows changed (numpy {np.__version__})"
-    assert first.decode() == f"# config_hash={config_hash}", "blocked config hash changed"
+
+
+# The same pin for a fit whose documents x topics lam, in every warm-up and
+# every sweep, is drawn in row blocks while its topics are not: K x V below
+# BLOCKED_CELLS, and about 2 800 short documents x K at or above it.  About a
+# second.
+LAM_K, LAM_V, LAM_DOCS = 192, 2000, 2800
+BLOCKED_LAM_TRACE = (
+    "659d77be8e24257145a5c709e5559a6ecb018c7c0035580995f53b340ba9a88d",
+    "b743aa8d79391c5c2b379c376bbc51dcf0fec01ee02ea21861c34c73ac9855ce",
+)
+
+
+def test_blocked_lam_trace_matches_golden_hash(tmp_path, monkeypatch):
+    assert LAM_K * LAM_V < models.BLOCKED_CELLS <= LAM_K * LAM_DOCS
+    in_row_blocks, draws = models._in_row_blocks, []
+
+    def recorded(gen, num_rows, cells, draw, workers=None):
+        draws.append((num_rows, cells))
+        in_row_blocks(gen, num_rows, cells, draw, workers)
+
+    monkeypatch.setattr(models, "_in_row_blocks", recorded)
+    synth = {"k_true": 5, "vocab_size": LAM_V, "num_docs": LAM_DOCS, "r": 2.0, "p": 0.5, "seed": 9}
+    flags = ["--K", str(LAM_K), "--iters", "3", "--burnin", "1", "--init-iters", "1"]
+    assert_trace_pinned(tmp_path, "gamma-nb", synth, flags, BLOCKED_LAM_TRACE, "blocked lam")
+    # two warm-up lam draws and one per sweep, every one of all the documents
+    assert [rows for rows, cells in draws if cells >= models.BLOCKED_CELLS] == [LAM_DOCS] * 5
 
 
 # kind name -> sha256 of json.dumps([forward_means, chain_means], sort_keys=True)
@@ -179,5 +205,6 @@ def test_pins_hold_under_older_cpu_switches(switch):
     args = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", __file__, "-k", "not older_cpu"]
     out = subprocess.run(args, capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stdout[-4000:]
-    # every pin ran: ten traces, the blocked trace, the coverage check, eight Geweke paths
-    assert "20 passed" in out.stdout
+    # every pin ran: the traces, the two blocked traces, the coverage check and the Geweke paths
+    pins = len(GOLDEN_TRACES) + len([BLOCKED_TRACE, BLOCKED_LAM_TRACE]) + 1 + len(GOLDEN_GEWEKE)
+    assert f"{pins} passed" in out.stdout
