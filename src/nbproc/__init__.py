@@ -34,12 +34,10 @@ from .distributions import (
     sample_crt,
     sample_crt_array,
     sample_dirichlet,
-    sample_discrete,
     sample_gamma,
     sample_logarithmic,
     sample_nb_compound,
     sample_nb_direct,
-    sample_poisson,
 )
 from .evaluation import (
     EvaluationError,

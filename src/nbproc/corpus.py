@@ -91,14 +91,6 @@ class Corpus:
     def doc_lengths(self) -> np.ndarray:
         return np.diff(self.offsets)
 
-    def same_as(self, other: "Corpus") -> bool:
-        """Content equality: identical vocabulary and token counts."""
-        return (
-            self.vocab == other.vocab
-            and np.array_equal(self.offsets, other.offsets)
-            and np.array_equal(self.terms, other.terms)
-        )
-
 
 def _header(fh, path) -> tuple[int, int, int]:
     """Read the D, W and NNZ header lines."""

@@ -1,7 +1,7 @@
 """Random-variate generation and exact PMFs for the Gibbs kernels.
 
-Covers the standard conjugate families (gamma, beta, Dirichlet,
-Poisson, discrete), the logarithmic distribution, the Chinese
+Covers the standard conjugate families (gamma, beta, Dirichlet), the
+logarithmic distribution, the Chinese
 restaurant table (CRT) distribution, and the two equivalent
 constructions of the negative binomial: the gamma-Poisson mixture and
 the compound-Poisson sum of logarithmic variates.
@@ -89,35 +89,6 @@ def sample_dirichlet(concentration, rng: RandomSource) -> np.ndarray:
         raise ParameterError(f"concentration entries must be positive and finite, got {concentration!r}")
     g = np.maximum(rng.generator.gamma(conc, 1.0), TINY)
     return g / g.sum()
-
-
-def sample_discrete(weights, rng: RandomSource, size=None):
-    """Draw index k with probability ``weights[k] / sum(weights)``."""
-    w = np.asarray(weights, dtype=np.float64)
-    if w.ndim != 1 or w.size == 0:
-        raise ParameterError(f"weights must be a non-empty vector, got {weights!r}")
-    if not np.all(np.isfinite(w)) or np.any(w < 0):
-        raise ParameterError(f"weights must be finite and non-negative, got {weights!r}")
-    cum = np.cumsum(w)
-    total = cum[-1]
-    if total <= 0:
-        raise ParameterError("weights must have at least one positive entry")
-    u = rng.generator.random(size) * total
-    draws = np.searchsorted(cum, u, side="right")
-    if size is None:
-        return int(draws)
-    return draws.astype(np.int64)
-
-
-def sample_poisson(rate, rng: RandomSource, size=None):
-    """Draw from Poisson(rate); a zero rate always yields 0."""
-    arr = np.asarray(rate, dtype=np.float64)
-    if arr.size == 0 or not np.all(np.isfinite(arr)) or np.any(arr < 0):
-        raise ParameterError(f"rate must be non-negative and finite, got {rate!r}")
-    draws = rng.generator.poisson(arr, size=size)
-    if size is None and np.ndim(draws) == 0:
-        return int(draws)
-    return draws
 
 
 def _log_series_cumulative(p: float, u_max: float) -> np.ndarray:

@@ -16,17 +16,46 @@ from nbproc import (
     sample_crt,
     sample_crt_array,
     sample_dirichlet,
-    sample_discrete,
     sample_gamma,
     sample_logarithmic,
     sample_nb_compound,
     sample_nb_direct,
-    sample_poisson,
 )
 
 
 def rng(seed=0):
     return RandomSource(seed)
+
+
+# A categorical and a Poisson sampler in the library's argument checks; nbproc
+# itself draws through neither, so they live with their tests.
+def sample_discrete(weights, rng: RandomSource, size=None):
+    """Draw index k with probability ``weights[k] / sum(weights)``."""
+    w = np.asarray(weights, dtype=np.float64)
+    if w.ndim != 1 or w.size == 0:
+        raise ParameterError(f"weights must be a non-empty vector, got {weights!r}")
+    if not np.all(np.isfinite(w)) or np.any(w < 0):
+        raise ParameterError(f"weights must be finite and non-negative, got {weights!r}")
+    cum = np.cumsum(w)
+    total = cum[-1]
+    if total <= 0:
+        raise ParameterError("weights must have at least one positive entry")
+    u = rng.generator.random(size) * total
+    draws = np.searchsorted(cum, u, side="right")
+    if size is None:
+        return int(draws)
+    return draws.astype(np.int64)
+
+
+def sample_poisson(rate, rng: RandomSource, size=None):
+    """Draw from Poisson(rate); a zero rate always yields 0."""
+    arr = np.asarray(rate, dtype=np.float64)
+    if arr.size == 0 or not np.all(np.isfinite(arr)) or np.any(arr < 0):
+        raise ParameterError(f"rate must be non-negative and finite, got {rate!r}")
+    draws = rng.generator.poisson(arr, size=size)
+    if size is None and np.ndim(draws) == 0:
+        return int(draws)
+    return draws
 
 
 def tv_distance(a, b):
