@@ -681,34 +681,22 @@ def test_count_sweep_lam_is_the_clamped_gamma_of_the_open_cells(kind):
         assert 0 < np.count_nonzero(~is_open) < is_open.size  # closed gates, and open ones
 
 
-def counted_state(kind, n_jk, vocab_size=3):
-    """A state whose document j holds n_jk[j, k] tokens of topic k, every one of term 0."""
+def counted_state(kind, n_jk):
+    """A state over three terms whose document j holds n_jk[j, k] tokens of topic k, every one of term 0."""
     J, K = n_jk.shape
     z = np.repeat(np.tile(np.arange(K), J), n_jk.ravel())
-    state = blank_state(kind, np.zeros(len(z), np.int64), offsets_from_lengths(n_jk.sum(axis=1)), z, vocab_size, K, 0.05)
+    state = blank_state(kind, np.zeros(len(z), np.int64), offsets_from_lengths(n_jk.sum(axis=1)), z, 3, K, 0.05)
     models._recount(state)
     return state
 
 
-def every_fourth_cell(J, K, count=4):
-    """Documents x topics counts: ``count`` tokens in every fourth cell, none elsewhere."""
+def every_fourth_cell(J, K):
+    """Documents x topics counts: 4 tokens in every fourth cell, none elsewhere."""
     j, k = np.indices((J, K))
-    return np.where((j + k) % 4 == 0, count, 0)
+    return np.where((j + k) % 4 == 0, 4, 0)
 
 
 LAM_K = 128  # with BLOCKED_CELLS // LAM_K documents, lam is the smallest blocked draw
-
-
-def _recorded_blocks(monkeypatch):
-    """Patch ``_in_row_blocks`` to record the (rows, cells) of every draw; returns the record."""
-    in_row_blocks, calls = models._in_row_blocks, []
-
-    def recorded(gen, num_rows, cells, draw, workers=None):
-        calls.append((num_rows, cells))
-        in_row_blocks(gen, num_rows, cells, draw, workers)
-
-    monkeypatch.setattr(models, "_in_row_blocks", recorded)
-    return calls
 
 
 @pytest.mark.parametrize("step", ["count_sweep", "initialize"])
@@ -717,7 +705,13 @@ def test_blocked_lam_bytes_do_not_depend_on_the_core_count(monkeypatch, step):
     hyper = MICRO.replace(K=K, eta=0.05, init_iters=1)
     base = counted_state(ModelKind.GAMMA_NB, every_fourth_cell(J, K))
     split = SimpleNamespace(train_terms=base.tokens, train_offsets=base.offsets)
-    calls = _recorded_blocks(monkeypatch)
+    in_row_blocks, calls = models._in_row_blocks, []
+
+    def recorded(gen, num_rows, cells, draw, workers=None):
+        calls.append((num_rows, cells))
+        in_row_blocks(gen, num_rows, cells, draw, workers)
+
+    monkeypatch.setattr(models, "_in_row_blocks", recorded)
     drawn = []
     for cores in (1, 2):
         monkeypatch.setattr(models, "_available_cores", lambda: cores)
