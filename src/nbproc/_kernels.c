@@ -1,8 +1,7 @@
 /* The package's per-token loops, compiled: topic assignment, the
  * documents' and the topics' token counts, CRT table counts and held-out
- * evaluation.  Each is the compiled form of a numpy loop in nbproc._kernels
- * and gives its results bit for bit.  One more, read_docword, reads the
- * data lines of a docword file of the plainest form and declines any
+ * evaluation.  nbproc runs them only here.  One more, read_docword, reads
+ * the data lines of a docword file of the plainest form and declines any
  * other, which nbproc.corpus then reads with np.loadtxt.  nbproc._kernels
  * compiles this file once per source version and flags, and keeps the
  * library in the __pycache__ directory beside it.

@@ -34,6 +34,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from . import _kernels
 from . import distributions as dist
 from .corpus import (
     Corpus,
@@ -305,8 +306,9 @@ def run(config: RunConfig) -> dict:
     Writes trace.csv, params.csv, report.json and a resolved-config echo
     into the output directory and returns the report.  A `.incomplete`
     sentinel flags partial output until the run finishes.  The corpus is
-    read and split before anything is written, so a bad corpus, or a split
-    that holds out no tokens, leaves no output behind.
+    read and split, and the compiled library loaded, before anything is
+    written, so a bad corpus, a split that holds out no tokens, or a
+    library that cannot be built leaves no output behind.
     """
     config_hash = config.config_hash()
     kind = ModelKind.from_name(config.model)
@@ -316,6 +318,7 @@ def run(config: RunConfig) -> dict:
     del corpus  # the split holds every token the fit reads, and the report needs only the sizes
     if split.total_test < 1:
         raise EvaluationError("the split holds out no tokens")
+    _kernels.library()
 
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -522,6 +525,7 @@ def _make_geweke_check(kind: ModelKind):
 
 
 def cmd_validate(args) -> int:
+    _kernels.library()  # fail before the first check prints its line
     checks = [
         ("crt-pmf-normalization", _check_crt_normalization),
         ("stirling-normalizer-identity", _check_stirling_identity),

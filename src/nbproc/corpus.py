@@ -16,11 +16,10 @@ checked, and expanded into the flat terms with one ``np.repeat``, so
 loading takes memory in proportion to NNZ and the token count.  A file of
 the plainest form, every data line ``digits SP digits SP digits LF`` and
 in range, is read by a compiled loop (``_kernels``' ``read_docword``);
-any other file, or any file where the library cannot be built, by
-``np.loadtxt``, which gives the same rows for the files both read.  Blank
-lines are skipped, fields are separated by any whitespace, and a
-(doc, term) cell given on several lines gets the sum of their counts.  A
-field is an ASCII integer with an optional sign.  When a check fails, a
+any other file by ``np.loadtxt``, which gives the same rows for the
+files both read.  Blank lines are skipped, fields are separated by any
+whitespace, and a (doc, term) cell given on several lines gets the sum
+of their counts.  A field is an ASCII integer with an optional sign.  When a check fails, a
 line-by-line walk finds the first bad line and the ``ParseError`` names
 it.
 """
@@ -142,14 +141,11 @@ def _within_one_array(rows: np.ndarray) -> np.ndarray | None:
 def _plain_rows(path, num_docs: int, vocab_size: int, nnz: int) -> np.ndarray | None:
     """The checked data rows of a docword file of the plainest form, read by the compiled loop.
 
-    Returns None where the library is missing or the file is of another
-    form; ``_data_rows`` then reads it.
+    Returns None where the file is of another form; ``_data_rows`` then
+    reads it.
     """
-    library = _kernels.library()
-    if library is None:
-        return None
     with open(path, "rb") as fh:
-        rows = library.read_docword(fh.read(), nnz, num_docs, vocab_size)
+        rows = _kernels.library().read_docword(fh.read(), nnz, num_docs, vocab_size)
     return None if rows is None else _within_one_array(rows)
 
 

@@ -228,10 +228,10 @@ def sample_crt_array(m, r, rng: RandomSource, out=None) -> np.ndarray:
     m > 0 (cells with m = 0 yield 0 regardless of r, which lets gated
     models pass r = 0 for switched-off cells).  One uniform is drawn per
     Bernoulli trial, m.sum() in all, cell after cell in C order, and the
-    compiled loop (or its numpy form) counts each cell's successes.  The
-    uniforms are drawn for a run of rows of m (its cells, for a vector) at a
-    time, about ``CRT_CHUNK_TRIALS`` trials or one row; the stream gives
-    the same values as one draw of them all.  The tables are written into
+    compiled loop counts each cell's successes.  The uniforms are drawn
+    for a run of rows of m (its cells, for a vector) at a time, about
+    ``CRT_CHUNK_TRIALS`` trials or one row; the stream gives the same
+    values as one draw of them all.  The tables are written into
     ``out`` when given, a writable C-contiguous int64 array of m's shape,
     and returned.
     """
@@ -252,7 +252,7 @@ def sample_crt_array(m, r, rng: RandomSource, out=None) -> np.ndarray:
     cols = m.shape[-1] if m.ndim > 1 else 1
     m, r, tables = m.reshape(-1, cols), r.reshape(-1, cols), out.reshape(-1, cols)
     ends = np.cumsum(m.sum(axis=1))  # the trials up to the end of each row
-    crt_tables = _kernels.loops().crt_tables
+    crt_tables = _kernels.library().crt_tables
     start, drawn = 0, 0
     while start < len(m):
         stop = max(start + 1, int(np.searchsorted(ends, drawn + CRT_CHUNK_TRIALS, side="right")))

@@ -24,7 +24,7 @@ fixed lanes, made in the token-balanced document parts of the topic
 assignment, and the perplexity's logs come from the C library's ``log``,
 summed in token order and then in document order.  No step calls BLAS
 or numpy's SIMD ``log``, so the perplexity has the same bits on any
-x86-64 CPU and with or without a C compiler.
+x86-64 CPU.
 """
 
 from __future__ import annotations
@@ -100,9 +100,10 @@ def accumulate(acc: SampleAccumulator, state: ModelState) -> SampleAccumulator:
     """Fold one collected sample's omega-weight products into the sums.
 
     Each held-out token's mass and each document's total is a sum over
-    topics in four fixed lanes (``_kernels.lane_sums``), computed by the
-    compiled library in the token-balanced document parts of the topic
-    assignment; the results never depend on the number of parts.
+    topics in four fixed lanes (``heldout_mass`` in ``_kernels.c``),
+    computed by the compiled library in the token-balanced document parts
+    of the topic assignment; the results never depend on the number of
+    parts.
     """
     lam = np.ascontiguousarray(state.lam, dtype=np.float64)
     if lam.shape[0] != acc.doc_totals.shape[0] or state.vocab_size != acc.vocab_size:
@@ -120,7 +121,7 @@ def accumulate(acc: SampleAccumulator, state: ModelState) -> SampleAccumulator:
         raise ValueError(f"omega_t has shape {omega_t.shape}, expected (vocabulary, topics) = {expected}")
     if topic_mass.shape != expected[1:]:  # and K entries of topic_mass
         raise ValueError(f"topic_mass has shape {topic_mass.shape}, expected (topics,) = {expected[1:]}")
-    heldout_mass = _kernels.loops().heldout_mass
+    heldout_mass = _kernels.library().heldout_mass
 
     def mass_part(start: int, stop: int) -> None:
         bounds = offsets[start : stop + 1]
@@ -146,7 +147,7 @@ def heldout_perplexity(acc: SampleAccumulator) -> float:
     if total_test < 1:
         raise EvaluationError("the split holds out no tokens")
     log_sums = np.empty(len(acc.doc_totals))
-    bad = _kernels.loops().heldout_log_sums(acc.test_mass, acc.doc_totals, acc.test_offsets, log_sums)
+    bad = _kernels.library().heldout_log_sums(acc.test_mass, acc.doc_totals, acc.test_offsets, log_sums)
     if bad >= 0:
         raise EvaluationError(f"zero predictive mass for a held-out token of document {bad}")
     log_total = 0.0

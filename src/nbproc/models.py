@@ -524,7 +524,7 @@ def _recount(state: ModelState) -> None:
     """Set ``state.n_jk`` to each document's token count on each topic, in one pass over z."""
     n_jk = np.empty((state.num_docs, state.num_topics), dtype=np.int64)
     z = np.ascontiguousarray(state.z, dtype=np.int64)
-    bad = _kernels.loops().count_documents(z, state.offsets, n_jk)
+    bad = _kernels.library().count_documents(z, state.offsets, n_jk)
     if bad >= 0:
         raise ValueError(f"token {bad} has topic {z[bad]}, outside [0, {state.num_topics})")
     state.n_jk = n_jk
@@ -592,14 +592,13 @@ def _draw_topics(state: ModelState, rng: RandomSource, n_jk: np.ndarray) -> np.n
     Probability of topic k for a token with term v is proportional to
     omega[k, v] times the document's weight lam[j, k].  One uniform per
     token is drawn, in document order, into the new z's own buffer; the
-    compiled kernel and the numpy path read each token's uniform before
-    they write its topic, and draw the same z from them.  Above
-    ``THREADED_CELLS`` the documents are split into token-balanced parts
-    drawn on one thread each; a token's z depends only on its own uniform,
-    so z never depends on the number of parts, and a document with no
-    admissible topic is named as the lowest such one.  Parts hold whole
-    documents, so no two threads write one row of ``n_jk`` or one token's
-    entry of z.
+    compiled kernel reads each token's uniform before it writes its
+    topic.  Above ``THREADED_CELLS`` the documents are split into
+    token-balanced parts drawn on one thread each; a token's z depends
+    only on its own uniform, so z never depends on the number of parts,
+    and a document with no admissible topic is named as the lowest such
+    one.  Parts hold whole documents, so no two threads write one row of
+    ``n_jk`` or one token's entry of z.
     """
     omega_t = np.ascontiguousarray(state.omega_t, dtype=np.float64)  # vocabulary x topics
     V, K = omega_t.shape
@@ -615,7 +614,7 @@ def _draw_topics(state: ModelState, rng: RandomSource, n_jk: np.ndarray) -> np.n
     z = np.empty(len(terms), dtype=np.int64)
     u = z.view(np.float64)  # each token reads its uniform before its topic overwrites it
     rng.generator.random(out=u)
-    assign = _kernels.loops().assign_topics
+    assign = _kernels.library().assign_topics
 
     def assign_part(start: int, stop: int) -> int:
         bad = assign(omega_t, lam[start:stop], terms, offsets[start : stop + 1], u, z, n_jk[start:stop])
@@ -659,7 +658,7 @@ def _sample_topics(state: ModelState, gen: np.random.Generator, prior: bool = Fa
     topic_mass = np.empty(K)
     # eight rows or more per write: narrower transposed writes into omega_t cost more
     height = K if K * V < BLOCKED_CELLS else max(8, CHUNK_CELLS // V // 8 * 8)
-    loops = _kernels.loops()
+    loops = _kernels.library()
     per_topic = np.bincount(z, minlength=K) if height < K else None  # sizes a block's list of its cells
 
     def draw(stream: np.random.Generator, start: int, stop: int) -> None:

@@ -1,10 +1,12 @@
 import csv
 import dataclasses
+import errno
 import hashlib
 import importlib
 import importlib.util
 import json
 import os
+import shlex
 import subprocess
 import sys
 import weakref
@@ -13,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nbproc import RandomSource, SyntheticSpec, cli, load_bag_of_words, split_train_test, synthesize_corpus
+from nbproc import RandomSource, SyntheticSpec, _kernels, cli, load_bag_of_words, split_train_test, synthesize_corpus
 from nbproc.cli import EXIT_CHECK_FAILED, EXIT_IO, EXIT_OK, RunConfig, _make_geweke_check, main
 from nbproc.models import HyperParams, IterationError, ModelKind, gibbs_sweep
 
@@ -180,6 +182,41 @@ def test_run_compiles_one_library(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code, *run_args(tmp_path, "out")], capture_output=True, text=True, env=env)
     assert out.stdout.split()[-2:] == [str(EXIT_OK), "1"], out.stderr
+
+
+def _no_compiler():
+    raise FileNotFoundError(errno.ENOENT, "No such file or directory", "cc")
+
+
+def _failed_compile():
+    stderr = b"<stdin>:1:1: error: unknown type name 'x'\n    1 | x\n"
+    raise subprocess.CalledProcessError(1, ["cc", "-x", "c", "-"], stderr=stderr)
+
+
+@pytest.mark.parametrize(
+    "build, reason", [(_no_compiler, "No such file or directory: 'cc'"), (_failed_compile, "unknown type name")]
+)
+@pytest.mark.parametrize("command", ["run-docword", "run-synth", "validate"])
+def test_without_the_library_each_command_fails_before_writing(tmp_path, monkeypatch, capsys, build, reason, command):
+    monkeypatch.setattr(_kernels, "_build_library", build)
+    _kernels.library.cache_clear()  # a failed build is not cached, so the next test loads the library afresh
+    out = tmp_path / "out"
+    if command == "run-docword":
+        (tmp_path / "d.txt").write_text("2\n3\n3\n1 1 2\n1 3 2\n2 2 3\n")
+        (tmp_path / "v.txt").write_text("a\nb\nc\n")
+        args = ["run", "--model", "gamma-nb", "--docword", str(tmp_path / "d.txt"), "--vocab", str(tmp_path / "v.txt")]
+        args += ["--out", str(out)]
+    elif command == "run-synth":
+        args = run_args(tmp_path, "out")
+    else:
+        args = ["validate", "--quick"]
+    assert main(args) == EXIT_IO
+    captured = capsys.readouterr()
+    (error,) = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert error.startswith(f"error: cannot build nbproc's compiled loops with {shlex.join(_kernels._compiler())}: ")
+    assert reason in captured.err
+    assert captured.out == ""  # validate prints no check line
+    assert not out.exists()  # no output directory, no .incomplete, no config.json
 
 
 def test_commit_is_unknown_when_git_does_not_answer(monkeypatch):

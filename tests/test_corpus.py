@@ -1,4 +1,5 @@
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -185,9 +186,12 @@ def test_load_sorted_and_shuffled_docword_give_the_same_corpus(tmp_path, monkeyp
 
 
 def load_both_ways(monkeypatch, dw, vf):
-    """The corpus arrays, or the ParseError message, as loaded and as np.loadtxt alone loads them (no C compiler)."""
-    outcomes = []
-    for library in (_kernels.library, lambda: None):
+    """The corpus arrays, or the ParseError message, as loaded and as np.loadtxt alone loads them.
+
+    The second load takes a library whose ``read_docword`` declines every file.
+    """
+    outcomes, declining = [], SimpleNamespace(read_docword=lambda *args: None)
+    for library in (_kernels.library, lambda: declining):
         with monkeypatch.context() as patch:
             patch.setattr(_kernels, "library", library)
             try:

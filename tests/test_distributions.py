@@ -5,7 +5,7 @@ import pytest
 from scipy.special import gammaln, logsumexp
 from scipy.stats import nbinom
 
-from nbproc import _kernels, distributions
+from nbproc import distributions
 from nbproc import (
     CapacityError,
     ParameterError,
@@ -384,20 +384,7 @@ CRT_CASES = _crt_cases()
 
 
 @pytest.mark.parametrize("case", sorted(CRT_CASES))
-def test_crt_tables_compiled_match_numpy_reference(compiled_library, case):
-    m, r = CRT_CASES[case]
-    m = np.ascontiguousarray(m, dtype=np.int64)
-    r = np.broadcast_to(np.asarray(r, dtype=np.float64), m.shape)
-    u = np.random.default_rng(25).random(int(m.sum()))
-    expected, actual = np.full(m.shape, -1), np.full(m.shape, -1)
-    assert _kernels.crt_tables(m, r, u, expected) == -1
-    assert compiled_library.crt_tables(m, r, u, actual) == -1
-    assert np.array_equal(actual, expected)
-    assert np.all(expected[m == 0] == 0) and np.all((expected >= 1) == (m >= 1)) and np.all(expected <= m)
-
-
-@pytest.mark.parametrize("case", sorted(CRT_CASES))
-def test_sample_crt_array_counts_one_uniform_per_trial(library_path, case):
+def test_sample_crt_array_counts_one_uniform_per_trial(case):
     m, r = CRT_CASES[case]
     source = rng(26)
     drawn = sample_crt_array(m, r, source)
@@ -411,11 +398,12 @@ def test_sample_crt_array_counts_one_uniform_per_trial(library_path, case):
             expected[cell] = np.count_nonzero(gen.random(n) < rates[cell] / (np.arange(n) + rates[cell]))
     assert drawn.shape == m.shape and drawn.dtype == np.int64
     assert np.array_equal(drawn, expected)
+    assert np.all(drawn[m == 0] == 0) and np.all((drawn >= 1) == (m >= 1)) and np.all(drawn <= m)
     assert source.generator.random() == gen.random()  # the same number of uniforms consumed
 
 
 @pytest.mark.parametrize("case", sorted(CRT_CASES))
-def test_sample_crt_array_into_out_gives_the_tables_of_a_fresh_array(library_path, case):
+def test_sample_crt_array_into_out_gives_the_tables_of_a_fresh_array(case):
     m, r = CRT_CASES[case]
     fresh_source, source = rng(29), rng(29)
     fresh = sample_crt_array(m, r, fresh_source)
@@ -440,7 +428,7 @@ class _RandomSizes:
 
 
 @pytest.mark.parametrize("case", sorted(CRT_CASES))
-def test_sample_crt_array_in_row_chunks_gives_the_tables_of_one_draw(library_path, monkeypatch, case):
+def test_sample_crt_array_in_row_chunks_gives_the_tables_of_one_draw(monkeypatch, case):
     m, r = CRT_CASES[case]
     whole_source = rng(33)
     whole = sample_crt_array(m, r, whole_source)
@@ -475,12 +463,11 @@ def test_sample_crt_array_rejects_an_unusable_out():
 
 
 @pytest.mark.parametrize("rate", [0.0, -1.0, np.nan, np.inf])
-def test_crt_tables_name_the_first_bad_cell_on_both_paths(compiled_library, rate):
+def test_crt_tables_name_the_first_bad_cell(compiled_library, rate):
     m = np.array([[2, 0, 1], [0, 3, 1]])
     r = np.array([[1.0, rate, 1.0], [1.0, rate, rate]])  # cell (0, 1) has m = 0; (1, 1) is the first bad one
     u = np.random.default_rng(27).random(int(m.sum()))
-    for loops in (_kernels.NUMPY, compiled_library):
-        assert loops.crt_tables(m, r, u, np.empty_like(m)) == 4
+    assert compiled_library.crt_tables(m, r, u, np.empty_like(m)) == 4
     with pytest.raises(ParameterError, match="r must be positive and finite wherever m > 0"):
         sample_crt_array(m, r, rng(28))
 

@@ -1,4 +1,4 @@
-"""The compiled library's build and cache, and its count loops against their numpy forms."""
+"""The compiled library's build and cache, and its count loops against counts written out in numpy."""
 
 import os
 import platform
@@ -7,7 +7,6 @@ import shlex
 import shutil
 import subprocess
 import sys
-import sysconfig
 from pathlib import Path
 
 import numpy as np
@@ -19,12 +18,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_library_compiles_without_warnings(tmp_path):
-    compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")
-    if shutil.which(compiler[0]) is None:
-        pytest.skip("no C compiler")
     flags = [*_kernels.CFLAGS, "-Wall", "-Wextra", "-Werror"]
     path = tmp_path / "_kernels.so"
-    out = subprocess.run([*compiler, *flags, str(_kernels.SOURCE), "-o", str(path), "-lm"], capture_output=True, text=True)
+    command = [*_kernels._compiler(), *flags, str(_kernels.SOURCE), "-o", str(path), "-lm"]
+    out = subprocess.run(command, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
 
 
@@ -34,15 +31,14 @@ def _tokens(N=5000, K=23, V=40, seed=31):
 
 
 @pytest.mark.parametrize("first, last", [(0, 23), (0, 8), (8, 16), (16, 23), (5, 6), (7, 7)])
-def test_count_topics_compiled_matches_numpy_reference(compiled_library, first, last):
+def test_count_topics_counts_the_tokens_of_its_topics(compiled_library, first, last):
     z, terms, _, V = _tokens()
     expected = np.zeros((last - first, V))
     mine = (z >= first) & (z < last)
     np.add.at(expected, (z[mine] - first, terms[mine]), 1.0)
-    for loops in (_kernels.NUMPY, compiled_library):
-        counts = np.zeros((last - first, V))
-        loops.count_topics(z, terms, first, last, counts)
-        assert counts.tobytes() == expected.tobytes()
+    counts = np.zeros((last - first, V))
+    compiled_library.count_topics(z, terms, first, last, counts)
+    assert counts.tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("start, stop, rows", [(0, 23, 8), (3, 20, 5), (0, 23, 23), (10, 11, 8), (22, 23, 1)])
@@ -52,31 +48,29 @@ def test_gathered_cells_count_each_chunk_as_one_pass_does(compiled_library, star
     starts = np.cumsum(sizes) - sizes
     mine = np.flatnonzero((z >= start) & (z < stop))
     expected = ((z[mine] - start) * V + terms[mine])[np.argsort(z[mine], kind="stable")]  # topic by topic, in token order
-    for loops in (_kernels.NUMPY, compiled_library):
-        cells, next = np.full(sizes.sum(), -1), starts.copy()
-        loops.gather_cells(z, terms, start, stop, V, next, cells)
-        assert np.array_equal(cells, expected)
-        assert np.array_equal(next, starts + sizes)  # each cursor ends past its topic
-        edges = [*starts[::rows].tolist(), len(cells)]
-        for index, first in enumerate(range(start, stop, rows)):
-            last = min(first + rows, stop)
-            counts, one_pass = np.zeros((last - first, V)), np.zeros((last - first, V))
-            loops.add_cells(cells[edges[index] : edges[index + 1]], (first - start) * V, counts)
-            loops.count_topics(z, terms, first, last, one_pass)
-            assert counts.tobytes() == one_pass.tobytes()
+    cells, next = np.full(sizes.sum(), -1), starts.copy()
+    compiled_library.gather_cells(z, terms, start, stop, V, next, cells)
+    assert np.array_equal(cells, expected)
+    assert np.array_equal(next, starts + sizes)  # each cursor ends past its topic
+    edges = [*starts[::rows].tolist(), len(cells)]
+    for index, first in enumerate(range(start, stop, rows)):
+        last = min(first + rows, stop)
+        counts, one_pass = np.zeros((last - first, V)), np.zeros((last - first, V))
+        compiled_library.add_cells(cells[edges[index] : edges[index + 1]], (first - start) * V, counts)
+        compiled_library.count_topics(z, terms, first, last, one_pass)
+        assert counts.tobytes() == one_pass.tobytes()
 
 
-def test_count_documents_compiled_matches_numpy_reference(compiled_library):
+def test_count_documents_counts_each_document_s_topics(compiled_library):
     z, _, K, _ = _tokens()
     offsets = np.array([0, 0, 7, 1000, 1000, 4999, 5000])  # empty documents too
     expected = np.array([np.bincount(z[a:b], minlength=K) for a, b in zip(offsets, offsets[1:])])
-    for loops in (_kernels.NUMPY, compiled_library):
-        counts = np.full((len(offsets) - 1, K), -1)
-        assert loops.count_documents(z, offsets, counts) == -1
-        assert np.array_equal(counts, expected)
-        bad = z.copy()
-        bad[[1500, 2000]] = K, -1
-        assert loops.count_documents(bad, offsets, counts) == 1500  # the first token off [0, K)
+    counts = np.full((len(offsets) - 1, K), -1)
+    assert compiled_library.count_documents(z, offsets, counts) == -1
+    assert np.array_equal(counts, expected)
+    bad = z.copy()
+    bad[[1500, 2000]] = K, -1
+    assert compiled_library.count_documents(bad, offsets, counts) == 1500  # the first token off [0, K)
 
 
 # The library cache: each test points SOURCE at a copy of the source in a
@@ -154,3 +148,21 @@ def test_the_library_builds_where_no_cache_directory_can_be(source_copy):
     (source_copy.parent / "__pycache__").write_text("a file, not a directory\n")
     assert _counts_documents(_kernels._build_library())
     assert (source_copy.parent / "__pycache__").read_text() == "a file, not a directory\n"
+
+
+def test_a_missing_compiler_is_named_in_the_error(source_copy, monkeypatch):
+    monkeypatch.setattr(_kernels, "_compiler", lambda: ["nbproc-no-such-cc", "-pipe"])
+    _kernels.library.cache_clear()
+    expected = r"^cannot build nbproc's compiled loops with nbproc-no-such-cc -pipe: \[Errno 2\] "
+    with pytest.raises(OSError, match=expected):
+        _kernels.library()
+
+
+def test_a_failed_compile_is_named_with_the_compiler_s_stderr(source_copy):
+    source_copy.write_bytes(b"this is not C\n")
+    _kernels.library.cache_clear()
+    with pytest.raises(OSError) as raised:
+        _kernels.library()
+    message = str(raised.value)
+    assert message.startswith(f"cannot build nbproc's compiled loops with {shlex.join(_kernels._compiler())}: ")
+    assert "error" in message.split(": ", 1)[1]  # the compiler's own diagnostic

@@ -3,7 +3,6 @@ import dataclasses
 import math
 import threading
 import tracemalloc
-import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -112,7 +111,7 @@ def test_assignments_counts_always_match_lengths():
 
 
 @pytest.mark.parametrize("K", [1, 2, 3, 4, 5, 7, 400])
-def test_assign_matches_reference_expression(library_path, monkeypatch, K):
+def test_assign_matches_reference_expression(monkeypatch, K):
     # every length 0-9, so the kernel's four-token groups leave each remainder mod 4; empty
     # documents first, in the middle and last, and the longest neither first nor last
     lengths = (0, 5, 40, 0, 173, 12, 1, 0, 2, 3, 4, 6, 7, 8, 9, 0)
@@ -131,29 +130,28 @@ def test_assign_matches_reference_expression(library_path, monkeypatch, K):
     z, n_jk = replay_assign(state, state.lam, expected_gen)
     expected_next = expected_gen.random()
     monkeypatch.setattr(models, "THREADED_CELLS", 1)  # token-balanced parts at this size
-    loops, shared = _kernels.loops(), []
+    library, shared = _kernels.library(), []
 
     def assign_in_place(omega_t, lam, terms, offsets, u, z, counts):
         shared.append(u.ctypes.data == z.ctypes.data and u.nbytes == z.nbytes)  # the uniforms live in z's buffer
-        return loops.assign_topics(omega_t, lam, terms, offsets, u, z, counts)
+        return library.assign_topics(omega_t, lam, terms, offsets, u, z, counts)
 
-    monkeypatch.setattr(_kernels, "loops", lambda: SimpleNamespace(**{**vars(loops), "assign_topics": assign_in_place}))
+    patched = SimpleNamespace(**{**vars(library), "assign_topics": assign_in_place})
+    monkeypatch.setattr(_kernels, "library", lambda: patched)
     for cores in (1, 2, 3):
         monkeypatch.setattr(models, "_available_cores", lambda: cores)
         drawn = copy.deepcopy(state)
         drawn.n_jk = counts = np.full_like(state.n_jk, -1)
         actual_gen = RandomSource(16)
         shared.clear()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # the path was chosen, and warned about, once
-            sample_topic_assignments(drawn, actual_gen)
+        sample_topic_assignments(drawn, actual_gen)
         assert len(shared) == len(models._document_parts(state.offsets, K)) and all(shared), f"{cores} cores"
         assert np.array_equal(drawn.z, np.concatenate(z)), f"{cores} cores"
         assert drawn.n_jk is counts and np.array_equal(counts, n_jk), f"{cores} cores"  # counted by the kernel
         assert actual_gen.generator.random() == expected_next  # same number of uniforms consumed
 
 
-def test_assign_ties_take_the_first_topic_whose_running_sum_reaches_the_threshold(library_path):
+def test_assign_ties_take_the_first_topic_whose_running_sum_reaches_the_threshold():
     # dyadic weights with exact zeros: runs of equal running sums, which thresholds hit exactly
     omega_t = np.array([[0.25, 0.0, 0.25, 0.0, 0.5], [0.0, 0.0, 0.5, 0.5, 0.0]])  # terms x topics
     lam = np.array([[1.0, 1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 0.0, 1.0, 1.0]])
@@ -163,12 +161,12 @@ def test_assign_ties_take_the_first_topic_whose_running_sum_reaches_the_threshol
     u = np.array([0.25, 0.5, 0.0, 0.75, 0.5, 0.0, 0.5, 0.5, 0.0, 0.5, 0.5, 0.5])
     offsets = np.array([0, 7, 12])
     z, counts = np.empty(12, dtype=np.int64), np.full((2, 5), -1)
-    assert _kernels.loops().assign_topics(omega_t, lam, terms, offsets, u, z, counts) == -1
+    assert _kernels.library().assign_topics(omega_t, lam, terms, offsets, u, z, counts) == -1
     assert z.tolist() == [0, 2, 0, 4, 2, 0, 2, 3, 0, 3, 3, 4]
     assert counts.tolist() == [[3, 0, 3, 0, 1], [1, 0, 0, 3, 1]]
 
 
-def test_failed_assignment_keeps_z_and_its_counts(library_path, monkeypatch):
+def test_failed_assignment_keeps_z_and_its_counts(monkeypatch):
     for cores in (1, 3):
         monkeypatch.setattr(models, "_available_cores", lambda: cores)
         state = threaded_state([3000] * 6)
@@ -181,7 +179,7 @@ def test_failed_assignment_keeps_z_and_its_counts(library_path, monkeypatch):
         assert np.array_equal(state.n_jk, recount), f"{cores} cores"
 
 
-def test_assign_names_the_first_document_without_admissible_topic(library_path):
+def test_assign_names_the_first_document_without_admissible_topic():
     state = state_with_tokens(ModelKind.GAMMA_NB, [[0, 1], [1, 2], [0]], 3, 2)
     state.lam = np.array([[1.0, 2.0], [0.0, 0.0], [0.0, 0.0]])
     with pytest.raises(IterationError, match="document 1 has no admissible topic"):
@@ -189,19 +187,19 @@ def test_assign_names_the_first_document_without_admissible_topic(library_path):
 
 
 @pytest.mark.parametrize("term", [-1, 3])
-def test_assign_rejects_term_outside_vocabulary(library_path, term):
+def test_assign_rejects_term_outside_vocabulary(term):
     state = state_with_tokens(ModelKind.GAMMA_NB, [[0, 1], [2, term]], 3, 2)
     z_before = state.z.copy()
     rng = RandomSource(4)
     with pytest.raises(ValueError, match=f"document 1 holds term id {term}, outside the vocabulary"):
         sample_topic_assignments(state, rng)
-    # raised before any uniform was drawn, so before either path ran
+    # raised before any uniform was drawn, so before the kernel ran
     assert rng.generator.random() == RandomSource(4).generator.random()
     assert np.array_equal(state.z, z_before)
 
 
 @pytest.mark.parametrize("term", [-1, 3])
-def test_topic_update_rejects_term_outside_vocabulary(library_path, term):
+def test_topic_update_rejects_term_outside_vocabulary(term):
     state = state_with_tokens(ModelKind.GAMMA_NB, [[0, 1], [2, term]], 3, 2)
     omega_t = state.omega_t.copy()
     with pytest.raises(ValueError, match=f"document 1 holds term id {term}, outside the vocabulary"):
@@ -210,7 +208,7 @@ def test_topic_update_rejects_term_outside_vocabulary(library_path, term):
 
 
 @pytest.mark.parametrize("name", ["omega", "lam"])
-def test_assign_rejects_negative_weights(library_path, name):
+def test_assign_rejects_negative_weights(name):
     state = state_with_tokens(ModelKind.GAMMA_NB, [[0, 1], [2]], 3, 2)
     weights = {"omega": np.full((2, 3), 1.0 / 3), "lam": np.ones((2, 2))}
     weights[name][1, 0] = -0.5  # every total stays positive
@@ -255,11 +253,10 @@ def test_threaded_parts_split_at_the_documents_the_cases_name(monkeypatch):
 
 
 @pytest.mark.parametrize("shape", sorted(THREADED_SHAPES))
-def test_threaded_assignment_matches_numpy_reference_at_any_core_count(library_path, monkeypatch, shape):
+def test_threaded_assignment_matches_replay_at_any_core_count(monkeypatch, shape):
     state = threaded_state(THREADED_SHAPES[shape])
-    u = RandomSource(94).generator.random(len(state.tokens))
-    expected, counts = np.empty(len(state.tokens), dtype=np.int64), np.empty_like(state.n_jk)
-    assert _kernels.assign_topics(state.omega_t, state.lam, state.tokens, state.offsets, u, expected, counts) == -1
+    z, counts = replay_assign(state, state.lam, RandomSource(94).generator)
+    expected = np.concatenate(z)
     for cores in (1, 2, 3):
         monkeypatch.setattr(models, "_available_cores", lambda: cores)
         drawn = sample_topic_assignments(copy.deepcopy(state), RandomSource(94))
@@ -267,7 +264,7 @@ def test_threaded_assignment_matches_numpy_reference_at_any_core_count(library_p
         assert np.array_equal(drawn.n_jk, counts), f"{cores} cores"
 
 
-def test_threaded_assignment_names_the_lowest_bad_document(library_path, monkeypatch):
+def test_threaded_assignment_names_the_lowest_bad_document(monkeypatch):
     monkeypatch.setattr(models, "_available_cores", lambda: 3)
     state = threaded_state([3000] * 6)
     assert models._document_parts(state.offsets, THREADED_K) == [(0, 2), (2, 4), (4, 6)]
