@@ -236,11 +236,23 @@ def test_plain_docword_lines_load_as_loadtxt_loads_them(tmp_path, monkeypatch, c
         ("2\n3\n1\n1 1 2\n2 3 1\n", False),
         ("2\n3\n2\n1 1 2\n2 3 -1\n", False),
         ("2\n3\n2\n1 1 2\n2 3 1\u00a0\n", False),
+        ("2\n3\n2\n1 1 000000000000000002\n2 3 1\n", True),
+        ("2\n3\n2\n2 3 5\n1 1 1\n", True),
+        ("2\n3\n2\n0 1 2\n2 3 1\n", False),
+        ("2\n3\n2\n1 0 2\n2 3 1\n", False),
+        ("2\n3\n0\n1 1 2\n", False),
+        ("2\n3\n2\n1 1 2 5\n2 3 1\n", False),
+        ("2\n3\n2\n1  2\n2 3 1\n", False),
+        ("2\n3\n2\n1 1 2\n2 3 1\r", False),
+        ("2\r\n3\n2\n1 1 2\n2 3 1\n", False),
+        ("2\n3\n2\n1 1 2\n2 3 1\nx\n", False),
     ],
     ids=[
         "repeated-cell", "leading-zeros", "no-data", "crlf", "cr-header", "tabs", "plus-signs", "trailing-blank-lines",
         "no-final-newline", "extra-spaces", "19-digit-field", "zero-count", "doc-out-of-range", "word-out-of-range",
-        "fewer-than-nnz", "more-than-nnz", "negative-count", "non-ascii-space",
+        "fewer-than-nnz", "more-than-nnz", "negative-count", "non-ascii-space", "18-digit-field", "in-range-maxima",
+        "doc-zero", "word-zero", "data-after-no-nnz", "four-fields", "empty-field", "final-cr", "one-crlf-header-line",
+        "text-after-nnz-lines",
     ],
 )
 def test_docword_forms_load_as_loadtxt_loads_them(tmp_path, monkeypatch, compiled_library, text, plain):

@@ -403,6 +403,22 @@ def test_sample_crt_array_counts_one_uniform_per_trial(case):
 
 
 @pytest.mark.parametrize("case", sorted(CRT_CASES))
+def test_crt_tables_count_the_uniforms_below_each_trial_s_rate(compiled_library, case):
+    m, r = CRT_CASES[case]
+    m = np.ascontiguousarray(m, dtype=np.int64)
+    r = np.broadcast_to(np.asarray(r, dtype=np.float64), m.shape)  # zero strides where r is broadcast
+    u = np.random.default_rng(25).random(int(m.sum()))
+    tables = np.full(m.shape, -1)  # every cell is written, the empty ones too
+    assert compiled_library.crt_tables(m, r, u, tables) == -1
+    expected, used = np.zeros(m.shape, dtype=np.int64), 0
+    for cell in np.ndindex(m.shape):  # the uniforms in C order of the cells, one per trial
+        n = int(m[cell])
+        expected[cell] = np.count_nonzero(u[used : used + n] < r[cell] / (np.arange(n) + r[cell]))
+        used += n
+    assert np.array_equal(tables, expected)
+
+
+@pytest.mark.parametrize("case", sorted(CRT_CASES))
 def test_sample_crt_array_into_out_gives_the_tables_of_a_fresh_array(case):
     m, r = CRT_CASES[case]
     fresh_source, source = rng(29), rng(29)

@@ -314,26 +314,38 @@ def test_accumulate_and_perplexity_match_the_lane_reference(K):
     assert heldout_perplexity(acc) == reference_perplexity(acc)
 
 
-def test_heldout_evaluation_is_the_same_in_one_part_and_several(monkeypatch):
+@pytest.mark.parametrize("cores", [2, 3])
+def test_heldout_evaluation_is_the_same_in_one_part_and_several(monkeypatch, cores):
     K = 64
     split, state = heldout_case(K, lengths=(5000, 0, 40, 6000, 0, 0, 3000, 3000))
     assert split.total_test * K >= models.THREADED_CELLS
     results = []
-    for cores in (1, 2, 3):
-        monkeypatch.setattr(models, "_available_cores", lambda: cores)
-        assert len(models._document_parts(split.test_offsets, K)) == cores
+    for parts in (1, cores):
+        monkeypatch.setattr(models, "_available_cores", lambda: parts)
+        assert len(models._document_parts(split.test_offsets, K)) == parts
         acc = SampleAccumulator.empty(split, state.vocab_size)
         accumulate(accumulate(acc, state), state)
         results.append((acc.test_mass, acc.doc_totals, heldout_perplexity(acc)))
-    for mass, totals, perplexity in results[1:]:
-        assert np.array_equal(mass, results[0][0]) and np.array_equal(totals, results[0][1])
-        assert perplexity == results[0][2]
+    (mass, totals, perplexity), several = results
+    assert np.array_equal(several[0], mass) and np.array_equal(several[1], totals)
+    assert several[2] == perplexity
 
 
-def test_zero_mass_names_the_first_document(compiled_library):
-    mass = np.array([0.5, 0.2, 0.3, 0.0, 0.4, 0.0])
-    offsets = np.array([0, 2, 2, 4, 6])  # document 1 is empty; documents 2 and 3 hold a zero
-    assert compiled_library.heldout_log_sums(mass, np.ones(4), offsets, np.empty(4)) == 2
+@pytest.mark.parametrize(
+    "mass, first",
+    [
+        ([0.5, 0.2, 0.3, 0.0, 0.4, 0.0], 2),  # document 1 is empty; documents 2 and 3 hold a zero
+        ([0.0, 0.2, 0.3, 0.1, 0.4, 0.6], 0),
+        ([0.5, 0.2, 0.3, 0.1, 0.4, 0.0], 3),
+        ([0.5, 0.2, 0.3, 0.1, -0.4, 0.6], 3),
+    ],
+    ids=["after-an-empty-document", "first-token", "last-token", "negative-mass"],
+)
+def test_zero_mass_names_the_first_document(compiled_library, mass, first):
+    offsets = np.array([0, 2, 2, 4, 6])
+    sums = np.full(4, np.nan)
+    assert compiled_library.heldout_log_sums(np.array(mass), np.ones(4), offsets, sums) == first
+    assert sums[:first].tolist() == [sum(math.log(x) for x in mass[a:b]) for a, b in zip(offsets[:first], offsets[1:])]
 
 
 # ---------------------------------------------------------------------------

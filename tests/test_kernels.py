@@ -30,7 +30,7 @@ def _tokens(N=5000, K=23, V=40, seed=31):
     return gen.integers(0, K, size=N), gen.integers(0, V, size=N), K, V
 
 
-@pytest.mark.parametrize("first, last", [(0, 23), (0, 8), (8, 16), (16, 23), (5, 6), (7, 7)])
+@pytest.mark.parametrize("first, last", [(0, 23), (0, 8), (8, 16), (16, 23), (5, 6), (7, 7), (22, 23)])
 def test_count_topics_counts_the_tokens_of_its_topics(compiled_library, first, last):
     z, terms, _, V = _tokens()
     expected = np.zeros((last - first, V))
@@ -41,7 +41,9 @@ def test_count_topics_counts_the_tokens_of_its_topics(compiled_library, first, l
     assert counts.tobytes() == expected.tobytes()
 
 
-@pytest.mark.parametrize("start, stop, rows", [(0, 23, 8), (3, 20, 5), (0, 23, 23), (10, 11, 8), (22, 23, 1)])
+@pytest.mark.parametrize(
+    "start, stop, rows", [(0, 23, 8), (3, 20, 5), (0, 23, 23), (10, 11, 8), (22, 23, 1), (0, 23, 1)]
+)
 def test_gathered_cells_count_each_chunk_as_one_pass_does(compiled_library, start, stop, rows):
     z, terms, K, V = _tokens()
     sizes = np.bincount(z, minlength=K)[start:stop]
@@ -61,16 +63,34 @@ def test_gathered_cells_count_each_chunk_as_one_pass_does(compiled_library, star
         assert counts.tobytes() == one_pass.tobytes()
 
 
+DOCUMENT_OFFSETS = np.array([0, 0, 7, 1000, 1000, 4999, 5000])  # empty documents too
+
+
 def test_count_documents_counts_each_document_s_topics(compiled_library):
     z, _, K, _ = _tokens()
-    offsets = np.array([0, 0, 7, 1000, 1000, 4999, 5000])  # empty documents too
-    expected = np.array([np.bincount(z[a:b], minlength=K) for a, b in zip(offsets, offsets[1:])])
-    counts = np.full((len(offsets) - 1, K), -1)
-    assert compiled_library.count_documents(z, offsets, counts) == -1
+    expected = np.array([np.bincount(z[a:b], minlength=K) for a, b in zip(DOCUMENT_OFFSETS, DOCUMENT_OFFSETS[1:])])
+    counts = np.full((len(DOCUMENT_OFFSETS) - 1, K), -1)
+    assert compiled_library.count_documents(z, DOCUMENT_OFFSETS, counts) == -1
     assert np.array_equal(counts, expected)
-    bad = z.copy()
-    bad[[1500, 2000]] = K, -1
-    assert compiled_library.count_documents(bad, offsets, counts) == 1500  # the first token off [0, K)
+
+
+@pytest.mark.parametrize(
+    "tokens, topics, first",
+    [
+        ([1500, 2000], [23, -1], 1500),
+        ([0], [-1], 0),
+        ([6, 7], [23, -1], 6),
+        ([4999], [23], 4999),
+        ([3000], [-(2**62)], 3000),
+    ],
+    ids=["two-bad-tokens", "first-token", "a-document-s-last-token", "last-token", "far-below-zero"],
+)
+def test_count_documents_names_the_first_token_off_the_topics(compiled_library, tokens, topics, first):
+    z, _, K, _ = _tokens()
+    assert K == 23
+    z[tokens] = topics
+    counts = np.full((len(DOCUMENT_OFFSETS) - 1, K), -1)
+    assert compiled_library.count_documents(z, DOCUMENT_OFFSETS, counts) == first
 
 
 # The library cache: each test points SOURCE at a copy of the source in a
@@ -156,6 +176,17 @@ def test_a_missing_compiler_is_named_in_the_error(source_copy, monkeypatch):
     expected = r"^cannot build nbproc's compiled loops with nbproc-no-such-cc -pipe: \[Errno 2\] "
     with pytest.raises(OSError, match=expected):
         _kernels.library()
+
+
+def test_a_failed_build_is_not_cached(source_copy):
+    text = source_copy.read_bytes()
+    source_copy.write_bytes(b"this is not C\n")
+    _kernels.library.cache_clear()
+    with pytest.raises(OSError):
+        _kernels.library()
+    source_copy.write_bytes(text)
+    assert _counts_documents(_kernels.library())  # the next call builds once more
+    _kernels.library.cache_clear()
 
 
 def test_a_failed_compile_is_named_with_the_compiler_s_stderr(source_copy):

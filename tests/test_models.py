@@ -110,8 +110,9 @@ def test_assignments_counts_always_match_lengths():
     assert np.array_equal(state.n_jk.sum(axis=1), state.train_counts)
 
 
+@pytest.mark.parametrize("cores", [1, 2, 3])
 @pytest.mark.parametrize("K", [1, 2, 3, 4, 5, 7, 400])
-def test_assign_matches_reference_expression(monkeypatch, K):
+def test_assign_matches_reference_expression(monkeypatch, K, cores):
     # every length 0-9, so the kernel's four-token groups leave each remainder mod 4; empty
     # documents first, in the middle and last, and the longest neither first nor last
     lengths = (0, 5, 40, 0, 173, 12, 1, 0, 2, 3, 4, 6, 7, 8, 9, 0)
@@ -138,17 +139,16 @@ def test_assign_matches_reference_expression(monkeypatch, K):
 
     patched = SimpleNamespace(**{**vars(library), "assign_topics": assign_in_place})
     monkeypatch.setattr(_kernels, "library", lambda: patched)
-    for cores in (1, 2, 3):
-        monkeypatch.setattr(models, "_available_cores", lambda: cores)
-        drawn = copy.deepcopy(state)
-        drawn.n_jk = counts = np.full_like(state.n_jk, -1)
-        actual_gen = RandomSource(16)
-        shared.clear()
-        sample_topic_assignments(drawn, actual_gen)
-        assert len(shared) == len(models._document_parts(state.offsets, K)) and all(shared), f"{cores} cores"
-        assert np.array_equal(drawn.z, np.concatenate(z)), f"{cores} cores"
-        assert drawn.n_jk is counts and np.array_equal(counts, n_jk), f"{cores} cores"  # counted by the kernel
-        assert actual_gen.generator.random() == expected_next  # same number of uniforms consumed
+    monkeypatch.setattr(models, "_available_cores", lambda: cores)
+    drawn = copy.deepcopy(state)
+    drawn.n_jk = counts = np.full_like(state.n_jk, -1)
+    actual_gen = RandomSource(16)
+    sample_topic_assignments(drawn, actual_gen)
+    assert len(shared) == len(models._document_parts(state.offsets, K)) == min(cores, len(lengths))
+    assert all(shared)
+    assert np.array_equal(drawn.z, np.concatenate(z))
+    assert drawn.n_jk is counts and np.array_equal(counts, n_jk)  # counted by the kernel
+    assert actual_gen.generator.random() == expected_next  # same number of uniforms consumed
 
 
 def test_assign_ties_take_the_first_topic_whose_running_sum_reaches_the_threshold():
@@ -166,17 +166,17 @@ def test_assign_ties_take_the_first_topic_whose_running_sum_reaches_the_threshol
     assert counts.tolist() == [[3, 0, 3, 0, 1], [1, 0, 0, 3, 1]]
 
 
-def test_failed_assignment_keeps_z_and_its_counts(monkeypatch):
-    for cores in (1, 3):
-        monkeypatch.setattr(models, "_available_cores", lambda: cores)
-        state = threaded_state([3000] * 6)
-        state.lam[[1, 2, 5]] = 0.0  # at three cores, a part fails after writing a row, and one before
-        z = state.z.copy()
-        with pytest.raises(IterationError, match="document 1 has no admissible topic"):
-            sample_topic_assignments(state, RandomSource(95))
-        assert np.array_equal(state.z, z)
-        recount = np.vstack([np.bincount(doc_z, minlength=THREADED_K) for doc_z in document_views(z, state.offsets)])
-        assert np.array_equal(state.n_jk, recount), f"{cores} cores"
+@pytest.mark.parametrize("cores", [1, 3])
+def test_failed_assignment_keeps_z_and_its_counts(monkeypatch, cores):
+    monkeypatch.setattr(models, "_available_cores", lambda: cores)
+    state = threaded_state([3000] * 6)
+    state.lam[[1, 2, 5]] = 0.0  # at three cores, a part fails after writing a row, and one before
+    z = state.z.copy()
+    with pytest.raises(IterationError, match="document 1 has no admissible topic"):
+        sample_topic_assignments(state, RandomSource(95))
+    assert np.array_equal(state.z, z)
+    recount = np.vstack([np.bincount(doc_z, minlength=THREADED_K) for doc_z in document_views(z, state.offsets)])
+    assert np.array_equal(state.n_jk, recount)
 
 
 def test_assign_names_the_first_document_without_admissible_topic():
@@ -252,24 +252,28 @@ def test_threaded_parts_split_at_the_documents_the_cases_name(monkeypatch):
     assert models._document_parts(below, THREADED_K) == [(0, 2)]
 
 
+@pytest.mark.parametrize("cores", [1, 2, 3])
 @pytest.mark.parametrize("shape", sorted(THREADED_SHAPES))
-def test_threaded_assignment_matches_replay_at_any_core_count(monkeypatch, shape):
+def test_threaded_assignment_matches_replay_at_any_core_count(monkeypatch, shape, cores):
     state = threaded_state(THREADED_SHAPES[shape])
     z, counts = replay_assign(state, state.lam, RandomSource(94).generator)
-    expected = np.concatenate(z)
-    for cores in (1, 2, 3):
-        monkeypatch.setattr(models, "_available_cores", lambda: cores)
-        drawn = sample_topic_assignments(copy.deepcopy(state), RandomSource(94))
-        assert np.array_equal(drawn.z, expected), f"{cores} cores"
-        assert np.array_equal(drawn.n_jk, counts), f"{cores} cores"
+    monkeypatch.setattr(models, "_available_cores", lambda: cores)
+    drawn = sample_topic_assignments(copy.deepcopy(state), RandomSource(94))
+    assert np.array_equal(drawn.z, np.concatenate(z))
+    assert np.array_equal(drawn.n_jk, counts)
 
 
-def test_threaded_assignment_names_the_lowest_bad_document(monkeypatch):
+@pytest.mark.parametrize(
+    "bad, first",
+    [([1, 2, 5], 1), ([0, 2, 4], 0), ([3, 4], 3), ([5], 5)],
+    ids=["one-in-each-part", "each-part-s-first", "middle-part-s-last", "last-part-s-last"],
+)
+def test_threaded_assignment_names_the_lowest_bad_document(monkeypatch, bad, first):
     monkeypatch.setattr(models, "_available_cores", lambda: 3)
     state = threaded_state([3000] * 6)
     assert models._document_parts(state.offsets, THREADED_K) == [(0, 2), (2, 4), (4, 6)]
-    state.lam[[1, 2, 5]] = 0.0  # one bad document in each part, the first part's last
-    with pytest.raises(IterationError, match="document 1 has no admissible topic"):
+    state.lam[bad] = 0.0
+    with pytest.raises(IterationError, match=f"document {first} has no admissible topic"):
         sample_topic_assignments(state, RandomSource(95))
 
 
