@@ -159,26 +159,28 @@ void add_cells(const int64_t *cells, int64_t n, int64_t base, double *counts)
 /* CRT(m, r) table counts of a rows x cols array of counts m, in C order.
  * Cell (a, b) reads its rate at r[a * r_row + b * r_col] (strides in
  * doubles, 0 along a broadcast axis) and takes the next m uniforms of u:
- * its count is the number of k = 0..m-1 with u < r / (k + r).  Returns -1,
- * or the first cell with m > 0 whose rate is not positive and finite;
- * tables is then partly written.
+ * its count is the number of k = 0..m-1 with u < r / (k + r), and it is
+ * added to tables[a * t_row + b * t_col].  The strides (cols, 1) give
+ * each cell its own entry, (1, 0) each row's sum and (0, 1) each column's.
+ * Returns -1, or the first cell with m > 0 whose rate is not positive and
+ * finite; the counts of the cells before it are then added.
  */
 int64_t crt_tables(const int64_t *m, int64_t rows, int64_t cols, const double *r, int64_t r_row,
-                   int64_t r_col, const double *u, int64_t *tables)
+                   int64_t r_col, const double *u, int64_t *tables, int64_t t_row, int64_t t_col)
 {
     for (int64_t a = 0; a < rows; a++) {
         for (int64_t b = 0; b < cols; b++) {
             const int64_t cell = a * cols + b, n = m[cell];
-            int64_t count = 0;
             if (n > 0) {
                 const double rate = r[a * r_row + b * r_col];
+                int64_t count = 0;
                 if (!(isfinite(rate) && rate > 0.0))
                     return cell;
                 for (int64_t k = 0; k < n; k++)
                     count += u[k] < rate / ((double)k + rate);
                 u += n;
+                tables[a * t_row + b * t_col] += count;
             }
-            tables[cell] = count;
         }
     }
     return -1;

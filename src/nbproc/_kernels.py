@@ -68,7 +68,7 @@ def _build_library() -> SimpleNamespace:
     count_c = declare("count_topics", None, integers, integers, size, size, size, size, doubles)
     gather_c = declare("gather_cells", None, integers, integers, size, size, size, size, integers, integers)
     add_c = declare("add_cells", None, integers, size, size, doubles)
-    crt_c = declare("crt_tables", size, integers, size, size, address, size, size, doubles, integers)
+    crt_c = declare("crt_tables", size, integers, size, size, address, size, size, doubles, integers, size, size)
     mass_c = declare("heldout_mass", None, doubles, doubles, size, integers, integers, size, doubles, doubles, doubles)
     log_sums_c = declare("heldout_log_sums", size, doubles, doubles, integers, size, doubles)
     docword_c = declare("read_docword", size, ctypes.c_char_p, size, size, size, size, integers)
@@ -89,12 +89,16 @@ def _build_library() -> SimpleNamespace:
     def add(cells, base, counts) -> None:
         add_c(cells, len(cells), base, counts)
 
-    def crt(m, r, u, tables) -> int:
+    def crt(m, r, u, tables, axis=None) -> int:
+        """Add m's tables into ``tables``: one entry per cell, or, with ``axis``, a 2-D m's summed over it."""
         cols = m.shape[-1] if m.ndim else 1
         rows = m.size // cols if cols else 0
         r = r.reshape(rows, cols)  # a view of r's broadcast axes where numpy can make one
         r_row, r_col = (stride // r.itemsize for stride in r.strides)
-        return crt_c(m, rows, cols, r.ctypes.data, r_row, r_col, u, tables)
+        t_row, t_col = {None: (cols, 1), 0: (0, 1), 1: (1, 0)}[axis]
+        if tables.size != {None: m.size, 0: cols, 1: rows}[axis]:  # the loop writes through these strides
+            raise ValueError(f"tables has {tables.size} entries, not one per {'cell' if axis is None else 'sum'}")
+        return crt_c(m, rows, cols, r.ctypes.data, r_row, r_col, u, tables, t_row, t_col)
 
     def heldout(omega_t, lam, terms, offsets, topic_mass, mass, totals) -> None:
         mass_c(omega_t, lam, omega_t.shape[1], terms, offsets, len(lam), topic_mass, mass, totals)

@@ -210,18 +210,7 @@ def sample_crt(m: int, r, rng: RandomSource) -> int:
     return int(np.count_nonzero(rng.generator.random(m) < probs))
 
 
-def writable_as(array, shape: tuple[int, ...], dtype) -> bool:
-    """True when ``array`` is a writable, C-contiguous ndarray of this shape and dtype."""
-    return (
-        isinstance(array, np.ndarray)
-        and array.shape == shape
-        and array.dtype == dtype
-        and array.flags.c_contiguous
-        and array.flags.writeable
-    )
-
-
-def sample_crt_array(m, r, rng: RandomSource, out=None) -> np.ndarray:
+def sample_crt_array(m, r, rng: RandomSource, axis=None) -> np.ndarray:
     """Elementwise CRT draws for an array of counts ``m`` and rates ``r``.
 
     ``r`` is broadcast against ``m``; it must be positive wherever
@@ -231,33 +220,34 @@ def sample_crt_array(m, r, rng: RandomSource, out=None) -> np.ndarray:
     compiled loop counts each cell's successes.  The uniforms are drawn
     for a run of rows of m (its cells, for a vector) at a time, about
     ``CRT_CHUNK_TRIALS`` trials or one row; the stream gives the same
-    values as one draw of them all.  The tables are written into
-    ``out`` when given, a writable C-contiguous int64 array of m's shape,
-    and returned.
+    values as one draw of them all.  Returns an int64 array of m's shape,
+    or, for a 2-D ``m`` and an ``axis`` of 0 or 1, the tables summed over
+    that axis, which the loop adds up as it counts them, so no per-cell
+    array is made.
     """
     m = np.asarray(m)
     if not np.issubdtype(m.dtype, np.integer):
         raise ParameterError(f"m must be an integer array, got dtype {m.dtype}")
     if np.any(m < 0):
         raise ParameterError("m entries must be non-negative")
+    if axis is not None and (m.ndim != 2 or axis not in (0, 1)):
+        raise ParameterError(f"axis must be 0 or 1 for a 2-D m, got axis {axis!r} for {m.ndim}-D m")
     r = np.broadcast_to(np.asarray(r, dtype=np.float64), m.shape)
     m = np.ascontiguousarray(m, dtype=np.int64)
-    if out is None:
-        out = np.empty(m.shape, dtype=np.int64)
-    elif not writable_as(out, m.shape, np.int64):
-        raise ParameterError(f"out must be a writable C-contiguous int64 array of shape {m.shape}")
+    out = np.zeros(m.shape if axis is None else m.shape[1 - axis], dtype=np.int64)
     if not m.any():
-        out.fill(0)
         return out
     cols = m.shape[-1] if m.ndim > 1 else 1
-    m, r, tables = m.reshape(-1, cols), r.reshape(-1, cols), out.reshape(-1, cols)
+    m, r = m.reshape(-1, cols), r.reshape(-1, cols)
+    tables = out.reshape(-1, cols) if axis is None else out
     ends = np.cumsum(m.sum(axis=1))  # the trials up to the end of each row
     crt_tables = _kernels.library().crt_tables
     start, drawn = 0, 0
     while start < len(m):
         stop = max(start + 1, int(np.searchsorted(ends, drawn + CRT_CHUNK_TRIALS, side="right")))
         u = rng.generator.random(int(ends[stop - 1]) - drawn)
-        if crt_tables(m[start:stop], r[start:stop], u, tables[start:stop]) >= 0:
+        # the columns' sums take every run of rows; the others take the run's own rows
+        if crt_tables(m[start:stop], r[start:stop], u, tables if axis == 0 else tables[start:stop], axis) >= 0:
             raise ParameterError("r must be positive and finite wherever m > 0")
         start, drawn = stop, int(ends[stop - 1])
     return out

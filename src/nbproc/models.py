@@ -47,10 +47,14 @@ chunk into its columns, with each topic's sum over the vocabulary in
 of the others', so a large assignment is drawn in token-balanced parts on
 all cores with the same z, from uniforms drawn into the new z's own
 buffer, and the kernel writes each document's counts into its row of
-``n_jk`` as it goes.  A sweep overwrites ``omega_t``, ``n_jk``, ``lam``,
-``l_jk`` and ``b_jk`` in place wherever they are writable C-contiguous
-arrays of their shape and dtype, so its working set stays the same from
-sweep to sweep, and the new z is its only token-length array.
+``n_jk`` as it goes.  A sweep overwrites ``omega_t``, ``n_jk``, ``lam``
+and ``b_jk`` in place wherever they are writable C-contiguous arrays of
+their shape and dtype, so its working set stays the same from sweep to
+sweep, and the new z is its only token-length array.  The CRT table
+counts enter the updates only through their sums over one axis, so the
+compiled loop adds each cell's count into its sum as it draws it and a
+state keeps only those sums, ``tables``: no documents x topics array
+beyond ``n_jk``, ``lam`` and nb-ftm's gates.
 
 Every gamma array of at least ``BLOCKED_CELLS`` cells (the topic
 Dirichlet, and lam's draw in every kind and in the warm-up) is drawn in
@@ -80,7 +84,6 @@ from .distributions import (
     sample_crt_array,
     sample_dirichlet,
     sample_gamma,
-    writable_as,
 )
 from .rng import RandomSource
 
@@ -188,6 +191,11 @@ class KindSpec:
     def learns_p(self) -> bool:
         return self.p_prior in (A0B0, BETA_PROCESS)
 
+    @property
+    def tables_axis(self) -> str | None:
+        """The axis the CRT tables are summed to: r's, the topics for crf-hdp, none for lda/dir-pfa."""
+        return TOPIC if self.normalized == FRANCHISE else self.r_axis
+
 
 KIND_SPECS = {
     ModelKind.LDA: KindSpec(normalized=SMOOTHED),
@@ -275,7 +283,10 @@ class ModelState:
     the same buffer, for reading.  Set topics with ``set_topics`` so that
     the two fields agree.  ``lam`` holds the topic weights: rows that sum
     to one for lda/dir-pfa/crf-hdp.  ``pi_k`` and ``b_jk`` are None except
-    for the gated kind, nb-ftm.
+    for the gated kind, nb-ftm.  ``tables`` holds the CRT table counts of
+    the last sweep summed to one value per entry of ``spec.tables_axis``:
+    per entry of r for the count kinds, per topic for crf-hdp, and none
+    for lda/dir-pfa.
     """
 
     kind: ModelKind
@@ -293,7 +304,7 @@ class ModelState:
     b_jk: np.ndarray | None  # binary gates (nb-ftm)
     gamma0: float
     alpha: float
-    l_jk: np.ndarray  # CRT table counts
+    tables: np.ndarray  # CRT table counts summed over the other axis, one per entry of spec.tables_axis
     l_k_prime: np.ndarray
     p_prime: float
     r_tilde: np.ndarray
@@ -431,9 +442,14 @@ def _along(axis: str, values: np.ndarray) -> np.ndarray:
     return values[:, None] if axis == DOC else values[None, :]
 
 
+def _summed(axis: str) -> int:
+    """The documents x topics axis to sum over to leave one value per document or per topic."""
+    return 1 if axis == DOC else 0
+
+
 def _per(axis: str, matrix: np.ndarray) -> np.ndarray:
     """Sum a documents x topics matrix to one value per document or per topic."""
-    return matrix.sum(axis=1 if axis == DOC else 0)
+    return matrix.sum(axis=_summed(axis))
 
 
 def _beta_prior(prior: str, hyper: HyperParams, K: int) -> tuple[float, float]:
@@ -495,7 +511,7 @@ def blank_state(kind: ModelKind, tokens, offsets, z, vocab_size: int, num_topics
         b_jk=np.ones((J, K), dtype=np.int64) if kind.spec.gated else None,
         gamma0=1.0,
         alpha=1.0,
-        l_jk=np.zeros((J, K), dtype=np.int64),
+        tables=np.zeros(size[kind.spec.tables_axis], dtype=np.int64),
         l_k_prime=np.zeros(K, dtype=np.int64),
         p_prime=0.5,
         r_tilde=np.full(K, 1.0 / K),
@@ -516,8 +532,16 @@ def set_topics(state: ModelState, omega: np.ndarray) -> None:
 
 
 def _reusable(array: np.ndarray, shape: tuple[int, ...], dtype) -> np.ndarray:
-    """``array`` where a sweep may overwrite it (see ``writable_as``), else a new one, leaving it as it is."""
-    return array if writable_as(array, shape, dtype) else np.empty(shape, dtype=dtype)
+    """``array`` where a sweep may overwrite it, as a writable C-contiguous ndarray of this shape and dtype,
+    else a new one, leaving it as it is."""
+    usable = (
+        isinstance(array, np.ndarray)
+        and array.shape == shape
+        and array.dtype == dtype
+        and array.flags.c_contiguous
+        and array.flags.writeable
+    )
+    return array if usable else np.empty(shape, dtype=dtype)
 
 
 def _recount(state: ModelState) -> None:
@@ -700,10 +724,11 @@ def count_sweep(state, hyper, rng, fault=None):
 
     Order: p ~ Beta(prior + tokens on p's axis, prior + the r mass those
     tokens meet) unless p is fixed; gates b_jk and sparsity pi_k if gated;
-    tables l_jk ~ CRT(n_jk, r b_jk); for a gamma0 prior, the mixed
-    probability p', l' ~ CRT(tables, gamma0/K or gamma0) and the total
-    mass gamma0; r given its tables; lam_jk ~ Gamma(r b_jk + n_jk, p), and
-    exactly 0 where both vanish; kinds without gates take b_jk = 1.
+    tables l_jk ~ CRT(n_jk, r b_jk), kept only as their sums per entry of
+    r, ``state.tables``; for a gamma0 prior, the mixed probability p',
+    l' ~ CRT(tables, gamma0/K or gamma0) and the total mass gamma0; r
+    given its tables; lam_jk ~ Gamma(r b_jk + n_jk, p), and exactly 0
+    where both vanish; kinds without gates take b_jk = 1.
     lam's gammas are drawn in place, in the row blocks of
     ``_in_row_blocks`` at ``BLOCKED_CELLS`` cells and above, and from the
     chain's stream below that.  Only the gated kind looks for closed
@@ -743,10 +768,8 @@ def count_sweep(state, hyper, rng, fault=None):
     else:
         # sum of log(1 - p) over the cells each entry of r covers
         log1mp = span * _libm(math.log1p, -p) if same_axis else float(_libm(math.log1p, -p).sum())
-    l_jk = _reusable(state.l_jk, (J, K), np.int64)
     # the rate r b_jk is read only where n_jk > 0, where every gate is open
-    state.l_jk = sample_crt_array(state.n_jk, _along(spec.r_axis, r), rng, l_jk)
-    tables = _per(spec.r_axis, state.l_jk)
+    tables = state.tables = sample_crt_array(state.n_jk, _along(spec.r_axis, r), rng, _summed(spec.r_axis))
     if spec.samples_gamma0:
         share = _gamma0_share(spec, K)
         # with r integrated out, each entry's tables are NB(gamma0 / share, p')
@@ -792,22 +815,21 @@ def count_sweep(state, hyper, rng, fault=None):
 def crf_hdp_sweep(state, hyper, rng):
     """Parameter block of the normalized (franchise) model's direct-assignment sweep.
 
-    Table counts l_jk ~ CRT(n_jk, alpha * r_tilde_k) feed the
-    concentration update through the usual beta/Bernoulli auxiliaries
-    (w_j, s_j, transient here); gamma0 stays fixed at 1 because its
+    Table counts l_jk ~ CRT(n_jk, alpha * r_tilde_k), kept only as their
+    sums per topic, ``state.tables``, feed the concentration update
+    through the usual beta/Bernoulli auxiliaries (w_j, s_j, transient
+    here) and r_tilde's Dirichlet; gamma0 stays fixed at 1 because its
     finite-truncation sampler is biased.  Where alpha * r_tilde_k
     underflows to 0 the CRT rate is floored at ``TINY``: CRT(m, r) tends
     to one table as r -> 0, so this is the limiting law.
     """
     gen = rng.generator
     J, K = state.n_jk.shape
-    l_jk = _reusable(state.l_jk, (J, K), np.int64)
-    state.l_jk = sample_crt_array(state.n_jk, np.maximum(state.alpha * state.r_tilde, TINY)[None, :], rng, l_jk)
-    state.alpha = crf_alpha_step(
-        state.alpha, int(state.l_jk.sum()), state.train_counts, hyper.a0, hyper.b0, gen
-    )
+    rates = np.maximum(state.alpha * state.r_tilde, TINY)[None, :]
+    state.tables = sample_crt_array(state.n_jk, rates, rng, _summed(TOPIC))
+    state.alpha = crf_alpha_step(state.alpha, int(state.tables.sum()), state.train_counts, hyper.a0, hyper.b0, gen)
     _check_finite("alpha", state.alpha)
-    tilde_conc = state.gamma0 / K + state.l_jk.sum(axis=0)
+    tilde_conc = state.gamma0 / K + state.tables
     state.r_tilde = _dirichlet_rows(gen, tilde_conc[None, :])[0]
     _check_finite("r_tilde", state.r_tilde)
     lam = _reusable(state.lam, (J, K), np.float64)
@@ -1015,8 +1037,8 @@ def forward_draw(
 def validate_state(state: ModelState, after_sweep: bool = True) -> None:
     """Raise if a structural invariant is broken (debug/test helper).
 
-    The table-count zero-pattern check only holds once a sweep has run,
-    so pass ``after_sweep=False`` for freshly initialized states.
+    The table-count checks only hold once a sweep has run, so pass
+    ``after_sweep=False`` for freshly initialized states.
     """
     offsets = state.offsets
     if len(offsets) < 1 or offsets[0] != 0 or np.any(np.diff(offsets) < 0):
@@ -1046,11 +1068,15 @@ def validate_state(state: ModelState, after_sweep: bool = True) -> None:
         if np.abs(state.lam.sum(axis=1) - 1.0).max() > 1e-10:
             raise ValueError("lam rows are not normalized")
     spec = state.kind.spec
-    if after_sweep and spec.normalized != SMOOTHED:
-        if np.any(state.l_jk > state.n_jk):
-            raise ValueError("l_jk exceeds n_jk somewhere")
-        if not np.array_equal(state.l_jk == 0, _gated(state, state.n_jk) == 0):
-            raise ValueError("l_jk zero-pattern does not match gated counts")
+    if after_sweep and spec.tables_axis is not None:
+        # each sum of CRT(n, r) tables is at most its n, and 0 exactly where its n is
+        counts = _per(spec.tables_axis, _gated(state, state.n_jk))
+        if state.tables.shape != counts.shape:
+            raise ValueError(f"tables has shape {state.tables.shape}, expected {counts.shape}")
+        if np.any(state.tables > counts):
+            raise ValueError("tables exceed the gated counts summed along the same axis somewhere")
+        if not np.array_equal(state.tables == 0, counts == 0):
+            raise ValueError("tables zero-pattern does not match the summed gated counts")
     if np.any(state.r <= 0):
         raise ValueError("r has non-positive entries")
     if state.gamma0 <= 0 or state.alpha <= 0:

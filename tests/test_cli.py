@@ -9,6 +9,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 import weakref
 from pathlib import Path
 
@@ -620,15 +621,21 @@ def test_traced_benchmark_layers_resolve():
         assert callable(getattr(importlib.import_module(module_name), attr, None)), f"{module_name}.{attr}"
 
 
-def test_benchmark_inputs_build_from_the_corpus_api(tmp_path, monkeypatch):
-    # perfbench/run.py make_inputs writes each benchmark corpus with
-    # synthesize_corpus and write_bag_of_words and describes it with
-    # split_train_test and Corpus.total_tokens; a tiny workload runs it whole
+def _benchmark(monkeypatch):
+    """perfbench/run.py, loaded as a module."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
     spec = importlib.util.spec_from_file_location("perfbench_run", path)
     bench = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, bench)  # the module's dataclasses look themselves up there
     spec.loader.exec_module(bench)
+    return bench
+
+
+def test_benchmark_inputs_build_from_the_corpus_api(tmp_path, monkeypatch):
+    # perfbench/run.py make_inputs writes each benchmark corpus with
+    # synthesize_corpus and write_bag_of_words and describes it with
+    # split_train_test and Corpus.total_tokens; a tiny workload runs it whole
+    bench = _benchmark(monkeypatch)
     synth = dict(k_true=2, vocab_size=20, num_docs=6, topic_sharpness=0.1, r=5.0, p=0.6)
     tiny = bench.Workload("tiny", model="gamma-nb", K=3, iters=2, burnin=1, init_iters=1, spec=synth)
     inputs = tmp_path / "inputs"
@@ -643,3 +650,25 @@ def test_benchmark_inputs_build_from_the_corpus_api(tmp_path, monkeypatch):
     assert props["docword_lines"] == 3 + cells
     assert props["train_tokens"] == split.total_train > 0
     assert props["train_cells"] == sum(len(np.unique(t)) for t in split.train_tokens)
+
+
+@pytest.mark.parametrize("workload", ["desk", "paper"])
+def test_traced_benchmark_fit_records_every_layer_span(tmp_path, monkeypatch, workload):
+    # the benchmark's traced child (perfbench/traced.py) on its own command
+    # line, shrunk to a tiny synthetic corpus: a layer call it can no longer
+    # wrap or count fails the child, and a layer it no longer sees leaves
+    # out a span of FIT_SPANS
+    bench = _benchmark(monkeypatch)
+    synth = dict(k_true=2, vocab_size=20, num_docs=6, topic_sharpness=0.1, r=5.0, p=0.6)
+    tiny = dataclasses.replace(bench.WORKLOADS[workload], K=3, iters=2, burnin=1, init_iters=1, spec=synth)
+    inputs, spans_path = tmp_path / "inputs", tmp_path / "spans.jsonl"
+    props = bench.make_inputs(tiny, 4, inputs)
+    deadline = time.monotonic() + bench.RUN_DEADLINE_S
+    child, out = bench.run_once(tiny, 4, inputs, tmp_path, 1, deadline, spans_path)
+    assert child.returncode == 0, child.stderr_tail()
+    bench.check_fit(tiny, child, out, props)
+    spans = [json.loads(line) for line in spans_path.read_text().splitlines()]
+    assert set(bench.FIT_SPANS) <= {s["name"] for s in spans}
+    crt_trials = [s["work"] for s in spans if s["name"] == "distributions.crt"]
+    assert all(isinstance(trials, int) for trials in crt_trials) and sum(crt_trials) > 0
+    assert set(bench.span_metrics(spans, tiny, props)) == set(bench.PER_LAYER) - {"trace_overhead_s"}

@@ -381,13 +381,25 @@ def _crt_cases():
 
 
 CRT_CASES = _crt_cases()
+# Each case per cell, under its own name, and each 2-D case summed over
+# either axis, as sample_crt_array(m, r, rng, axis) sums it.
+CRT_AXES = [
+    pytest.param(case, axis, id=case if axis is None else f"{case}-axis{axis}")
+    for case in sorted(CRT_CASES)
+    for axis in (None, 0, 1)
+    if axis is None or np.ndim(CRT_CASES[case][0]) == 2
+]
 
 
-@pytest.mark.parametrize("case", sorted(CRT_CASES))
-def test_sample_crt_array_counts_one_uniform_per_trial(case):
+def _summed(tables: np.ndarray, axis) -> np.ndarray:
+    return tables if axis is None else tables.sum(axis=axis)
+
+
+@pytest.mark.parametrize(("case", "axis"), CRT_AXES)
+def test_sample_crt_array_counts_one_uniform_per_trial(case, axis):
     m, r = CRT_CASES[case]
     source = rng(26)
-    drawn = sample_crt_array(m, r, source)
+    drawn = sample_crt_array(m, r, source, axis)
     # the reference: r / (k + r) against the stream's next m.sum() uniforms, cell after cell in C order
     gen = rng(26).generator
     expected = np.zeros(m.shape, dtype=np.int64)
@@ -396,37 +408,28 @@ def test_sample_crt_array_counts_one_uniform_per_trial(case):
         n = int(m[cell])
         if n:
             expected[cell] = np.count_nonzero(gen.random(n) < rates[cell] / (np.arange(n) + rates[cell]))
-    assert drawn.shape == m.shape and drawn.dtype == np.int64
-    assert np.array_equal(drawn, expected)
-    assert np.all(drawn[m == 0] == 0) and np.all((drawn >= 1) == (m >= 1)) and np.all(drawn <= m)
+    counts = _summed(m, axis)
+    assert drawn.shape == counts.shape and drawn.dtype == np.int64
+    assert np.array_equal(drawn, _summed(expected, axis))
+    assert np.all(drawn[counts == 0] == 0) and np.all((drawn >= 1) == (counts >= 1)) and np.all(drawn <= counts)
     assert source.generator.random() == gen.random()  # the same number of uniforms consumed
 
 
-@pytest.mark.parametrize("case", sorted(CRT_CASES))
-def test_crt_tables_count_the_uniforms_below_each_trial_s_rate(compiled_library, case):
+@pytest.mark.parametrize(("case", "axis"), CRT_AXES)
+def test_crt_tables_count_the_uniforms_below_each_trial_s_rate(compiled_library, case, axis):
     m, r = CRT_CASES[case]
     m = np.ascontiguousarray(m, dtype=np.int64)
     r = np.broadcast_to(np.asarray(r, dtype=np.float64), m.shape)  # zero strides where r is broadcast
     u = np.random.default_rng(25).random(int(m.sum()))
-    tables = np.full(m.shape, -1)  # every cell is written, the empty ones too
-    assert compiled_library.crt_tables(m, r, u, tables) == -1
     expected, used = np.zeros(m.shape, dtype=np.int64), 0
     for cell in np.ndindex(m.shape):  # the uniforms in C order of the cells, one per trial
         n = int(m[cell])
         expected[cell] = np.count_nonzero(u[used : used + n] < r[cell] / (np.arange(n) + r[cell]))
         used += n
-    assert np.array_equal(tables, expected)
-
-
-@pytest.mark.parametrize("case", sorted(CRT_CASES))
-def test_sample_crt_array_into_out_gives_the_tables_of_a_fresh_array(case):
-    m, r = CRT_CASES[case]
-    fresh_source, source = rng(29), rng(29)
-    fresh = sample_crt_array(m, r, fresh_source)
-    out = np.full(np.shape(m), -1, dtype=np.int64)  # every cell is written, the empty ones too
-    assert sample_crt_array(m, r, source, out) is out
-    assert np.array_equal(out, fresh)
-    assert source.generator.random() == fresh_source.generator.random()
+    expected = _summed(expected, axis)
+    tables = np.full(expected.shape, -1)  # each count is added to what the entry holds
+    assert compiled_library.crt_tables(m, r, u, tables, axis) == -1
+    assert np.array_equal(tables, expected - 1)
 
 
 class _RandomSizes:
@@ -443,49 +446,54 @@ class _RandomSizes:
         return getattr(self.gen, name)
 
 
-@pytest.mark.parametrize("case", sorted(CRT_CASES))
-def test_sample_crt_array_in_row_chunks_gives_the_tables_of_one_draw(monkeypatch, case):
+@pytest.mark.parametrize(("case", "axis"), CRT_AXES)
+def test_sample_crt_array_in_row_chunks_gives_the_tables_of_one_draw(monkeypatch, case, axis):
     m, r = CRT_CASES[case]
     whole_source = rng(33)
-    whole = sample_crt_array(m, r, whole_source)
+    whole = _summed(sample_crt_array(m, r, whole_source), axis)  # the per-cell tables of one draw
     next_uniform = whole_source.generator.random()
     rows = np.reshape(m, (-1, np.shape(m)[-1] if np.ndim(m) > 1 else 1)).sum(axis=1)  # trials per row of chunking
     for trials in (1, 5, 16):
         monkeypatch.setattr(distributions, "CRT_CHUNK_TRIALS", trials)
         source = rng(33)
         source.generator = sizes = _RandomSizes(source.generator)
-        assert np.array_equal(sample_crt_array(m, r, source), whole), trials
+        assert np.array_equal(sample_crt_array(m, r, source, axis), whole), trials
         assert source.generator.random() == next_uniform  # the same uniforms, in the same order
         drawn = sizes.sizes[:-1]
         assert sum(drawn) == np.sum(m) and max(drawn, default=0) <= max(trials, rows.max(initial=0))
         assert len(drawn) > 1 or np.sum(m) <= trials or len(rows) == 1
 
 
-def test_sample_crt_array_rejects_an_unusable_out():
-    m = np.array([[2, 0, 1], [0, 3, 1]])
-    read_only = np.zeros((2, 3), dtype=np.int64)
-    read_only.flags.writeable = False
-    unusable = {
-        "wrong-shape": np.zeros((3, 2), dtype=np.int64),
-        "wrong-dtype": np.zeros((2, 3), dtype=np.int32),
-        "strided": np.zeros((2, 6), dtype=np.int64)[:, ::2],
-        "read-only": read_only,
-        "list": [[0, 0, 0], [0, 0, 0]],
-    }
-    for name, out in unusable.items():
-        with pytest.raises(ParameterError, match="out must be a writable C-contiguous int64 array of shape"):
-            sample_crt_array(m, 1.0, rng(30), out)
-        assert np.all(np.asarray(out) == 0), name
+BAD_RATE_AXES = [
+    pytest.param(rate, axis, id=str(rate) if axis is None else f"{rate}-axis{axis}")
+    for rate in (0.0, -1.0, np.nan, np.inf)
+    for axis in (None, 0, 1)
+]
 
 
-@pytest.mark.parametrize("rate", [0.0, -1.0, np.nan, np.inf])
-def test_crt_tables_name_the_first_bad_cell(compiled_library, rate):
+@pytest.mark.parametrize(("rate", "axis"), BAD_RATE_AXES)
+def test_crt_tables_name_the_first_bad_cell(compiled_library, rate, axis):
     m = np.array([[2, 0, 1], [0, 3, 1]])
     r = np.array([[1.0, rate, 1.0], [1.0, rate, rate]])  # cell (0, 1) has m = 0; (1, 1) is the first bad one
     u = np.random.default_rng(27).random(int(m.sum()))
-    assert compiled_library.crt_tables(m, r, u, np.empty_like(m)) == 4
+    assert compiled_library.crt_tables(m, r, u, _summed(np.zeros_like(m), axis), axis) == 4
     with pytest.raises(ParameterError, match="r must be positive and finite wherever m > 0"):
-        sample_crt_array(m, r, rng(28))
+        sample_crt_array(m, r, rng(28), axis)
+
+
+@pytest.mark.parametrize(("axis", "size"), [(None, 5), (None, 7), (0, 2), (1, 3)])
+def test_crt_tables_refuse_a_tables_array_of_another_size(compiled_library, axis, size):
+    # the loop writes through the strides of one entry per cell (6), per column (3) or per row (2)
+    m = np.array([[2, 0, 1], [0, 3, 1]])
+    u = np.random.default_rng(27).random(int(m.sum()))
+    with pytest.raises(ValueError, match=f"tables has {size} entries"):
+        compiled_library.crt_tables(m, np.ones(m.shape), u, np.zeros(size, dtype=np.int64), axis)
+
+
+@pytest.mark.parametrize(("shape", "axis"), [((2, 3), 2), ((2, 3), -1), ((2, 3), "documents"), ((3,), 0)])
+def test_sample_crt_array_sums_only_over_an_axis_of_a_matrix(shape, axis):
+    with pytest.raises(ParameterError, match="axis must be 0 or 1 for a 2-D m"):
+        sample_crt_array(np.ones(shape, dtype=np.int64), 1.0, rng(30), axis)
 
 
 # ---------------------------------------------------------------------------

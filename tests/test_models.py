@@ -409,14 +409,13 @@ def _unusable(array, how):
 def test_sweep_writes_counts_and_weights_in_place_and_replaces_unusable_arrays(kind, how):
     hyper = MICRO.replace(K=3)
     state = forward_draw(kind, hyper, 6, 5, RandomSource(30), doc_lengths=[4, 0, 7, 3, 5, 9])
-    buffers = {name: getattr(state, name) for name in ("n_jk", "lam", "l_jk")}
+    buffers = {name: getattr(state, name) for name in ("n_jk", "lam")}
     gibbs_sweep(state, hyper, RandomSource(31))
     assert all(getattr(state, name) is buffer for name, buffer in buffers.items())
     block = count_sweep if kind.models_counts else models.crf_hdp_sweep
     steps = {
         "n_jk": lambda s: sample_topic_assignments(s, RandomSource(32)),
         "lam": lambda s: block(s, hyper, RandomSource(33)),
-        "l_jk": lambda s: block(s, hyper, RandomSource(33)),
     }
     for name, step in steps.items():
         expected, swept = copy.deepcopy(state), copy.deepcopy(state)
@@ -427,7 +426,7 @@ def test_sweep_writes_counts_and_weights_in_place_and_replaces_unusable_arrays(k
         step(swept)
         assert getattr(swept, name) is not bad, name
         assert np.array_equal(owner, held), f"{name} was written"
-        for field in steps:
+        for field in (*steps, "tables"):
             assert np.array_equal(getattr(swept, field), getattr(expected, field)), f"{name}: {field} differs"
 
 
@@ -605,7 +604,7 @@ def test_gamma_nb_sweep_exact_replay():
     assert np.array_equal(swept.n_jk, n_jk)
     assert np.array_equal(swept.p, p_j)
     assert swept.p_prime == p_prime
-    assert np.array_equal(swept.l_jk, l_jk)
+    assert np.array_equal(swept.tables, tables)
     assert np.array_equal(swept.l_k_prime, l_prime)
     assert swept.gamma0 == gamma0
     assert np.array_equal(swept.r, r_k)
@@ -641,7 +640,7 @@ def test_nb_lda_sweep_exact_replay():
 
     assert np.array_equal(swept.n_jk, n_jk)
     assert np.array_equal(swept.p, p_j)
-    assert np.array_equal(swept.l_jk, l_jk)
+    assert np.array_equal(swept.tables, tables)
     assert swept.gamma0 == gamma0
     assert np.array_equal(swept.r, r_j)
     assert np.array_equal(swept.lam, lam)
@@ -782,6 +781,17 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
+def _documents_by_topics(state):
+    """The names of the state's documents x topics arrays."""
+    shape = (state.num_docs, state.num_topics)
+    return {f.name for f in dataclasses.fields(state) if np.shape(getattr(state, f.name)) == shape}
+
+
+def _documents_by_topics_fields(kind):
+    """The documents x topics arrays a state of ``kind`` holds: counts, weights, and nb-ftm's gates."""
+    return {"n_jk", "lam"} | ({"b_jk"} if kind.spec.gated else set())
+
+
 def _initialize_and_sweep_peaks(monkeypatch, cores, J, K, V, kind=ModelKind.GAMMA_NB):
     """tracemalloc peaks of an ``initialize`` and one ``count_sweep`` on ``cores`` threads."""
     monkeypatch.setattr(models, "_available_cores", lambda: cores)
@@ -793,7 +803,9 @@ def _initialize_and_sweep_peaks(monkeypatch, cores, J, K, V, kind=ModelKind.GAMM
     state, initialize_peak = _traced_peak(lambda: initialize(kind, corpus, split, hyper, RandomSource(21)))
     topic_matrices = [f.name for f in dataclasses.fields(state) if np.size(getattr(state, f.name)) >= K * V]
     assert topic_matrices == ["omega_t"]
+    assert _documents_by_topics(state) == _documents_by_topics_fields(kind)  # the CRT tables are summed as drawn
     _, sweep_peak = _traced_peak(lambda: count_sweep(state, hyper, RandomSource(22)))
+    assert _documents_by_topics(state) == _documents_by_topics_fields(kind)
     return initialize_peak, sweep_peak
 
 
@@ -802,13 +814,13 @@ def test_initialize_holds_one_topic_matrix_and_count_sweep_one_lam_buffer(monkey
     J, K, V = 300, 64, 2**14
     initialize_peak, sweep_peak = _initialize_and_sweep_peaks(monkeypatch, 2, J, K, V)
     assert initialize_peak < 2 * K * V * 8
-    assert sweep_peak < 1 * J * K * 8  # lam, l_jk and n_jk are written in place
+    assert sweep_peak < 1 * J * K * 8  # lam and n_jk are written in place, and the tables summed as drawn
 
 
 def test_gated_count_sweep_holds_one_lam_buffer(monkeypatch):
     J, K, V = 300, 64, 2**14
     _, sweep_peak = _initialize_and_sweep_peaks(monkeypatch, 2, J, K, V, ModelKind.NB_FTM)
-    assert sweep_peak < 1 * J * K * 8  # the gates' uniforms and the CRT rates take lam's buffer
+    assert sweep_peak < 1 * J * K * 8  # the gates' uniforms take lam's buffer
 
 
 def test_topic_draw_memory_does_not_grow_with_the_core_count(monkeypatch):
@@ -876,12 +888,12 @@ def test_gamma_nb_unused_topic_prior_shrinkage():
         15,
         lambda s: (
             s.n_jk[:, 1].sum(),
-            int(np.array_equal(s.l_jk == 0, s.n_jk == 0)),
+            int(np.array_equal(s.tables == 0, s.n_jk.sum(axis=0) == 0)),
             s.r[1],
             s.gamma0 / 2 / (hyper.c - float(np.log1p(-s.p).sum())),
         ),
     )
-    assert all(r[1] == 1 for r in rows)  # l vanishes exactly with n
+    assert all(r[1] == 1 for r in rows)  # each topic's tables vanish exactly with its tokens
     empty = [(r[2], r[3]) for r in rows if r[0] == 0]
     assert len(empty) > 18_000
     r_mean = np.mean([e[0] for e in empty])
@@ -986,7 +998,7 @@ def test_marked_beta_nb_unused_topic_reverts_to_prior():
     set_topics(base, np.array([[1.0 - 1e-9, 1e-9], [1e-9, 1.0 - 1e-9]]))
     base.lam = np.array([[2.0, 1e-9], [2.0, 1e-9]])
     rows = conditional_draws(
-        base, hyper, 20_000, 29, lambda s: (s.l_jk[:, 1].sum(), s.r[1], 1.0 / (hyper.f0 - 2 * math.log1p(-s.p[1])))
+        base, hyper, 20_000, 29, lambda s: (s.tables[1], s.r[1], 1.0 / (hyper.f0 - 2 * math.log1p(-s.p[1])))
     )
     assert all(r[0] == 0 for r in rows)  # unused topic never opens a table
     r_mean = np.mean([r[1] for r in rows])
@@ -1273,6 +1285,45 @@ def test_validate_state_rejects_a_broken_flat_layout(broken):
         validate_state(state, after_sweep=False)
 
 
+def _tables_past_their_counts(state, counts):
+    state.tables[0] = counts[0] + 1
+
+
+def _no_tables_on_tokens(state, counts):
+    state.tables[np.flatnonzero(counts)[0]] = 0
+
+
+def _tables_one_short(state, counts):
+    state.tables = state.tables[:-1]
+
+
+BROKEN_TABLES = {
+    "past-their-counts": (_tables_past_their_counts, "tables exceed the gated counts summed along the same axis"),
+    "none-on-tokens": (_no_tables_on_tokens, "tables zero-pattern does not match the summed gated counts"),
+    "one-short": (_tables_one_short, r"tables has shape \(\d+,\), expected \(\d+,\)"),
+}
+
+
+@pytest.mark.parametrize("broken", sorted(BROKEN_TABLES))
+@pytest.mark.parametrize(
+    "kind", [ModelKind.GAMMA_NB, ModelKind.NB_LDA, ModelKind.NB_FTM, ModelKind.CRF_HDP], ids=lambda k: k.value
+)
+def test_validate_state_rejects_tables_that_do_not_fit_the_counts(kind, broken):
+    # the summed CRT tables of each entry lie in [1, its count], and are 0 where its count is
+    corpus = make_corpus([[0, 1, 2], [3, 3], [1, 4, 2, 0]], 5)
+    split = split_train_test(corpus, 0.6, RandomSource(103))
+    hyper = MICRO.replace(K=3, init_iters=1)
+    state = initialize(kind, corpus, split, hyper, RandomSource(105))
+    gibbs_sweep(state, hyper, RandomSource(106))
+    validate_state(state)
+    counts = models._per(kind.spec.tables_axis, state.n_jk)
+    assert state.tables.shape == counts.shape
+    corrupt, message = BROKEN_TABLES[broken]
+    corrupt(state, counts)
+    with pytest.raises(ValueError, match=message):
+        validate_state(state)
+
+
 # which continuous fields every kernel must update, and which integer
 # fields it may touch; everything else has to stay bit-identical
 CONTINUOUS_CHANGED = {
@@ -1290,14 +1341,14 @@ CONTINUOUS_CHANGED = {
 INTEGER_MAY_CHANGE = {
     ModelKind.LDA: {"z", "n_jk"},
     ModelKind.DIR_PFA: {"z", "n_jk"},
-    ModelKind.CRF_HDP: {"z", "n_jk", "l_jk"},
-    ModelKind.GAMMA_NB: {"z", "n_jk", "l_jk", "l_k_prime"},
-    ModelKind.NB_HDP: {"z", "n_jk", "l_jk", "l_k_prime"},
-    ModelKind.NB_LDA: {"z", "n_jk", "l_jk"},
-    ModelKind.NB_FTM: {"z", "n_jk", "l_jk", "l_k_prime", "b_jk"},
-    ModelKind.BETA_NB: {"z", "n_jk", "l_jk"},
-    ModelKind.MARKED_BETA_NB: {"z", "n_jk", "l_jk"},
-    ModelKind.MARKED_GAMMA_NB: {"z", "n_jk", "l_jk", "l_k_prime"},
+    ModelKind.CRF_HDP: {"z", "n_jk", "tables"},
+    ModelKind.GAMMA_NB: {"z", "n_jk", "tables", "l_k_prime"},
+    ModelKind.NB_HDP: {"z", "n_jk", "tables", "l_k_prime"},
+    ModelKind.NB_LDA: {"z", "n_jk", "tables"},
+    ModelKind.NB_FTM: {"z", "n_jk", "tables", "l_k_prime", "b_jk"},
+    ModelKind.BETA_NB: {"z", "n_jk", "tables"},
+    ModelKind.MARKED_BETA_NB: {"z", "n_jk", "tables"},
+    ModelKind.MARKED_GAMMA_NB: {"z", "n_jk", "tables", "l_k_prime"},
 }
 STATE_FIELDS = (
     "z",
@@ -1310,7 +1361,7 @@ STATE_FIELDS = (
     "b_jk",
     "gamma0",
     "alpha",
-    "l_jk",
+    "tables",
     "l_k_prime",
     "p_prime",
     "r_tilde",
@@ -1350,19 +1401,11 @@ def test_state_holds_only_the_documents_by_topics_arrays_its_kind_reads(kind):
     corpus = make_corpus([list(d) for d in docs], V)
     split = split_train_test(corpus, 0.7, RandomSource(90))
     hyper = MICRO.replace(K=K, init_iters=2, c=6.0 if kind in (ModelKind.BETA_NB, ModelKind.MARKED_BETA_NB) else 1.0)
-    expected = {"n_jk", "lam", "l_jk"} | ({"b_jk"} if kind is ModelKind.NB_FTM else set())
-
-    def documents_by_topics(state):
-        return {
-            f.name
-            for f in dataclasses.fields(state)
-            if isinstance(getattr(state, f.name), np.ndarray) and getattr(state, f.name).shape == (J, K)
-        }
-
+    expected = _documents_by_topics_fields(kind)
     state = initialize(kind, corpus, split, hyper, RandomSource(91))
-    assert documents_by_topics(state) == expected
+    assert _documents_by_topics(state) == expected
     gibbs_sweep(state, hyper, RandomSource(92))
-    assert documents_by_topics(state) == expected
+    assert _documents_by_topics(state) == expected
     if kind is not ModelKind.NB_FTM:
         assert state.b_jk is None and state.pi_k is None
 
@@ -1470,7 +1513,7 @@ def test_crf_hdp_sweep_survives_underflowing_table_rate():
     assert state.alpha * state.r_tilde[0] == 0.0
     gibbs_sweep(state, hyper, RandomSource(83))
     validate_state(state)
-    assert np.array_equal(state.l_jk[:, 0], [1, 1])
+    assert state.tables[0] == 2  # one table in each of the two documents
 
 
 def test_marked_gamma_nb_single_doc_per_topic_structure():
@@ -1489,7 +1532,7 @@ def test_marked_gamma_nb_single_doc_per_topic_structure():
         87,
         lambda s: (
             s.r[0],
-            (s.gamma0 / 2 + s.l_jk[:, 0].sum()) / (hyper.c - math.log1p(-s.p[0])),
+            (s.gamma0 / 2 + s.tables[0]) / (hyper.c - math.log1p(-s.p[0])),
         ),
     )
     assert abs(np.mean([r[0] for r in rows]) / np.mean([r[1] for r in rows]) - 1) < 0.02
